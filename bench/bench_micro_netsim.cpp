@@ -10,7 +10,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <string>
 #include <utility>
 
 #include "bench_common.hpp"
@@ -134,57 +136,139 @@ BENCHMARK(BM_WorldBuild)->Arg(5)->Arg(20)->Unit(benchmark::kMillisecond);
 
 // -- --bench-json mode --------------------------------------------------------
 
-/// Steady-state timer throughput through one scheduling path, at the event
-/// population a sharded paper-scale campaign sustains (hundreds of
-/// thousands of concurrent timers at the 100us..50ms pacing/link/retry
-/// timescales). `legacy` selects the seed's hot path -- the binary heap
-/// with a heap-allocated cancellation control block per event (schedule());
-/// otherwise the overhauled path runs: calendar queue + the allocation-free
-/// post() fast path packet delivery uses. Returns events/second.
-double timer_events_per_sec(bool legacy, std::uint64_t budget) {
-  netsim::Simulator sim(legacy ? netsim::SchedulerKind::LegacyHeap
-                               : netsim::SchedulerKind::Calendar);
+/// One timer of a shape: how long it waits, through which call it enters
+/// the queue, and whether it is cancelled before it fires.
+struct TimerDraw {
+  util::SimDuration delay;
+  bool handle = false;     ///< schedule() with a cancellation handle, else post()
+  bool cancelled = false;  ///< cancelled at once; the scheduler reaps it at `delay`
+};
 
+/// A timer population for the scheduler comparison: `timers` concurrent
+/// self-rescheduling timers. Each fire re-arms its timer with the next live
+/// draw of `draws`, filing (and at once cancelling) the cancelled draws it
+/// passes on the way.
+struct TimerShape {
+  int timers;
+  std::vector<TimerDraw> draws;  ///< 1024 entries, cycled
+};
+
+/// A 50k-timer storm at the 100us..50ms link/pacing timescales: the
+/// population the calendar queue's default wheel is sized for. Its edge over
+/// the heap peaks here (2x+) and narrows past ~500k pending, where the
+/// 200-byte events outgrow the cache (docs/performance.md). `handles`
+/// selects schedule() for every timer, else post().
+TimerShape storm_shape(bool handles) {
   util::Rng rng(7);
-  std::vector<util::SimDuration> delays;
+  TimerShape shape{50'000, {}};
   for (int i = 0; i < 1024; ++i) {
-    delays.push_back(util::SimDuration::nanos(
-        100'000 + static_cast<std::int64_t>(rng.next_below(49'900'000))));
+    shape.draws.push_back({util::SimDuration::nanos(
+                               100'000 + static_cast<std::int64_t>(rng.next_below(49'900'000))),
+                           handles});
   }
+  return shape;
+}
+
+/// The events one perfbench paper_campaign pass files in its Simulator
+/// (2500 servers x 17 traces, world seed 1: 6,717,531 events, cancelled
+/// timers included), by scheduling call, delay and fate, in percent. They
+/// were recorded by counting every popped event's delay (when -
+/// scheduled_at) into 16 log buckets per octave.
+struct CampaignMixRow {
+  double percent;
+  std::int64_t lo_ns, hi_ns;  ///< delays log-uniform in [lo, hi), or exactly lo
+  bool handle;
+  bool cancelled;
+};
+constexpr std::int64_t kMs = 1'000'000;
+constexpr CampaignMixRow kCampaignMix[] = {
+    // post(): packet hops, 0.26..67 ms, one row per octave.
+    {0.591, 1 << 18, 1 << 19, false, false},
+    {5.049, 1 << 19, 1 << 20, false, false},
+    {14.130, 1 << 20, 1 << 21, false, false},
+    {15.741, 1 << 21, 1 << 22, false, false},
+    {21.206, 1 << 22, 1 << 23, false, false},
+    {24.317, 1 << 23, 1 << 24, false, false},
+    {6.179, 1 << 24, 1 << 25, false, false},
+    {1.979, 1 << 25, 1 << 26, false, false},
+    // schedule(), fired: the 50 ms gap between a probe's tests, and 1 s
+    // and 2 s protocol timers that ran out.
+    {1.898, 50 * kMs, 50 * kMs, true, false},
+    {0.880, 1000 * kMs, 1000 * kMs, true, false},
+    {1.323, 2000 * kMs, 2000 * kMs, true, false},
+    // schedule(), cancelled when the awaited answer arrived and reaped at the
+    // deadline: 1 s and 2 s protocol timers and 15 s HTTP deadlines. (4 s and
+    // 8 s backoffs, under 0.01% together, are left out.)
+    {5.348, 1000 * kMs, 1000 * kMs, true, true},
+    {0.091, 2000 * kMs, 2000 * kMs, true, true},
+    {1.265, 15000 * kMs, 15000 * kMs, true, true},
+};
+
+/// The campaign's own event mix (kCampaignMix) at its mean queue depth.
+/// Five timers keep ~34 events pending on average, the campaign's mean at
+/// each push (median 32, peak 119): the cancelled timers in flight, most of
+/// them far beyond the wheel's horizon, make up the rest. Consecutive events
+/// are usually many empty buckets apart, so this shape prices finding the
+/// next one. Both schedulers run the same calls, so the ratio is the
+/// scheduler's alone.
+TimerShape sparse_shape() {
+  util::Rng rng(8);
+  TimerShape shape{5, {}};
+  double total = 0.0;
+  for (const auto& row : kCampaignMix) total += row.percent;
+  // Each row's share of the 1024 draws, rounded on the running sum so the
+  // draws add up exactly.
+  double cumulative = 0.0;
+  std::size_t filled = 0;
+  for (const auto& row : kCampaignMix) {
+    cumulative += row.percent;
+    const auto end = static_cast<std::size_t>(std::lround(cumulative / total * 1024));
+    for (; filled < end; ++filled) {
+      const double ns = row.hi_ns > row.lo_ns
+                            ? std::exp(rng.uniform(std::log(static_cast<double>(row.lo_ns)),
+                                                   std::log(static_cast<double>(row.hi_ns))))
+                            : static_cast<double>(row.lo_ns);
+      shape.draws.push_back({util::SimDuration::nanos(static_cast<std::int64_t>(ns)),
+                             row.handle, row.cancelled});
+    }
+  }
+  rng.shuffle(shape.draws);
+  return shape;
+}
+
+/// Steady-state timer throughput of `shape` on one scheduler. Returns fired
+/// events per second; reaping cancelled timers is part of the work timed.
+double timer_events_per_sec(netsim::SchedulerKind kind, const TimerShape& shape,
+                            std::uint64_t budget) {
+  netsim::Simulator sim(kind);
 
   // Self-rescheduling timer state shared by reference: the per-event
   // closure is one pointer, so it rides the schedulers' inline storage on
   // both paths and the comparison isolates the scheduling machinery itself.
   struct TickState {
     netsim::Simulator& sim;
-    const std::vector<util::SimDuration>& delays;
+    const std::vector<TimerDraw>& draws;
     std::uint64_t remaining;
     std::uint64_t cursor = 0;
-    bool legacy;
     void fire() {
       if (remaining == 0) return;
       --remaining;
-      const auto delay = delays[cursor++ & 1023];
-      if (legacy) {
-        (void)sim.schedule(delay, [this] { fire(); });
-      } else {
-        sim.post(delay, [this] { fire(); });
+      for (;;) {
+        const TimerDraw& draw = draws[cursor++ & 1023];
+        if (draw.cancelled) {
+          sim.schedule(draw.delay, [] {}).cancel();
+        } else if (draw.handle) {
+          (void)sim.schedule(draw.delay, [this] { fire(); });
+          return;
+        } else {
+          sim.post(draw.delay, [this] { fire(); });
+          return;
+        }
       }
     }
   };
-  TickState tick{sim, delays, budget, 0, legacy};
-  // ~50k concurrent timers is what one campaign shard sustains mid-trace;
-  // the calendar's edge peaks here (2x+) and narrows past ~500k pending,
-  // where the 200-byte events outgrow the cache (docs/performance.md).
-  constexpr int kTimers = 50'000;
-  for (int i = 0; i < kTimers; ++i) {
-    const auto delay = delays[static_cast<std::size_t>(i) & 1023];
-    if (legacy) {
-      (void)sim.schedule(delay, [&tick] { tick.fire(); });
-    } else {
-      sim.post(delay, [&tick] { tick.fire(); });
-    }
-  }
+  TickState tick{sim, shape.draws, budget};
+  for (int i = 0; i < shape.timers; ++i) tick.fire();
 
   const bench::Stopwatch timer;
   sim.run();
@@ -215,27 +299,39 @@ std::pair<double, double> probe_throughput(int probes) {
           static_cast<double>(events) / probes};
 }
 
-int run_bench_json(const std::string& path) {
+/// Adds the calendar's throughput on `calendar_shape`, the heap's on
+/// `legacy_shape`, and their guarded ratio, best of three: the ratios gate
+/// CI, so squeeze scheduler noise out.
+void add_scheduler_comparison(bench::BenchJson& json, const TimerShape& calendar_shape,
+                              const TimerShape& legacy_shape, const std::string& suffix) {
   constexpr std::uint64_t kBudget = 1'000'000;
-  // Best-of-three: these ratios gate CI, so squeeze scheduler noise out.
   double overhauled = 0.0, legacy = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    overhauled = std::max(overhauled, timer_events_per_sec(/*legacy=*/false, kBudget));
-    legacy = std::max(legacy, timer_events_per_sec(/*legacy=*/true, kBudget));
+    overhauled = std::max(overhauled, timer_events_per_sec(netsim::SchedulerKind::Calendar,
+                                                           calendar_shape, kBudget));
+    legacy = std::max(legacy, timer_events_per_sec(netsim::SchedulerKind::LegacyHeap,
+                                                   legacy_shape, kBudget));
   }
-  const auto [probes_per_sec, events_per_probe] = probe_throughput(400);
+  const double speedup = legacy > 0.0 ? overhauled / legacy : 0.0;
+  json.add("sim_events_per_sec_calendar" + suffix, overhauled, "events/s");
+  json.add("sim_events_per_sec_legacy" + suffix, legacy, "events/s");
+  json.add("calendar_vs_legacy_speedup" + suffix, speedup, "x", /*guarded=*/true);
+  std::printf("%d timers: calendar %.3g ev/s, legacy heap %.3g ev/s, speedup %.2fx\n",
+              calendar_shape.timers, overhauled, legacy, speedup);
+}
 
+int run_bench_json(const std::string& path) {
   bench::BenchJson json("netsim");
-  json.add("sim_events_per_sec_calendar", overhauled, "events/s");
-  json.add("sim_events_per_sec_legacy", legacy, "events/s");
-  json.add("calendar_vs_legacy_speedup", legacy > 0.0 ? overhauled / legacy : 0.0,
-           "x", /*guarded=*/true);
+  // The storm compares the seed's hot path (heap + a schedule() control
+  // block per event) against the overhauled one (calendar + post()).
+  add_scheduler_comparison(json, storm_shape(/*handles=*/false), storm_shape(/*handles=*/true),
+                           "");
+  const TimerShape sparse = sparse_shape();
+  add_scheduler_comparison(json, sparse, sparse, "_sparse");
+  const auto [probes_per_sec, events_per_probe] = probe_throughput(400);
   json.add("probes_per_sec", probes_per_sec, "probes/s");
   json.add("sim_events_per_probe", events_per_probe, "events",
            /*guarded=*/true);
-  std::printf("calendar+post %.3g ev/s, legacy heap+schedule %.3g ev/s, "
-              "speedup %.2fx\n",
-              overhauled, legacy, legacy > 0.0 ? overhauled / legacy : 0.0);
   return json.write(path) ? 0 : 1;
 }
 

@@ -512,7 +512,9 @@ http::ObsHttpServer::Response CampaignDaemon::admit(const std::string& body) {
     }
     campaigns_.emplace(campaign->id, campaign);
     queue_.push_back(campaign);
-    cv_.notify_one();
+    // notify_all: the watchdog waits on cv_ too, and a notify_one that woke
+    // it instead of a runner would leave the campaign queued for good.
+    cv_.notify_all();
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
   emit_event("admission", "id=" + campaign->id + " tenant=" + spec->tenant +

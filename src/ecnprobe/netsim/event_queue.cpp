@@ -1,5 +1,6 @@
 #include "ecnprobe/netsim/event_queue.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -32,12 +33,40 @@ SimEvent LegacyHeapQueue::pop() {
 
 CalendarQueue::CalendarQueue(std::int64_t bucket_width_ns, std::size_t bucket_count)
     : width_ns_(bucket_width_ns > 0 ? bucket_width_ns : kDefaultBucketWidthNs),
-      buckets_(bucket_count > 0 ? bucket_count : kDefaultBucketCount) {}
+      buckets_(bucket_count > 0 ? bucket_count : kDefaultBucketCount),
+      mask_(buckets_.size() - 1) {
+  assert(std::has_single_bit(buckets_.size()));  // bucket indices wrap with a mask
+  reset_bitmap();
+}
+
+void CalendarQueue::reset_bitmap() {
+  occupied_.assign((buckets_.size() + 63) / 64, 0);
+}
 
 std::size_t CalendarQueue::bucket_index_for(std::int64_t when_ns) const {
   const std::int64_t delta = when_ns - base_ns_;
   if (delta < width_ns_) return cursor_;  // cursor window, or behind a stale cursor
-  return (cursor_ + static_cast<std::size_t>(delta / width_ns_)) % buckets_.size();
+  return (cursor_ + static_cast<std::size_t>(delta / width_ns_)) & mask_;
+}
+
+void CalendarQueue::to_wheel(SimEvent&& ev) {
+  const std::size_t i = bucket_index_for(ev.when.count_nanos());
+  buckets_[i].push_back(std::move(ev));
+  occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
+  ++wheel_count_;
+}
+
+std::size_t CalendarQueue::next_occupied(std::size_t from) const {
+  // The word holding `from` is tested twice at most: first from `from` up,
+  // then whole after wrapping, which finds the buckets behind the cursor.
+  const std::size_t last_word = occupied_.size() - 1;  // word count is a power of two
+  std::size_t word = from / 64;
+  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    word = (word + 1) & last_word;
+    bits = occupied_[word];
+  }
+  return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 void CalendarQueue::push(SimEvent&& ev) {
@@ -47,10 +76,7 @@ void CalendarQueue::push(SimEvent&& ev) {
     // centred on live work instead of wherever the last trace ended.
     base_ns_ = when_ns - (when_ns % width_ns_);
     if (base_ns_ > when_ns) base_ns_ -= width_ns_;  // negative-time safety
-    cursor_ = static_cast<std::size_t>(
-                  ((when_ns / width_ns_) % static_cast<std::int64_t>(buckets_.size()) +
-                   static_cast<std::int64_t>(buckets_.size())) %
-                  static_cast<std::int64_t>(buckets_.size()));
+    cursor_ = slot_of(when_ns);
   }
   ++size_;
   // Grow (and possibly re-fit the bucket width) before the horizon test:
@@ -64,8 +90,7 @@ void CalendarQueue::push(SimEvent&& ev) {
     std::push_heap(ladder_.begin(), ladder_.end(), LadderLater{});
     return;
   }
-  buckets_[bucket_index_for(when_ns)].push_back(std::move(ev));
-  ++wheel_count_;
+  to_wheel(std::move(ev));
 }
 
 void CalendarQueue::prepare_front() {
@@ -73,12 +98,12 @@ void CalendarQueue::prepare_front() {
     reseed_from_ladder();
     return;  // reseed leaves the cursor on the ladder-minimum's bucket
   }
-  // All wheel events live within one horizon of the cursor, so at most one
-  // rotation of empty buckets can precede the first occupied one.
-  while (buckets_[cursor_].empty()) {
-    cursor_ = (cursor_ + 1) % buckets_.size();
-    base_ns_ += width_ns_;
-  }
+  // All wheel events live within one horizon of the cursor, so the first
+  // occupied bucket lies less than one rotation ahead; the cursor's window
+  // start moves with it, one bucket width per bucket skipped.
+  const std::size_t next = next_occupied(cursor_);
+  base_ns_ += static_cast<std::int64_t>((next - cursor_) & mask_) * width_ns_;
+  cursor_ = next;
   // Advancing the cursor grew the horizon; ladder events it now covers must
   // join the wheel or they would pop after later-but-bucketed events.
   drain_ladder_within_horizon();
@@ -90,8 +115,7 @@ void CalendarQueue::drain_ladder_within_horizon() {
     std::pop_heap(ladder_.begin(), ladder_.end(), LadderLater{});
     SimEvent ev = std::move(ladder_.back());
     ladder_.pop_back();
-    buckets_[bucket_index_for(ev.when.count_nanos())].push_back(std::move(ev));
-    ++wheel_count_;
+    to_wheel(std::move(ev));
   }
 }
 
@@ -101,10 +125,7 @@ void CalendarQueue::reseed_from_ladder() {
   const std::int64_t min_ns = ladder_.front().when.count_nanos();
   base_ns_ = min_ns - (min_ns % width_ns_);
   if (base_ns_ > min_ns) base_ns_ -= width_ns_;
-  cursor_ = static_cast<std::size_t>(
-                ((min_ns / width_ns_) % static_cast<std::int64_t>(buckets_.size()) +
-                 static_cast<std::int64_t>(buckets_.size())) %
-                static_cast<std::int64_t>(buckets_.size()));
+  cursor_ = slot_of(min_ns);
   drain_ladder_within_horizon();
 }
 
@@ -140,10 +161,9 @@ void CalendarQueue::grow_wheel() {
   }
 
   buckets_ = std::vector<std::vector<SimEvent>>(new_count);
-  cursor_ = static_cast<std::size_t>(
-                ((base_ns_ / width_ns_) % static_cast<std::int64_t>(buckets_.size()) +
-                 static_cast<std::int64_t>(buckets_.size())) %
-                static_cast<std::int64_t>(buckets_.size()));
+  mask_ = new_count - 1;
+  reset_bitmap();
+  cursor_ = slot_of(base_ns_);
   wheel_count_ = 0;
   const std::int64_t horizon = horizon_ns();
   for (auto& bucket : old) {
@@ -154,8 +174,7 @@ void CalendarQueue::grow_wheel() {
         ladder_.push_back(std::move(ev));
         std::push_heap(ladder_.begin(), ladder_.end(), LadderLater{});
       } else {
-        buckets_[bucket_index_for(ev.when.count_nanos())].push_back(std::move(ev));
-        ++wheel_count_;
+        to_wheel(std::move(ev));
       }
     }
     bucket.clear();
@@ -186,6 +205,7 @@ SimEvent CalendarQueue::pop() {
   SimEvent out = std::move(bucket[best]);
   if (best + 1 != bucket.size()) bucket[best] = std::move(bucket.back());
   bucket.pop_back();
+  if (bucket.empty()) occupied_[cursor_ / 64] &= ~(std::uint64_t{1} << (cursor_ % 64));
   --wheel_count_;
   --size_;
   return out;
@@ -193,6 +213,7 @@ SimEvent CalendarQueue::pop() {
 
 void CalendarQueue::clear() {
   for (auto& bucket : buckets_) bucket.clear();  // capacity retained
+  reset_bitmap();
   ladder_.clear();
   wheel_count_ = 0;
   size_ = 0;

@@ -91,14 +91,20 @@ private:
 ///    to `now`, but a stale cursor can be ahead of `now` after run_until
 ///    drained the wheel) drop into the cursor bucket itself -- pop always
 ///    min-scans that bucket first, so ordering stays exact;
-///  * every ladder event is at or beyond the wheel horizon.
+///  * every ladder event is at or beyond the wheel horizon;
+///  * bit i of the occupancy bitmap is set iff bucket i holds events: every
+///    path that puts an event in a bucket (push, the ladder drain, the
+///    grow_wheel rebuild) sets it, and pop clears it when it empties the
+///    bucket; clear() zeroes the bitmap with the buckets.
 ///
-/// Pop finds the first non-empty bucket at/after the cursor (amortized O(1):
-/// cursor advance is monotonic between re-anchors) and min-scans it by
-/// (when, seq). When the wheel drains, the wheel re-anchors at the ladder's
-/// minimum and re-buckets every ladder event inside the new horizon.
+/// Pop jumps the cursor to the first occupied bucket at/after it -- at most
+/// one bitmap word tested per 64 buckets, never a walk over empty ones --
+/// and min-scans that bucket by (when, seq). When the wheel drains, the wheel re-anchors at
+/// the ladder's minimum and re-buckets every ladder event inside the new
+/// horizon.
 class CalendarQueue {
 public:
+  /// `bucket_count` must be a power of two (bucket indices wrap with a mask).
   explicit CalendarQueue(std::int64_t bucket_width_ns = kDefaultBucketWidthNs,
                          std::size_t bucket_count = kDefaultBucketCount);
 
@@ -135,13 +141,23 @@ private:
     return base_ns_ + static_cast<std::int64_t>(buckets_.size()) * width_ns_;
   }
   std::size_t bucket_index_for(std::int64_t when_ns) const;
+  /// Cursor bucket of a wheel re-anchored at `ns`.
+  std::size_t slot_of(std::int64_t ns) const {
+    return static_cast<std::size_t>(ns / width_ns_) & mask_;
+  }
+  /// Files `ev` in its wheel bucket and marks the bucket occupied.
+  void to_wheel(SimEvent&& ev);
+  /// First occupied bucket at or after `from`, wrapping; the wheel must
+  /// hold at least one event.
+  std::size_t next_occupied(std::size_t from) const;
   /// Positions the cursor on the bucket holding the global minimum:
-  /// re-anchors from the ladder if the wheel drained, advances over empty
+  /// re-anchors from the ladder if the wheel drained, jumps over empty
   /// buckets, and pulls ladder events the grown horizon now covers.
   void prepare_front();
   void drain_ladder_within_horizon();
   void reseed_from_ladder();
   void grow_wheel();
+  void reset_bitmap();
 
   struct LadderLater {
     bool operator()(const SimEvent& a, const SimEvent& b) const { return b.before(a); }
@@ -149,6 +165,8 @@ private:
 
   std::int64_t width_ns_;
   std::vector<std::vector<SimEvent>> buckets_;
+  std::size_t mask_;           ///< buckets_.size() - 1 (a power of two minus one)
+  std::vector<std::uint64_t> occupied_;  ///< one bit per bucket, set iff non-empty
   std::size_t cursor_ = 0;     ///< bucket whose window starts at base_ns_
   std::int64_t base_ns_ = 0;   ///< inclusive start of the cursor bucket's window
   std::size_t wheel_count_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "ecnprobe/util/log.hpp"
 #include "ecnprobe/util/strings.hpp"
@@ -25,6 +26,7 @@ void UdpSocket::close() {
     host_->release_port(port_);
     host_ = nullptr;
   }
+  handler_ = nullptr;  // a closed socket delivers nothing more
 }
 
 std::shared_ptr<UdpSocket> Host::open_udp(std::uint16_t port) {
@@ -122,6 +124,9 @@ void Host::deliver_udp(const wire::Datagram& dgram) {
   }
   ++stats_.udp_delivered;
   if (!it->second->handler_) return;
+  // Run the handler from a local: it may close its own socket, and close()
+  // releases the handler, which must not be destroyed mid-call.
+  UdpSocket* const socket = it->second;
   UdpDelivery delivery;
   delivery.src = dgram.ip.src;
   delivery.src_port = segment->header.src_port;
@@ -130,7 +135,9 @@ void Host::deliver_udp(const wire::Datagram& dgram) {
   delivery.payload.assign(segment->payload.begin(), segment->payload.end());
   delivery.ecn = dgram.ip.ecn;
   delivery.flight = dgram.flight;
-  it->second->handler_(delivery);
+  UdpSocket::ReceiveHandler handler = std::exchange(socket->handler_, nullptr);
+  handler(delivery);
+  if (socket->host_ != nullptr && !socket->handler_) socket->handler_ = std::move(handler);
 }
 
 void Host::release_port(std::uint16_t port) { udp_sockets_.erase(port); }

@@ -34,7 +34,9 @@ struct UdpDelivery {
 class Host;
 
 /// A bound UDP socket. Obtained from Host::open_udp; closing (or dropping
-/// the last shared_ptr) releases the port.
+/// the last shared_ptr) releases the port and the receive handler, so the
+/// handler may capture the socket's owner. A handler may close its own
+/// socket, but must not destroy it (drop an owner its captures do not hold).
 class UdpSocket {
 public:
   using ReceiveHandler = std::function<void(const UdpDelivery&)>;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "ecnprobe/obs/metrics.hpp"
 #include "ecnprobe/util/log.hpp"
@@ -507,7 +508,13 @@ void TcpConnection::deliver_in_order() {
     reorder_.erase(it);
     rcv_nxt_ += static_cast<std::uint32_t>(data.size());
     stats_.bytes_delivered += data.size();
-    if (receive_) receive_(data);
+    if (receive_) {
+      // Run the handler from a local: it may abort this connection, and
+      // finish() releases the handlers, which must not destroy one that runs.
+      ReceiveHandler handler = std::exchange(receive_, nullptr);
+      handler(data);
+      if (!finished_ && !receive_) receive_ = std::move(handler);
+    }
     if (finished_) return;  // handler may have aborted
   }
   // A FIN that arrived ahead of missing data becomes deliverable once the
@@ -573,7 +580,11 @@ void TcpConnection::finish(CloseReason reason) {
     handler(false);
   }
   stack_.release_flow(TcpStack::FlowKey{remote_addr_.value(), remote_port_, local_port_});
-  if (on_close_) on_close_(reason);
+  // A finished connection delivers nothing more, so it lets go of its
+  // handlers and of what they capture: usually the owner of this
+  // connection, which would otherwise keep both alive in a cycle.
+  receive_ = nullptr;
+  if (on_close_) std::exchange(on_close_, nullptr)(reason);
 }
 
 // ---------------------------------------------------------------------------

@@ -99,6 +99,8 @@ public:
   void send(std::span<const std::uint8_t> data);
   void send(std::string_view text);
 
+  /// Both handlers are released once the connection finishes (after the
+  /// close handler has run), so they may capture the connection's owner.
   void set_receive_handler(ReceiveHandler handler) { receive_ = std::move(handler); }
   void set_close_handler(CloseHandler handler) { on_close_ = std::move(handler); }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -96,24 +97,46 @@ TEST(CalendarQueue, ResizeChurnKeepsOrder) {
   EXPECT_GT(queue.bucket_count(), 2u);
 }
 
-TEST(CalendarQueue, InterleavedPushPopMatchesLegacyHeap) {
-  CalendarQueue calendar(128, 16);  // small wheel: exercises every path
+/// Drives `calendar` and the reference heap through one random push/pop
+/// sequence and expects identical pops, calling clear() on both halfway.
+/// Dense mode lets the population grow with immediate, same-tick, in-wheel
+/// and far events (ladder spills, grow_wheel rebuilds); sparse mode keeps a
+/// handful pending, 1 us to several rotations apart, the way a campaign
+/// does (cursor jumps across bitmap words and wraps, full drains re-anchor).
+void expect_matches_heap(CalendarQueue& calendar, bool sparse, std::uint64_t seed) {
+  const auto rotation_ns =
+      calendar.bucket_width_ns() * static_cast<std::int64_t>(calendar.bucket_count());
+  const double max_gap_ns = 5.0 * static_cast<double>(rotation_ns);
   LegacyHeapQueue heap;
-  util::Rng rng(4);
+  util::Rng rng(seed);
   std::int64_t now = 0;
   std::uint64_t seq = 0;
   std::vector<Key> calendar_order;
   std::vector<Key> heap_order;
   for (int round = 0; round < 20'000; ++round) {
-    const bool push = calendar.empty() || rng.next_below(100) < 55;
+    if (round == 10'000) {
+      calendar.clear();
+      heap.clear();
+    }
+    const bool push = calendar.empty() ||
+                      (sparse ? calendar.size() <= rng.next_below(6)
+                              : rng.next_below(100) < 60);
     if (push) {
-      // Mix of immediate, same-tick, near, and far-future events; never in
-      // the past relative to the virtual clock, like the simulator clamps.
-      const std::uint64_t kind = rng.next_below(4);
+      // Never in the past relative to the virtual clock, like the simulator
+      // clamps.
       std::int64_t when = now;
-      if (kind == 1) when = now + static_cast<std::int64_t>(rng.next_below(100));
-      if (kind == 2) when = now + static_cast<std::int64_t>(rng.next_below(10'000));
-      if (kind == 3) when = now + static_cast<std::int64_t>(rng.next_below(100'000'000));
+      if (sparse) {
+        when += static_cast<std::int64_t>(
+            std::exp(rng.uniform(std::log(1e3), std::log(max_gap_ns))));
+      } else {
+        const std::uint64_t kind = rng.next_below(4);
+        if (kind == 1) when += static_cast<std::int64_t>(rng.next_below(100));
+        if (kind == 2) {
+          when += static_cast<std::int64_t>(
+              rng.next_below(static_cast<std::uint64_t>(rotation_ns)));
+        }
+        if (kind == 3) when += static_cast<std::int64_t>(rng.next_below(100'000'000));
+      }
       calendar.push(make_event(when, seq));
       heap.push(make_event(when, seq));
       ++seq;
@@ -125,6 +148,7 @@ TEST(CalendarQueue, InterleavedPushPopMatchesLegacyHeap) {
       heap_order.push_back(key_of(b));
       now = a.when.count_nanos();
     }
+    ASSERT_EQ(calendar.size(), heap.size());
   }
   while (!calendar.empty()) {
     calendar_order.push_back(key_of(calendar.pop()));
@@ -132,6 +156,26 @@ TEST(CalendarQueue, InterleavedPushPopMatchesLegacyHeap) {
   }
   EXPECT_TRUE(heap.empty());
   EXPECT_EQ(calendar_order, heap_order);
+}
+
+TEST(CalendarQueue, InterleavedPushPopMatchesLegacyHeap) {
+  // Less than one bitmap word, the default wheel, and 64 words.
+  const std::pair<std::int64_t, std::size_t> wheels[] = {
+      {128, 16},
+      {CalendarQueue::kDefaultBucketWidthNs, CalendarQueue::kDefaultBucketCount},
+      {4'096, 4'096},
+  };
+  for (const auto& [width_ns, buckets] : wheels) {
+    for (const bool sparse : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << buckets << " buckets x " << width_ns << " ns, "
+                                        << (sparse ? "sparse" : "dense"));
+      CalendarQueue calendar(width_ns, buckets);
+      expect_matches_heap(calendar, sparse, 4 + buckets);
+      if (!sparse && buckets == 16) {
+        EXPECT_GT(calendar.resizes(), 0u);
+      }
+    }
+  }
 }
 
 TEST(CalendarQueue, ReanchorsAfterFullDrain) {

@@ -63,10 +63,14 @@ TEST(Tcp, RequestResponseExchange) {
   TcpPair pair;
   std::string server_got;
   pair.server->listen(80, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->set_receive_handler([conn, &server_got](std::span<const std::uint8_t> data) {
-      server_got.append(data.begin(), data.end());
-      if (server_got == "ping") conn->send(std::string_view("pong"));
-    });
+    // The connection owns its handler, so a raw pointer cannot dangle; a
+    // captured shared_ptr would keep the open connection alive forever.
+    TcpConnection* server_conn = conn.get();
+    conn->set_receive_handler(
+        [server_conn, &server_got](std::span<const std::uint8_t> data) {
+          server_got.append(data.begin(), data.end());
+          if (server_got == "ping") server_conn->send(std::string_view("pong"));
+        });
   });
   std::string client_got;
   auto conn = pair.client->connect(pair.server_host->address(), 80, false,
@@ -216,6 +220,56 @@ TEST(Tcp, TwoSequentialConnectionsToSameServer) {
   EXPECT_EQ(accepted_count, 2);
   EXPECT_NE(c1->local_port(), c2->local_port());
   EXPECT_EQ(c2->state(), TcpState::Established);
+}
+
+// Clients hand their endpoint handlers a shared_ptr to their own state,
+// which owns the endpoint: a cycle that only the endpoint can break, by
+// letting go of its handlers once it delivers nothing more.
+TEST(HandlerRelease, FinishedConnectionReleasesHandlersCapturingIt) {
+  TcpPair pair;
+  std::weak_ptr<TcpConnection> server_side;
+  pair.server->listen(80, [&](std::shared_ptr<TcpConnection> conn) {
+    server_side = conn;
+    // Aborts from inside its own receive handler, like HttpGetClient does
+    // on a malformed response.
+    conn->set_receive_handler([conn](std::span<const std::uint8_t>) { conn->abort(); });
+    conn->set_close_handler([conn](CloseReason) {});
+  });
+  std::weak_ptr<TcpConnection> client_side;
+  CloseReason client_reason{};
+  {
+    auto conn = pair.client->connect(pair.server_host->address(), 80, false, [](bool) {});
+    conn->set_receive_handler([conn](std::span<const std::uint8_t>) {});
+    conn->set_close_handler([conn, &client_reason](CloseReason r) { client_reason = r; });
+    conn->send(std::string_view("hello"));
+    client_side = conn;
+  }
+  pair.sim.run();
+  EXPECT_EQ(client_reason, CloseReason::Reset);
+  EXPECT_TRUE(server_side.expired());
+  EXPECT_TRUE(client_side.expired());
+}
+
+TEST(HandlerRelease, ClosedUdpSocketReleasesHandlerCapturingIt) {
+  TcpPair pair;
+  std::weak_ptr<netsim::UdpSocket> receiver;
+  bool delivered = false;
+  {
+    auto socket = pair.server_host->open_udp(123);
+    // Closes from inside its own handler, like NtpClient on a response.
+    socket->set_receive_handler([socket, &delivered](const netsim::UdpDelivery&) {
+      delivered = true;
+      socket->close();
+    });
+    receiver = socket;
+  }
+  const auto sender = pair.client_host->open_udp();
+  const std::uint8_t byte = 1;
+  sender->send(pair.server_host->address(), 123, std::span(&byte, 1), wire::Ecn::NotEct);
+  EXPECT_FALSE(receiver.expired());
+  pair.sim.run();
+  EXPECT_TRUE(delivered);
+  EXPECT_TRUE(receiver.expired());
 }
 
 }  // namespace
