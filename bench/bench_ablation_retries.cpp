@@ -18,14 +18,15 @@ int main(int argc, char** argv) {
 
   std::printf("  %-8s %-22s %-22s %-14s\n", "retries", "false-unreachable (plain)",
               "false-unreachable (ECT)", "fig2a %");
+  // Ground truth: which servers sit behind an ECT-UDP firewall.
+  const scenario::World world(params);
   for (int attempts = 1; attempts <= 5; ++attempts) {
-    scenario::World world(params);
     measure::ProbeOptions options;
     options.udp_attempts = attempts;
     measure::CampaignPlan plan;
     plan.entries.push_back({"UGla wired", 1, 1});
     plan.entries.push_back({"McQuistin home", 1, 1});
-    const auto traces = world.run_campaign(plan, options);
+    const auto traces = scenario::run_campaign(params, plan, options).traces;
 
     // Every server is online (offline_prob = 0), so any unreachable report
     // that is not explained by an ECT-UDP firewall is false.

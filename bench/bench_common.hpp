@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -152,6 +154,58 @@ inline measure::CampaignPlan campaign_plan(const BenchConfig& config) {
     return v < 1 ? 1 : v;
   };
   return measure::CampaignPlan::paper_layout(scaled(9), scaled(12), scaled(14));
+}
+
+/// A one-worker campaign plus how much simulation it took. One world runs
+/// every trace, so its simulator's clock and event count at the last delta
+/// collection cover the whole plan, world construction included.
+struct SimulatedRun {
+  scenario::CampaignRun run;
+  std::size_t sim_events = 0;
+  double sim_seconds = 0.0;
+};
+
+/// WorldShard that notes its simulator's totals at every delta collection.
+class SimTotalsShard final : public measure::CampaignShard {
+public:
+  SimTotalsShard(const scenario::WorldParams& params, SimulatedRun* out)
+      : shard_(params), out_(out) {}
+
+  netsim::Simulator& sim() override { return shard_.sim(); }
+  std::map<std::string, measure::Vantage*> vantages() override { return shard_.vantages(); }
+  std::vector<wire::Ipv4Address> servers() override { return shard_.servers(); }
+  void begin_trace(const std::string& vantage, int batch, int index) override {
+    shard_.begin_trace(vantage, batch, index);
+  }
+  obs::ObsSnapshot collect_trace_metrics() override {
+    out_->sim_events = shard_.sim().events_processed();
+    out_->sim_seconds = shard_.sim().now().to_seconds();
+    return shard_.collect_trace_metrics();
+  }
+  std::vector<obs::FlightEvent> collect_trace_events() override {
+    return shard_.collect_trace_events();
+  }
+  void quarantine_trace(const std::string& vantage, int batch, int index) override {
+    shard_.quarantine_trace(vantage, batch, index);
+  }
+  sched::GroupResolver breaker_group() override { return shard_.breaker_group(); }
+
+private:
+  scenario::WorldShard shard_;
+  SimulatedRun* out_;
+};
+
+inline SimulatedRun run_simulated(const scenario::WorldParams& params,
+                                  const measure::CampaignPlan& plan,
+                                  const measure::ProbeOptions& probe = {}) {
+  SimulatedRun out;
+  measure::ParallelCampaign campaign(
+      [&](int) { return std::make_unique<SimTotalsShard>(params, &out); },
+      scenario::campaign_options(params, probe));
+  out.run.traces = campaign.run(plan);
+  out.run.failures = campaign.failures();
+  out.run.metrics = campaign.metrics();
+  return out;
 }
 
 class Stopwatch {

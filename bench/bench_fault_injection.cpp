@@ -71,34 +71,27 @@ int main(int argc, char** argv) {
     params.faults = *faults;
 
     bench::Stopwatch timer;
-    scenario::World world(params);
-    std::vector<measure::TraceFailure> failures;
-    const auto traces = world.run_campaign(plan, {}, nullptr, nullptr, 0, &failures);
+    const auto run = scenario::run_campaign(params, plan);
     const double seconds = timer.seconds();
     if (profile == "none") clean_seconds = seconds;
-    const auto csv = traces_csv(traces);
-    const auto obs_bytes = obs::encode_obs(world.campaign_obs());
-    const auto summary = analysis::summarize_reachability(traces);
+    const auto csv = traces_csv(run.traces);
+    const auto obs_bytes = obs::encode_obs(run.metrics);
+    const auto summary = analysis::summarize_reachability(run.traces);
 
     // Reproducibility: the same (profile, seed) must rebuild the same bytes.
-    scenario::World again(params);
-    std::vector<measure::TraceFailure> again_failures;
-    const auto rerun = again.run_campaign(plan, {}, nullptr, nullptr, 0, &again_failures);
-    const bool reproducible = traces_csv(rerun) == csv &&
-                              obs::encode_obs(again.campaign_obs()) == obs_bytes &&
-                              again_failures.size() == failures.size();
+    const auto rerun = scenario::run_campaign(params, plan);
+    const bool reproducible = traces_csv(rerun.traces) == csv &&
+                              obs::encode_obs(rerun.metrics) == obs_bytes &&
+                              rerun.failures.size() == run.failures.size();
 
     // Parallelism: sharding must not change the faulted output either.
-    std::vector<measure::ParallelCampaign::TraceFailure> par_failures;
-    obs::ObsSnapshot par_obs;
-    const auto par = run_parallel_campaign(params, plan, {}, workers, &par_failures,
-                                           &par_obs);
-    const bool parallel_identical = traces_csv(par) == csv &&
-                                    obs::encode_obs(par_obs) == obs_bytes &&
-                                    par_failures.size() == failures.size();
+    const auto par = scenario::run_campaign(params, plan, {}, workers);
+    const bool parallel_identical = traces_csv(par.traces) == csv &&
+                                    obs::encode_obs(par.metrics) == obs_bytes &&
+                                    par.failures.size() == run.failures.size();
 
     rows.push_back({profile.c_str(), seconds, summary.mean_pct_ect_given_plain,
-                    failures.size(), reproducible, parallel_identical});
+                    run.failures.size(), reproducible, parallel_identical});
   }
 
   std::printf("%-14s %9s %9s %14s %12s %13s %10s\n", "profile", "seconds", "overhead",

@@ -16,14 +16,14 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 2: UDP reachability with and without ECT(0)", config,
                       params);
 
-  scenario::World world(params);
   const auto plan = bench::campaign_plan(config);
   std::printf("running %d traces x %d servers x 4 probes...\n", plan.total_traces(),
               params.server_count);
   bench::Stopwatch timer;
-  const auto traces = world.run_campaign(plan);
+  const auto simulated = bench::run_simulated(params, plan);
+  const auto& traces = simulated.run.traces;
   std::printf("campaign done in %.1fs (%zu simulated events)\n\n", timer.seconds(),
-              world.sim().events_processed());
+              simulated.sim_events);
 
   const auto per_trace = analysis::per_trace_reachability(traces);
   std::printf("Figure 2a: %% of not-ECT-reachable servers also reachable with ECT(0)\n");

@@ -15,11 +15,10 @@ int main(int argc, char** argv) {
   const auto params = bench::world_params(config);
   bench::print_header("Figure 3: per-server differential reachability", config, params);
 
-  scenario::World world(params);
   const auto plan = bench::campaign_plan(config);
   std::printf("running %d traces...\n", plan.total_traces());
   bench::Stopwatch timer;
-  const auto traces = world.run_campaign(plan);
+  const auto traces = scenario::run_campaign(params, plan).traces;
   std::printf("campaign done in %.1fs\n\n", timer.seconds());
 
   const auto diffs = analysis::per_server_differential(traces);
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
   const auto persistent = analysis::persistent_failures(diffs, vantages, 50.0);
   std::printf("\npersistently ECT-unreachable from every vantage: %zu servers\n",
               persistent.size());
-  const auto truth = world.ground_truth_firewalled();
+  const auto truth = scenario::World(params).ground_truth_firewalled();
   int recovered = 0;
   for (const auto& addr : persistent) {
     const bool is_truth = std::find(truth.begin(), truth.end(), addr) != truth.end();

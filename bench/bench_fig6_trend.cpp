@@ -16,11 +16,10 @@ int main(int argc, char** argv) {
 
   // A light campaign (one trace per vantage) suffices for the single
   // "measured" data point.
-  scenario::World world(params);
   const auto plan = measure::CampaignPlan::paper_layout(1, 0, 1);
   std::printf("measuring the 2015 point with %d traces...\n", plan.total_traces());
   bench::Stopwatch timer;
-  const auto traces = world.run_campaign(plan);
+  const auto traces = scenario::run_campaign(params, plan).traces;
   const auto summary = analysis::summarize_reachability(traces);
   std::printf("measured ECN negotiation rate: %.2f%% (%.1fs)\n\n",
               summary.pct_tcp_negotiating_ecn, timer.seconds());

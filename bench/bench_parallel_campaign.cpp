@@ -1,8 +1,7 @@
-// Serial-vs-parallel campaign executor comparison: runs the paper's trace
-// layout once through the sequential World::run_campaign path and once
-// through the sharded ParallelCampaign at increasing worker counts, then
-// checks that every parallel run's merged results CSV *and* merged campaign
-// metrics are byte-identical to the sequential one while reporting the
+// One-worker-vs-N campaign comparison: runs the paper's trace layout once
+// on one worker as the baseline and then at increasing worker counts,
+// checking that every run's merged results CSV *and* merged campaign
+// metrics are byte-identical to the baseline while reporting the
 // wall-clock speedup and per-worker utilization (busy time as a fraction of
 // workers x wall time, from the worker_busy_micros_total runtime counters).
 // This is the executable form of the determinism contract in
@@ -49,17 +48,15 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  std::printf("sequential baseline...\n");
+  std::printf("one-worker baseline...\n");
   bench::Stopwatch serial_timer;
-  scenario::World world(params);
-  const auto sequential = world.run_campaign(plan);
+  const auto baseline = bench::run_simulated(params, plan);
   const double serial_seconds = serial_timer.seconds();
   std::ostringstream serial_csv;
-  measure::write_traces_csv(serial_csv, sequential);
-  const auto serial_metrics = obs::to_json(world.campaign_obs());
-  const auto summary = analysis::summarize_reachability(sequential);
-  std::printf("  %.2fs (%zu simulated events)\n", serial_seconds,
-              world.sim().events_processed());
+  measure::write_traces_csv(serial_csv, baseline.run.traces);
+  const auto serial_metrics = obs::to_json(baseline.run.metrics);
+  const auto summary = analysis::summarize_reachability(baseline.run.traces);
+  std::printf("  %.2fs (%zu simulated events)\n", serial_seconds, baseline.sim_events);
   std::printf("  mean %% ECT(0)-reachable given not-ECT: %.2f%%\n\n",
               summary.mean_pct_ect_given_plain);
 
@@ -110,10 +107,10 @@ int main(int argc, char** argv) {
     std::printf("\nraw traces written to %s\n", config.csv_path.c_str());
   }
   if (!all_identical) {
-    std::printf("\nFAIL: parallel output diverged from the sequential baseline\n");
+    std::printf("\nFAIL: output diverged from the one-worker baseline\n");
     return 1;
   }
-  std::printf("\nall worker counts byte-identical to the sequential baseline\n");
+  std::printf("\nall worker counts byte-identical to the one-worker baseline\n");
 
   if (!config.bench_json.empty()) {
     const double probes =
@@ -123,7 +120,7 @@ int main(int argc, char** argv) {
              serial_seconds > 0.0 ? probes / serial_seconds : 0.0, "probes/s");
     json.add("sequential_sim_events_per_sec",
              serial_seconds > 0.0
-                 ? static_cast<double>(world.sim().events_processed()) / serial_seconds
+                 ? static_cast<double>(baseline.sim_events) / serial_seconds
                  : 0.0,
              "events/s");
     json.add("best_parallel_probes_per_sec",

@@ -43,14 +43,13 @@ RunResult run(const ecnprobe::scenario::WorldParams& params,
               const ecnprobe::measure::ProbeOptions& probe) {
   using namespace ecnprobe;
   bench::Stopwatch timer;
-  scenario::World world(params);
-  const auto traces = world.run_campaign(plan, probe);
+  const auto simulated = bench::run_simulated(params, plan, probe);
   RunResult result;
   result.seconds = timer.seconds();
-  result.sim_events = world.sim().events_processed();
-  result.sim_seconds = world.sim().now().to_seconds();
-  result.circuit_open = world.campaign_obs().ledger.drops_for_cause("circuit-open");
-  result.csv = traces_csv(traces);
+  result.sim_events = simulated.sim_events;
+  result.sim_seconds = simulated.sim_seconds;
+  result.circuit_open = simulated.run.metrics.ledger.drops_for_cause("circuit-open");
+  result.csv = traces_csv(simulated.run.traces);
   return result;
 }
 

@@ -31,11 +31,11 @@ int main(int argc, char** argv) {
   for (const auto seed : seeds) {
     auto params = bench::world_params(config);
     params.seed = seed;
-    scenario::World world(params);
     // A light campaign: 2 traces per vantage.
     const auto traces =
-        world.run_campaign(measure::CampaignPlan::paper_layout(1, 1, 2));
+        scenario::run_campaign(params, measure::CampaignPlan::paper_layout(1, 1, 2)).traces;
     const auto summary = analysis::summarize_reachability(traces);
+    scenario::World world(params);
     const auto observations = world.run_traceroutes(2);
     const auto hops = analysis::analyze_hops(observations, world.ip2as());
 

@@ -28,11 +28,10 @@ int main(int argc, char** argv) {
   const auto params = bench::world_params(config);
   bench::print_header("Table 2: UDP vs TCP ECN failure correlation", config, params);
 
-  scenario::World world(params);
   const auto plan = bench::campaign_plan(config);
   std::printf("running %d traces...\n", plan.total_traces());
   bench::Stopwatch timer;
-  const auto traces = world.run_campaign(plan);
+  const auto traces = scenario::run_campaign(params, plan).traces;
   std::printf("campaign done in %.1fs\n\n", timer.seconds());
 
   const auto rows = analysis::correlation_table(traces);

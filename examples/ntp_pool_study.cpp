@@ -14,10 +14,10 @@
 //   $ ./ntp_pool_study --timeseries 500              # 500 ms sim-time series windows
 //   $ ./ntp_pool_study --serve-obs 9100 --workers=4  # live /metrics /progress /events
 //
-// --workers=N runs the campaign through the sharded parallel executor
-// (one isolated world clone per worker); the merged results -- and the
-// campaign metrics/drop-ledger in --metrics-out -- are byte-identical to
-// the sequential run, just faster on a multicore box. --faults injects a
+// --workers=N shards the campaign across N threads (one isolated world
+// clone per worker); the merged results -- and the campaign metrics/drop
+// ledger in --metrics-out -- are byte-identical to a one-worker run, just
+// faster on a multicore box. --faults injects a
 // named fault profile (see docs/robustness.md); --checkpoint journals
 // every completed trace so a killed run resumes byte-identically with
 // --resume; --halt-after N simulates the kill.
@@ -113,9 +113,6 @@ int main(int argc, char** argv) {
   params.timeseries = *timeseries_config;
   measure::ProbeOptions probe;
   probe.sched = *sched;
-  if (!probe.sched.is_paper_default() && probe.sched.seed == 0) {
-    probe.sched.seed = params.seed;
-  }
   if (!record.empty()) params.flight_recorder_capacity = 1 << 16;
   std::printf("== ECN-with-UDP measurement study (scale %.2f: %d servers) ==\n\n",
               scale, params.server_count);
@@ -133,9 +130,7 @@ int main(int argc, char** argv) {
               analysis::render_figure1(geo_summary, 72, 20).c_str());
 
   // -- Section 4.1 / 4.3: the campaign --------------------------------------
-  const auto plan = measure::CampaignPlan::paper_layout(
-      std::max(1, static_cast<int>(9 * scale)), std::max(1, static_cast<int>(12 * scale)),
-      std::max(1, static_cast<int>(14 * scale)));
+  const auto plan = measure::CampaignPlan::for_scale(scale);
   std::printf("[2/4] running the measurement campaign (%d traces, %d worker%s, faults: %s)...\n",
               plan.total_traces(), workers, workers == 1 ? "" : "s",
               params.faults.name.c_str());
@@ -148,14 +143,8 @@ int main(int argc, char** argv) {
                    checkpoint.c_str());
       return 1;
     }
-    measure::JournalMeta meta;
-    meta.plan = measure::plan_fingerprint(plan);
-    meta.faults = params.faults.fingerprint();
-    meta.seed = params.seed;
-    meta.total_traces = plan.total_traces();
-    meta.server_count = params.server_count;
     std::string error;
-    if (!journal.open(checkpoint, meta, &error)) {
+    if (!journal.open(checkpoint, scenario::journal_meta(params, plan), &error)) {
       std::fprintf(stderr, "ntp_pool_study: %s\n", error.c_str());
       return 1;
     }
@@ -166,63 +155,39 @@ int main(int argc, char** argv) {
     }
   }
 
-  obs::ObsSnapshot campaign_obs;
-  obs::MetricsSnapshot runtime_metrics;
-  bool have_runtime = false;
-  obs::TelemetryAggregate telemetry;
-  std::vector<measure::Trace> traces;
-  std::vector<measure::TraceFailure> failures;
-  std::vector<obs::FlightEvent> flights;
-  // The live plane serves from ParallelCampaign's thread-safe snapshots,
-  // so --serve-obs routes through the sharded executor even at one worker.
-  if (workers > 1 || serve_obs >= 0) {
-    measure::ParallelCampaign::Options exec;
-    exec.workers = workers;
-    exec.probe = probe;
-    exec.telemetry = params.telemetry.resolved(params.seed);
-    exec.halt_after_traces =
-        halt_after > 0 ? halt_after : params.faults.crash_after_traces;
-    measure::ParallelCampaign campaign(scenario::world_shard_factory(params), exec);
-    if (journal_ptr != nullptr) campaign.set_journal(journal_ptr);
-    std::unique_ptr<http::ObsHttpServer> obs_server;
-    if (serve_obs >= 0) {
-      http::ObsHttpServer::Options server_options;
-      server_options.port = static_cast<std::uint16_t>(serve_obs);
-      http::ObsHttpServer::Providers providers;
-      providers.metrics = [&campaign] {
-        const auto snap = campaign.metrics_snapshot();
-        return obs::to_prometheus(snap.metrics) + obs::to_prometheus(snap.timeseries);
-      };
-      providers.progress = [&campaign] {
-        const auto p = campaign.progress();
-        return std::string("{\"total\":") + std::to_string(p.total) +
-               ",\"completed\":" + std::to_string(p.completed) +
-               ",\"failed\":" + std::to_string(p.failed) +
-               ",\"in_flight\":" + std::to_string(p.in_flight) + "}";
-      };
-      obs_server =
-          std::make_unique<http::ObsHttpServer>(server_options, std::move(providers));
-      std::string error;
-      if (!obs_server->start(&error)) {
-        std::fprintf(stderr, "ntp_pool_study: --serve-obs: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("      live obs plane: http://127.0.0.1:%u  (/metrics /progress /events)\n",
-                  static_cast<unsigned>(obs_server->port()));
+  measure::ParallelCampaign campaign(scenario::world_shard_factory(params),
+                                     scenario::campaign_options(params, probe, workers,
+                                                                halt_after));
+  if (journal_ptr != nullptr) campaign.set_journal(journal_ptr);
+  std::unique_ptr<http::ObsHttpServer> obs_server;
+  if (serve_obs >= 0) {
+    http::ObsHttpServer::Options server_options;
+    server_options.port = static_cast<std::uint16_t>(serve_obs);
+    http::ObsHttpServer::Providers providers;
+    providers.metrics = [&campaign] {
+      const auto snap = campaign.metrics_snapshot();
+      return obs::to_prometheus(snap.metrics) + obs::to_prometheus(snap.timeseries);
+    };
+    providers.progress = [&campaign] { return campaign.progress().to_json(); };
+    obs_server =
+        std::make_unique<http::ObsHttpServer>(server_options, std::move(providers));
+    std::string error;
+    if (!obs_server->start(&error)) {
+      std::fprintf(stderr, "ntp_pool_study: --serve-obs: %s\n", error.c_str());
+      return 1;
     }
-    traces = campaign.run(plan);
-    failures = campaign.failures();
-    campaign_obs = campaign.metrics();
-    runtime_metrics = campaign.runtime_metrics();
-    have_runtime = true;
-    telemetry = campaign.telemetry();
-    flights = campaign.flight_events();
-  } else {
-    traces = world.run_campaign(plan, probe, nullptr, journal_ptr, halt_after, &failures);
-    campaign_obs = world.campaign_obs();
-    telemetry = world.campaign_telemetry();
-    flights = world.campaign_flights();
+    std::printf("      live obs plane: http://127.0.0.1:%u  (/metrics /progress /events)\n",
+                static_cast<unsigned>(obs_server->port()));
   }
+  const auto traces = campaign.run(plan);
+  obs_server.reset();  // the live plane serves the campaign only
+  const auto& campaign_obs = campaign.metrics();
+  const auto& telemetry = campaign.telemetry();
+  const auto& flights = campaign.flight_events();
+  // Runtime metrics are wall-clock noise, exported only when several
+  // workers ran or the live plane was up.
+  const auto runtime_metrics = campaign.runtime_metrics();
+  const bool have_runtime = workers > 1 || serve_obs >= 0;
   if (!record.empty()) {
     if (!obs::write_flight_files(record, flights)) {
       std::fprintf(stderr, "cannot write %s.pcapng / %s.trace.json\n", record.c_str(),
@@ -232,7 +197,7 @@ int main(int argc, char** argv) {
     std::printf("      recorded %zu flight events -> %s.pcapng, %s.trace.json\n",
                 flights.size(), record.c_str(), record.c_str());
   }
-  for (const auto& failure : failures) {
+  for (const auto& failure : campaign.failures()) {
     std::fprintf(stderr, "      trace %d (%s) quarantined: %s\n", failure.index,
                  failure.vantage.c_str(), failure.message.c_str());
   }

@@ -329,28 +329,21 @@ void CampaignDaemon::run_campaign(const std::shared_ptr<Campaign>& campaign) {
   params.timeseries = *timeseries;
 
   measure::CampaignJournal journal;
-  measure::JournalMeta meta;
-  meta.plan = measure::plan_fingerprint(plan);
-  meta.faults = params.faults.fingerprint();
-  meta.seed = params.seed;
-  meta.total_traces = plan.total_traces();
-  meta.server_count = params.server_count;
   std::string journal_error;
   const std::string journal_path =
       options_.state_dir + "/" + campaign->id + ".journal";
-  if (!journal.open(journal_path, meta, &journal_error)) {
+  if (!journal.open(journal_path, scenario::journal_meta(params, plan), &journal_error)) {
     fail("journal: " + journal_error);
     return;
   }
 
-  measure::ParallelCampaign::Options exec_options;
-  exec_options.workers = std::min(spec.workers, options_.max_workers);
-  exec_options.probe.sched = *sched_config;
-  if (!exec_options.probe.sched.is_paper_default() &&
-      exec_options.probe.sched.seed == 0) {
-    exec_options.probe.sched.seed = params.seed;
-  }
-  exec_options.telemetry = params.telemetry.resolved(params.seed);
+  measure::ProbeOptions probe;
+  probe.sched = *sched_config;
+  const int workers = std::min(spec.workers, options_.max_workers);
+  auto exec_options = scenario::campaign_options(params, probe, workers);
+  // A fault plan's crash-after is the batch tools' simulated kill; a
+  // daemon campaign always runs until done, cancelled or drained.
+  exec_options.halt_after_traces = 0;
   auto exec = std::make_shared<measure::ParallelCampaign>(
       scenario::world_shard_factory(params), exec_options);
   exec->set_journal(&journal);

@@ -2,8 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
+
+#include "ecnprobe/util/strings.hpp"
 
 namespace ecnprobe::daemon {
 
@@ -209,26 +210,7 @@ util::Expected<JsonValue> parse_json(const std::string& text) {
 }
 
 std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
+  return "\"" + util::json_escape(s) + "\"";
 }
 
 }  // namespace ecnprobe::daemon

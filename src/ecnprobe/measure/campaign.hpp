@@ -1,24 +1,18 @@
-// Campaign orchestration: the paper's 210 traces across 13 vantage points in
-// two batches (authors' homes + University of Glasgow in April/May 2015,
-// then those plus nine EC2 regions in July/August 2015). A hook fires before
-// each trace so the scenario can advance world state -- pool churn between
-// batches, per-trace server availability.
+// Campaign plans: the paper's 210 traces across 13 vantage points in two
+// batches (authors' homes + University of Glasgow in April/May 2015, then
+// those plus nine EC2 regions in July/August 2015), and the schedule that
+// numbers them. measure::ParallelCampaign executes a plan.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "ecnprobe/measure/probe.hpp"
-
 namespace ecnprobe::measure {
 
-/// A trace that threw instead of producing a result. Both executors
-/// quarantine such traces -- the campaign completes, the failure is
-/// recorded here (and attributed in the drop ledger via the quarantine
-/// hook) instead of aborting the run.
+/// A trace that threw instead of producing a result. The executor
+/// quarantines such traces -- the campaign completes, the failure is
+/// recorded here (and attributed in the drop ledger by the shard) instead
+/// of aborting the run.
 struct TraceFailure {
   int index = 0;
   std::string vantage;
@@ -58,101 +52,12 @@ const std::vector<std::string>& paper_vantage_names();
 /// One scheduled trace: the plan expanded into campaign execution order
 /// (batch 1 before batch 2, vantages interleaved round-robin within a
 /// batch, the way the paper alternated collection locations). The position
-/// in the returned vector is the trace's campaign-wide index. Shared by the
-/// sequential Campaign and the sharded ParallelCampaign so both execute --
-/// and number -- exactly the same traces.
+/// in the returned vector is the trace's campaign-wide index, so every
+/// worker count executes -- and numbers -- exactly the same traces.
 struct PlannedTrace {
   std::string vantage;
   int batch = 1;
 };
 std::vector<PlannedTrace> expand_schedule(const CampaignPlan& plan);
-
-/// Sequential campaign executor.
-///
-/// Thread affinity: Campaign is single-threaded. run() must be called on
-/// the thread that owns the vantages' Simulator, and both hooks fire on
-/// that same thread -- BeforeTraceHook immediately before each trace starts
-/// (from a quiescent simulator, so it may mutate world state), DoneHandler
-/// once from within the final simulator event. The result vector is moved
-/// into the DoneHandler; no copy is made.
-class Campaign {
-public:
-  /// Called before each trace starts; lets the scenario re-roll
-  /// availability or apply batch churn.
-  using BeforeTraceHook = std::function<void(const std::string& vantage, int batch,
-                                             int index)>;
-  /// Called when a trace's TraceRunner delivers its result (straggler
-  /// events may still be in flight -- the quiescence barrier runs after).
-  using AfterTraceHook = BeforeTraceHook;
-  using DoneHandler = std::function<void(std::vector<Trace>)>;
-  /// Fires at the quiescence barrier after a trace's stragglers settled --
-  /// the point where its observability delta is complete. Journalling
-  /// hooks in here: the trace is durable before the next one starts.
-  using CommitHook = std::function<void(const Trace& trace)>;
-  /// Consulted before each trace runs. Returning a Trace short-circuits
-  /// the live run: the result is taken as-is (checkpoint replay).
-  using ReplayHook = std::function<std::optional<Trace>(int index)>;
-  /// Fires when a trace threw; the scenario attributes the loss (drop
-  /// ledger) before the campaign moves on.
-  using QuarantineHook = std::function<void(const std::string& vantage, int batch,
-                                            int index, const std::string& reason)>;
-
-  Campaign(std::map<std::string, Vantage*> vantages,
-           std::vector<wire::Ipv4Address> servers, ProbeOptions options);
-
-  void set_before_trace(BeforeTraceHook hook) { before_trace_ = std::move(hook); }
-  void set_after_trace(AfterTraceHook hook) { after_trace_ = std::move(hook); }
-  void set_commit(CommitHook hook) { commit_ = std::move(hook); }
-  void set_replay(ReplayHook hook) { replay_ = std::move(hook); }
-  void set_quarantine(QuarantineHook hook) { quarantine_ = std::move(hook); }
-  /// Simulated crash: stop claiming new live traces once `n` have started
-  /// (replays don't count) and finish with whatever completed. 0 = never.
-  void set_halt_after(int n) { halt_after_ = n; }
-  /// External cancel, consulted before each live trace starts (replays
-  /// still run). Returning true abandons the rest of the schedule the
-  /// same way halt_after does -- committed traces stay durable, a resume
-  /// run finishes the plan. The check runs on the campaign thread; the
-  /// callable may read a flag set from elsewhere (a signal handler's
-  /// sig_atomic_t, a daemon's atomic).
-  using HaltCheck = std::function<bool()>;
-  void set_halt_check(HaltCheck check) { halt_check_ = std::move(check); }
-
-  /// Traces that threw and were quarantined instead of aborting the run.
-  const std::vector<TraceFailure>& failures() const { return failures_; }
-
-  /// Runs every trace in the plan sequentially; `done` fires at the end.
-  /// Each trace starts only once the simulator has gone quiescent -- every
-  /// straggler packet and timer of the previous trace has settled -- so a
-  /// trace's outcome cannot leak into the next one's event interleaving.
-  void run(const CampaignPlan& plan, DoneHandler done);
-
-  /// Progress introspection for long campaigns.
-  int traces_completed() const { return static_cast<int>(results_.size()); }
-
-private:
-  void next_trace();
-  void start_trace();
-  void commit_pending();
-
-  std::map<std::string, Vantage*> vantages_;
-  std::vector<wire::Ipv4Address> servers_;
-  ProbeOptions options_;
-  BeforeTraceHook before_trace_;
-  AfterTraceHook after_trace_;
-  CommitHook commit_;
-  ReplayHook replay_;
-  QuarantineHook quarantine_;
-  int halt_after_ = 0;
-  HaltCheck halt_check_;
-  int live_started_ = 0;
-
-  std::vector<PlannedTrace> schedule_;
-  std::size_t cursor_ = 0;
-  std::vector<Trace> results_;
-  std::vector<TraceFailure> failures_;
-  int pending_commit_ = -1;  ///< index into results_ awaiting its commit hook
-  std::unique_ptr<TraceRunner> runner_;
-  DoneHandler done_;
-};
 
 }  // namespace ecnprobe::measure

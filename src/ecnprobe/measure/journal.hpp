@@ -20,7 +20,7 @@
 // different plan, fault profile, seed, or server count is refused.
 //
 // Thread safety: none. ParallelCampaign serializes append() calls under
-// its own mutex; the sequential Campaign is single-threaded.
+// its own mutex.
 #pragma once
 
 #include <cstdint>

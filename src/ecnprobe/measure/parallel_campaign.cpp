@@ -7,6 +7,7 @@
 #include "ecnprobe/obs/event_stream.hpp"
 #include "ecnprobe/obs/profiler.hpp"
 #include "ecnprobe/util/arena.hpp"
+#include "ecnprobe/util/strings.hpp"
 #include "ecnprobe/util/thread_pool.hpp"
 
 namespace ecnprobe::measure {
@@ -27,24 +28,33 @@ ParallelCampaign::ParallelCampaign(ShardFactory factory, Options options)
 
 void ParallelCampaign::commit_delta(int index, PendingDelta delta) {
   std::lock_guard<std::mutex> lock(merge_mutex_);
-  pending_.emplace(index, std::move(delta));
+  // Every trace's delta enters the totals exactly once -- as a live
+  // result, a journal replay, or a quarantine. A second commit would
+  // either be dropped by emplace or, below next_merge_, folded twice.
+  if (index < next_merge_ || !pending_.emplace(index, std::move(delta)).second) {
+    throw std::logic_error("ParallelCampaign: trace " + std::to_string(index) +
+                           " committed twice");
+  }
   // Fold the contiguous ready prefix and release it. Claims are strictly
   // increasing, so at most ~workers deltas wait here at any moment; the
   // campaign totals themselves live in fixed-size structures (metric sums,
   // sketches), never in per-trace retained snapshots.
   for (auto it = pending_.find(next_merge_); it != pending_.end();
        it = pending_.find(next_merge_)) {
-    auto& ready = it->second;
-    merged_metrics_.metrics.merge(ready.obs.metrics);
-    merged_metrics_.ledger.merge(ready.obs.ledger);
-    merged_metrics_.timeseries.merge(ready.obs.timeseries);
-    telemetry_.fold(ready.obs.telemetry);
-    flight_events_.insert(flight_events_.end(),
-                          std::make_move_iterator(ready.events.begin()),
-                          std::make_move_iterator(ready.events.end()));
+    fold(it->second);
     pending_.erase(it);
     ++next_merge_;
   }
+}
+
+void ParallelCampaign::fold(PendingDelta& delta) {
+  merged_metrics_.metrics.merge(delta.obs.metrics);
+  merged_metrics_.ledger.merge(delta.obs.ledger);
+  merged_metrics_.timeseries.merge(delta.obs.timeseries);
+  telemetry_.fold(delta.obs.telemetry);
+  flight_events_.insert(flight_events_.end(), std::make_move_iterator(delta.events.begin()),
+                        std::make_move_iterator(delta.events.end()));
+  ++folded_;
 }
 
 void ParallelCampaign::flush_pending() {
@@ -53,15 +63,7 @@ void ParallelCampaign::flush_pending() {
   // pool is idle no more commits arrive, so fold the stragglers in index
   // order -- std::map iteration is already ascending.
   std::lock_guard<std::mutex> lock(merge_mutex_);
-  for (auto& [index, ready] : pending_) {
-    merged_metrics_.metrics.merge(ready.obs.metrics);
-    merged_metrics_.ledger.merge(ready.obs.ledger);
-    merged_metrics_.timeseries.merge(ready.obs.timeseries);
-    telemetry_.fold(ready.obs.telemetry);
-    flight_events_.insert(flight_events_.end(),
-                          std::make_move_iterator(ready.events.begin()),
-                          std::make_move_iterator(ready.events.end()));
-  }
+  for (auto& [index, ready] : pending_) fold(ready);
   pending_.clear();
 }
 
@@ -121,8 +123,8 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     }
     if (!result) throw std::runtime_error("ParallelCampaign: trace stalled");
     // The delta is collected after full quiescence, so straggler events
-    // (TIME_WAIT timers, late responses) land in this trace's delta -- the
-    // same attribution the sequential campaign's epoch boundaries produce.
+    // (TIME_WAIT timers, late responses) land in this trace's delta, never
+    // in whichever trace runs next on this worker.
     PendingDelta delta;
     delta.obs = worker.shard->collect_trace_metrics();
     delta.events = worker.shard->collect_trace_events();
@@ -201,20 +203,39 @@ ParallelCampaign::Progress ParallelCampaign::progress() const {
   return p;
 }
 
+std::string ParallelCampaign::Progress::to_json() const {
+  std::string json = "{\"total\":" + std::to_string(total) +
+                     ",\"completed\":" + std::to_string(completed) +
+                     ",\"failed\":" + std::to_string(failed) +
+                     ",\"in_flight\":" + std::to_string(in_flight) +
+                     ",\"completed_by_vantage\":{";
+  bool first = true;
+  for (const auto& [vantage, count] : completed_by_vantage) {
+    if (!first) json.push_back(',');
+    first = false;
+    json += "\"" + util::json_escape(vantage) + "\":" + std::to_string(count);
+  }
+  return json + "}}";
+}
+
 std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
   const auto schedule = expand_schedule(plan);
   failures_.clear();
   completed_.store(0, std::memory_order_relaxed);
   total_.store(static_cast<int>(schedule.size()), std::memory_order_relaxed);
-  merged_metrics_ = {};
-  flight_events_.clear();
-  telemetry_ = options_.telemetry.sketched()
-                   ? obs::TelemetryAggregate(options_.telemetry.resolved(options_.telemetry.seed))
-                   : obs::TelemetryAggregate{};
   {
+    // Under the lock: a live plane started before run() may already be
+    // copying the totals through metrics_snapshot() on another thread.
     std::lock_guard<std::mutex> lock(merge_mutex_);
+    merged_metrics_ = {};
+    flight_events_.clear();
+    telemetry_ = options_.telemetry.sketched()
+                     ? obs::TelemetryAggregate(
+                           options_.telemetry.resolved(options_.telemetry.seed))
+                     : obs::TelemetryAggregate{};
     pending_.clear();
     next_merge_ = 0;
+    folded_ = 0;
   }
 
   std::vector<std::unique_ptr<Trace>> slots(schedule.size());
@@ -291,8 +312,8 @@ std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
 
   // Deltas were folded in plan order by the streaming merger as traces
   // finished (commutative integer sums + order-pinned sketch folds), so
-  // the totals are byte-identical to the sequential campaign's at any
-  // worker count; only halt-induced holes remain parked.
+  // the totals are byte-identical at any worker count; only halt-induced
+  // holes remain parked.
   flush_pending();
 
   // Merge results back into plan order; failed traces leave no hole and no
@@ -301,6 +322,17 @@ std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
   merged.reserve(slots.size());
   for (auto& slot : slots) {
     if (slot) merged.push_back(std::move(*slot));
+  }
+  // Merge accounting: one folded delta per result (live or replayed) and
+  // per quarantined trace; a worker that never built its shard has none.
+  const auto quarantined = static_cast<std::size_t>(
+      std::count_if(failures_.begin(), failures_.end(),
+                    [](const TraceFailure& failure) { return failure.index >= 0; }));
+  if (folded_ != merged.size() + quarantined) {
+    throw std::logic_error("ParallelCampaign: obs merge accounting broken: " +
+                           std::to_string(folded_) + " deltas folded for " +
+                           std::to_string(merged.size()) + " results and " +
+                           std::to_string(quarantined) + " quarantined traces");
   }
   return merged;
 }

@@ -1,11 +1,11 @@
-// Sharded parallel campaign executor. The campaign's traces are
-// independent given the determinism contract (every trace is a pure
-// function of the world seed and its campaign index), so they shard
-// trivially: a fixed-size worker pool pulls per-trace work items from a
-// shared queue, each worker runs them on its own isolated, seed-derived
-// world -- no mutable simulation state is shared between threads -- and
-// the merged result vector is in plan order, byte-identical to what the
-// sequential Campaign produces on one world.
+// The campaign executor. The campaign's traces are independent given the
+// determinism contract (every trace is a pure function of the world seed
+// and its campaign index), so they shard trivially: a fixed-size worker
+// pool pulls per-trace work items from a shared queue, each worker runs
+// them on its own isolated, seed-derived world -- no mutable simulation
+// state is shared between threads -- and the merged results and
+// observability are in plan order, byte-identical at any worker count.
+// One worker is the same code path with a pool of one thread.
 //
 // Thread affinity contract:
 //   * CampaignShard instances are created by the factory *on the worker
@@ -47,9 +47,9 @@ public:
   virtual std::map<std::string, Vantage*> vantages() = 0;
   virtual std::vector<wire::Ipv4Address> servers() = 0;
 
-  /// Puts this shard's world into the exact state the sequential campaign
-  /// would have before trace `index`: availability/churn for (batch, index)
-  /// plus the per-trace epoch reset (RNG streams, middlebox state).
+  /// Puts this shard's world into the exact state trace `index` starts
+  /// from: availability/churn for (batch, index) plus the per-trace epoch
+  /// reset (RNG streams, middlebox state).
   virtual void begin_trace(const std::string& vantage, int batch, int index) = 0;
 
   /// Observability delta for the trace that just finished: everything the
@@ -98,13 +98,9 @@ public:
     /// Sketched-telemetry config for the campaign-level aggregate. Must be
     /// pre-resolved (seed filled in) identically to the config the shards'
     /// worlds arm, or the fold would hash into different sketch cells --
-    /// scenario::run_parallel_campaign does this from WorldParams.
+    /// scenario::campaign_options does this from WorldParams.
     obs::TelemetryConfig telemetry;
   };
-
-  /// See measure::TraceFailure; kept as a nested alias for callers that
-  /// predate the sequential executor growing quarantine support.
-  using TraceFailure = measure::TraceFailure;
 
   ParallelCampaign(ShardFactory factory, Options options);
 
@@ -145,12 +141,15 @@ public:
     int failed = 0;     ///< traces that threw
     int in_flight = 0;  ///< traces currently executing on a worker
     std::map<std::string, int> completed_by_vantage;
+
+    /// The JSON body of the live plane's GET /progress.
+    std::string to_json() const;
   };
   Progress progress() const;
 
   /// Campaign observability merged from the per-trace shard deltas in plan
-  /// order -- byte-identical to the sequential World's campaign snapshot
-  /// regardless of worker count. Valid after run() returns.
+  /// order -- byte-identical regardless of worker count. Valid after run()
+  /// returns.
   const obs::ObsSnapshot& metrics() const { return merged_metrics_; }
 
   /// Point-in-time copy of the merged campaign snapshot, safe to call
@@ -164,15 +163,14 @@ public:
   }
 
   /// Flight-recorder events merged from the per-trace shard slices in plan
-  /// order -- byte-identical to the sequential World's campaign_flights()
-  /// regardless of worker count. Empty unless the shards armed their
-  /// recorders. Valid after run() returns.
+  /// order -- byte-identical regardless of worker count. Empty unless the
+  /// shards armed their recorders; replayed (journaled) traces contribute
+  /// no events. Valid after run() returns.
   const std::vector<obs::FlightEvent>& flight_events() const { return flight_events_; }
 
   /// Campaign telemetry aggregate folded from the per-trace deltas in plan
-  /// order -- byte-identical to the sequential World's campaign_telemetry()
-  /// regardless of worker count. Inactive unless Options::telemetry is
-  /// sketched. Valid after run() returns.
+  /// order -- byte-identical regardless of worker count. Inactive unless
+  /// Options::telemetry is sketched. Valid after run() returns.
   const obs::TelemetryAggregate& telemetry() const { return telemetry_; }
 
   /// Executor-runtime metrics (worker utilization, in-flight gauges).
@@ -198,8 +196,10 @@ private:
 
   /// Parks `delta` for trace `index`, then folds the contiguous ready
   /// prefix into the campaign snapshot/telemetry/flight log in plan order.
-  /// Thread-safe; each index must be committed exactly once.
+  /// Thread-safe; committing an index twice is a std::logic_error.
   void commit_delta(int index, PendingDelta delta);
+  /// Folds one delta into the campaign totals. Caller holds merge_mutex_.
+  void fold(PendingDelta& delta);
   /// Folds any still-parked deltas (holes from halt_after_traces leave the
   /// prefix short) in index order. Call only after the pool is idle.
   void flush_pending();
@@ -218,6 +218,7 @@ private:
   mutable std::mutex merge_mutex_;
   std::map<int, PendingDelta> pending_;
   int next_merge_ = 0;
+  std::size_t folded_ = 0;  ///< deltas folded by the last run()
   obs::ObsSnapshot merged_metrics_;
   obs::TelemetryAggregate telemetry_;
   std::vector<obs::FlightEvent> flight_events_;

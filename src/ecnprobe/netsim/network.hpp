@@ -142,8 +142,8 @@ public:
   /// lets every node re-derive its per-node streams (Node::on_epoch).
   /// Called between campaign traces -- from a quiescent simulator -- so a
   /// trace's outcome does not depend on which traces ran before it, which
-  /// is what makes sharded parallel campaigns byte-identical to sequential
-  /// ones. Aggregate stats() counters are not touched.
+  /// is what makes campaigns byte-identical at any worker count. Aggregate
+  /// stats() counters are not touched.
   void begin_epoch(std::uint64_t epoch_seed);
 
 private:

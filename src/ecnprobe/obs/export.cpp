@@ -13,27 +13,6 @@ namespace ecnprobe::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::strf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Exact decimal rendering of a fixed-point milli value ("12.345").
 std::string milli_to_string(std::int64_t milli) {
   const char* sign = milli < 0 ? "-" : "";
@@ -47,7 +26,7 @@ std::string labels_to_json(const LabelSet& labels) {
   for (const auto& [key, value] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(key) + "\":\"" + json_escape(value) + "\"";
+    out += "\"" + util::json_escape(key) + "\":\"" + util::json_escape(value) + "\"";
   }
   return out + "}";
 }
@@ -143,7 +122,7 @@ std::string to_json(const MetricsSnapshot& snapshot) {
   for (const auto& [name, family] : snapshot.families) {
     if (!first_family) out += ",";
     first_family = false;
-    out += "\"" + json_escape(name) + "\":{\"kind\":\"" +
+    out += "\"" + util::json_escape(name) + "\":{\"kind\":\"" +
            std::string(to_string(family.kind)) + "\",\"samples\":[";
     bool first_sample = true;
     for (const auto& [labels, value] : family.samples) {
@@ -166,7 +145,7 @@ std::string to_json(const LedgerSnapshot& ledger) {
         for (const auto& [key, n] : entries) {
           if (!first) out += ",";
           first = false;
-          out += "\"" + json_escape(key.first) + "/" + json_escape(key.second) +
+          out += "\"" + util::json_escape(key.first) + "/" + util::json_escape(key.second) +
                  "\":" + util::strf("%" PRIu64, n);
         }
         return out + "}";
@@ -202,7 +181,7 @@ std::string to_json(const TimeSeriesDelta& series) {
     for (const auto& [key, n] : window.counts) {
       if (!first) out += ",";
       first = false;
-      out += "\"" + json_escape(key) + util::strf("\":%" PRIu64, n);
+      out += "\"" + util::json_escape(key) + util::strf("\":%" PRIu64, n);
     }
     out += util::strf("},\"rtt\":{\"count\":%" PRIu64 ",\"sum_nanos\":%" PRId64
                       ",\"buckets\":{",
@@ -347,7 +326,7 @@ std::string to_json(const TelemetryAggregate& telemetry) {
   for (const auto& key : telemetry.tracked_keys()) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(key) +
+    out += "\"" + util::json_escape(key) +
            util::strf("\":%" PRIu64, telemetry.estimate(key));
   }
   out += "}";
@@ -371,9 +350,9 @@ std::string to_json(const TelemetryAggregate& telemetry) {
     first = false;
     out += util::strf("{\"trace\":%d,\"layer\":\"%s\",\"cause\":\"%s\","
                       "\"node\":\"%s\"}",
-                      exemplar.trace, json_escape(exemplar.layer).c_str(),
-                      json_escape(exemplar.cause).c_str(),
-                      json_escape(exemplar.node).c_str());
+                      exemplar.trace, util::json_escape(exemplar.layer).c_str(),
+                      util::json_escape(exemplar.cause).c_str(),
+                      util::json_escape(exemplar.node).c_str());
   }
   out += "]}";
   return out;

@@ -5,7 +5,7 @@
 //
 // Encoders iterate std::maps only, so two equal snapshots always encode
 // to the same bytes -- that property is load-bearing: CI diffs the JSON of
-// a sequential campaign against a sharded one.
+// a one-worker campaign against a sharded one.
 #pragma once
 
 #include <string>

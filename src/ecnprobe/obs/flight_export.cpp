@@ -50,27 +50,6 @@ std::string event_comment(const FlightEvent& event) {
                     event.detail.c_str());
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::strf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::size_t write_pcapng(std::ostream& os, const std::vector<FlightEvent>& events) {
@@ -147,7 +126,7 @@ std::string to_chrome_trace_json(const std::vector<FlightEvent>& events) {
         std::string(to_string(event.type)).c_str(),
         std::string(to_string(event.layer)).c_str(), ns / 1000, ns % 1000,
         event.key.trace, event.key.probe, event.key.seq,
-        json_escape(event.node).c_str(), json_escape(event.detail).c_str(),
+        util::json_escape(event.node).c_str(), util::json_escape(event.detail).c_str(),
         event.wire.size());
   }
   return out + "]}\n";

@@ -3,8 +3,8 @@
 //
 // Design constraints, in order:
 //
-//   1. *Determinism.* Campaign metrics must be byte-identical between the
-//      sequential executor and the sharded parallel one. Everything a
+//   1. *Determinism.* Campaign metrics must be byte-identical at one
+//      worker and at any other worker count. Everything a
 //      snapshot stores is integral (counters, gauge sums, bucket counts,
 //      and histogram sums in fixed-point milli-units), so merging per-trace
 //      deltas is exact and commutative -- no floating-point accumulation

@@ -14,8 +14,8 @@
 //    exactly the property that makes per-trace deltas shardable.
 //
 //  * TimeSeriesDelta is the per-trace result, journaled inside
-//    ObsSnapshot and folded in plan order by both campaign executors.
-//    Folding is window-wise commutative integer addition, so sequential
+//    ObsSnapshot and folded in plan order by the campaign executor.
+//    Folding is window-wise commutative integer addition, so one-worker
 //    and --workers N campaigns produce byte-identical series.
 //
 // RTT samples use the LogHistogram bucket mapping (pure-integer, no

@@ -241,7 +241,7 @@ void World::build_pool() {
                                                       http::HttpServerService::Config{});
         // Simulated HTTP traffic lands in this world's registry as http_*
         // counters -- deterministic like everything else in the registry,
-        // so the families survive the sequential-vs-parallel equality gate.
+        // so the families survive the one-worker-vs-N equality gate.
         server.web->set_metrics(&obs_.registry);
       }
 
@@ -653,116 +653,6 @@ obs::ObsSnapshot World::collect_obs_delta() const {
   return delta;
 }
 
-void World::fold_campaign_delta(const obs::ObsSnapshot& delta) {
-  campaign_obs_.metrics.merge(delta.metrics);
-  campaign_obs_.ledger.merge(delta.ledger);
-  campaign_obs_.timeseries.merge(delta.timeseries);
-  campaign_telemetry_.fold(delta.telemetry);
-}
-
-std::vector<measure::Trace> World::run_campaign(
-    const measure::CampaignPlan& plan, const measure::ProbeOptions& options,
-    measure::Campaign::AfterTraceHook after_trace, measure::CampaignJournal* journal,
-    int halt_after, std::vector<measure::TraceFailure>* failures,
-    measure::Campaign::HaltCheck halt_check) {
-  measure::ProbeOptions probe = options;
-  if (!probe.sched.is_paper_default()) {
-    // Scenario-layer defaults for a supervised campaign: jitter streams key
-    // off the world seed, breaker groups off this world's ip2as map. Both
-    // are pure functions of WorldParams, so the sharded executor (which
-    // applies the same defaults against its worker clones) stays
-    // byte-identical.
-    if (probe.sched.seed == 0) probe.sched.seed = params_.seed;
-    if (probe.sched.breaker.enabled && !probe.breaker_group) {
-      probe.breaker_group = breaker_group_resolver();
-    }
-  }
-  measure::Campaign campaign(vantage_map(), server_addresses(), probe);
-  if (after_trace) campaign.set_after_trace(std::move(after_trace));
-  campaign_obs_ = {};
-  campaign_flights_.clear();
-  campaign_telemetry_ = obs_.telemetry.armed()
-                            ? obs::TelemetryAggregate(obs_.telemetry.config())
-                            : obs::TelemetryAggregate{};
-  // Merge accounting: every trace's obs delta must enter campaign_obs_
-  // exactly once -- as a live commit, a journal replay, or a quarantine.
-  // The counters make a double merge (e.g. a replayed trace also firing
-  // the commit hook) a hard error instead of silently doubled metrics.
-  std::size_t live_merges = 0;
-  std::size_t replayed_merges = 0;
-  std::size_t quarantined_merges = 0;
-  campaign.set_before_trace([this](const std::string& vantage, int batch, int index) {
-    begin_trace_epoch(vantage, batch, index);
-  });
-  // The commit hook fires at the quiescence barrier after each trace (the
-  // final one included): stragglers (TIME_WAIT timers, late responses) have
-  // fired and are attributed to the trace that caused them -- exactly what
-  // the parallel shards see when they collect after sim().run() goes idle.
-  // Journalling here makes the checkpoint write-ahead: the trace is durable
-  // before the next one starts.
-  campaign.set_commit([this, journal, &live_merges](const measure::Trace& trace) {
-    const auto delta = collect_obs_delta();
-    if (journal != nullptr) journal->append(trace, delta);
-    fold_campaign_delta(delta);
-    auto slice = collect_flight_slice();
-    campaign_flights_.insert(campaign_flights_.end(),
-                             std::make_move_iterator(slice.begin()),
-                             std::make_move_iterator(slice.end()));
-    ++live_merges;
-  });
-  if (journal != nullptr) {
-    campaign.set_replay(
-        [this, journal, &replayed_merges](int index) -> std::optional<measure::Trace> {
-          const auto it = journal->entries().find(index);
-          if (it == journal->entries().end()) return std::nullopt;
-          // Replays happen in plan order, interleaved with live commits at
-          // the same position, so the merged campaign snapshot is
-          // byte-identical to an uninterrupted run's.
-          fold_campaign_delta(it->second.delta);
-          ++replayed_merges;
-          return it->second.trace;
-        });
-  }
-  campaign.set_quarantine([this, &quarantined_merges](const std::string& vantage,
-                                                      int /*batch*/, int /*index*/,
-                                                      const std::string& /*reason*/) {
-    // The failed trace's partial delta -- including the quarantine
-    // attribution recorded just now -- still lands in the campaign
-    // snapshot: a thrown-away trace is reported, never silently absorbed.
-    quarantine_trace(vantage);
-    fold_campaign_delta(collect_obs_delta());
-    auto slice = collect_flight_slice();
-    campaign_flights_.insert(campaign_flights_.end(),
-                             std::make_move_iterator(slice.begin()),
-                             std::make_move_iterator(slice.end()));
-    ++quarantined_merges;
-  });
-  const int crash_after = halt_after > 0 ? halt_after : params_.faults.crash_after_traces;
-  if (crash_after > 0) campaign.set_halt_after(crash_after);
-  if (halt_check) campaign.set_halt_check(std::move(halt_check));
-  std::vector<measure::Trace> results;
-  bool done = false;
-  campaign.run(plan, [&](std::vector<measure::Trace> traces) {
-    results = std::move(traces);
-    done = true;
-  });
-  sim_.run();
-  if (!done) throw std::runtime_error("World::run_campaign: simulation stalled");
-  if (live_merges + replayed_merges != results.size() ||
-      quarantined_merges != campaign.failures().size()) {
-    throw std::logic_error(util::strf(
-        "World::run_campaign: obs merge accounting broken: %zu live + %zu replayed "
-        "merges for %zu results, %zu quarantine merges for %zu failures",
-        live_merges, replayed_merges, results.size(), quarantined_merges,
-        campaign.failures().size()));
-  }
-  if (failures != nullptr) {
-    failures->insert(failures->end(), campaign.failures().begin(),
-                     campaign.failures().end());
-  }
-  return results;
-}
-
 void World::quarantine_trace(const std::string& vantage) {
   obs_.ledger.record_drop(obs::Layer::Measure, obs::DropCause::TraceQuarantined, vantage);
 }
@@ -771,8 +661,7 @@ std::vector<measure::TracerouteObservation> World::run_traceroutes(
     int repetitions, traceroute::TracerouteOptions options) {
   // Hermetic like a campaign trace: re-derive the datapath streams from a
   // fixed label so the traceroute figures do not depend on whether (or how)
-  // a campaign ran on this world first -- the sequential and --workers=N
-  // study pipelines print identical Figure 4 sections.
+  // a campaign ran on this world first.
   net().begin_epoch(util::derive_seed(params_.seed, "traceroute-epoch"));
   std::vector<measure::TracerouteObservation> all;
   for (const auto& name : vantage_names_) {
@@ -831,42 +720,47 @@ measure::ParallelCampaign::ShardFactory world_shard_factory(WorldParams params) 
   };
 }
 
-std::vector<measure::Trace> run_parallel_campaign(
-    const WorldParams& params, const measure::CampaignPlan& plan,
-    const measure::ProbeOptions& options, int workers,
-    std::vector<measure::ParallelCampaign::TraceFailure>* failures,
-    obs::ObsSnapshot* metrics_out, measure::CampaignJournal* journal, int halt_after,
-    std::vector<obs::FlightEvent>* events_out, obs::TelemetryAggregate* telemetry_out) {
-  measure::ParallelCampaign::Options exec_options;
-  exec_options.workers = workers;
-  exec_options.probe = options;
-  if (!exec_options.probe.sched.is_paper_default() &&
-      exec_options.probe.sched.seed == 0) {
-    // Mirror of the sequential executor's seed defaulting; the breaker
-    // group resolver is bound per worker shard (each clone owns a private
-    // ip2as map) inside ParallelCampaign.
-    exec_options.probe.sched.seed = params.seed;
+measure::ParallelCampaign::Options campaign_options(const WorldParams& params,
+                                                    const measure::ProbeOptions& probe,
+                                                    int workers, int halt_after) {
+  measure::ParallelCampaign::Options options;
+  options.workers = workers;
+  options.probe = probe;
+  // The breaker group resolver is bound per worker shard (each clone owns
+  // a private ip2as map) inside ParallelCampaign.
+  if (!options.probe.sched.is_paper_default() && options.probe.sched.seed == 0) {
+    options.probe.sched.seed = params.seed;
   }
-  // Same seed resolution the worker worlds apply in their constructors:
-  // the campaign-level aggregate must hash with the identical sketch seed
-  // or folding the workers' deltas would scatter across different cells.
-  exec_options.telemetry = params.telemetry.resolved(params.seed);
-  exec_options.halt_after_traces =
+  options.telemetry = params.telemetry.resolved(params.seed);
+  options.halt_after_traces =
       halt_after > 0 ? halt_after : params.faults.crash_after_traces;
-  measure::ParallelCampaign campaign(world_shard_factory(params), exec_options);
+  return options;
+}
+
+measure::JournalMeta journal_meta(const WorldParams& params,
+                                  const measure::CampaignPlan& plan) {
+  measure::JournalMeta meta;
+  meta.plan = measure::plan_fingerprint(plan);
+  meta.faults = params.faults.fingerprint();
+  meta.seed = params.seed;
+  meta.total_traces = plan.total_traces();
+  meta.server_count = params.server_count;
+  return meta;
+}
+
+CampaignRun run_campaign(const WorldParams& params, const measure::CampaignPlan& plan,
+                         const measure::ProbeOptions& probe, int workers,
+                         measure::CampaignJournal* journal, int halt_after) {
+  measure::ParallelCampaign campaign(world_shard_factory(params),
+                                     campaign_options(params, probe, workers, halt_after));
   if (journal != nullptr) campaign.set_journal(journal);
-  auto traces = campaign.run(plan);
-  if (failures != nullptr) {
-    failures->insert(failures->end(), campaign.failures().begin(),
-                     campaign.failures().end());
-  }
-  if (metrics_out != nullptr) *metrics_out = campaign.metrics();
-  if (telemetry_out != nullptr) *telemetry_out = campaign.telemetry();
-  if (events_out != nullptr) {
-    events_out->insert(events_out->end(), campaign.flight_events().begin(),
-                       campaign.flight_events().end());
-  }
-  return traces;
+  CampaignRun run;
+  run.traces = campaign.run(plan);
+  run.failures = campaign.failures();
+  run.metrics = campaign.metrics();
+  run.flights = campaign.flight_events();
+  run.telemetry = campaign.telemetry();
+  return run;
 }
 
 void World::enable_congestion_at_server(std::size_t i, double mark_prob,

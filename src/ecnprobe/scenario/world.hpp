@@ -31,7 +31,7 @@
 #include "ecnprobe/dns/pool_dns.hpp"
 #include "ecnprobe/geo/geo.hpp"
 #include "ecnprobe/http/http_service.hpp"
-#include "ecnprobe/measure/campaign.hpp"
+#include "ecnprobe/measure/journal.hpp"
 #include "ecnprobe/measure/parallel_campaign.hpp"
 #include "ecnprobe/measure/vantage.hpp"
 #include "ecnprobe/ntp/ntp.hpp"
@@ -107,8 +107,8 @@ struct WorldParams {
   /// Sim-time series config. When enabled, per-trace counters and RTT
   /// buckets are snapshotted into fixed-width sim-time windows, epoch-
   /// relative per trace, and folded in plan order -- the series is part of
-  /// the campaign obs snapshot and therefore byte-identical sequential vs
-  /// any worker count. Disabled by default (one bool test per event).
+  /// the campaign obs snapshot and therefore byte-identical at any worker
+  /// count. Disabled by default (one bool test per event).
   obs::TimeSeriesConfig timeseries;
 
   /// Paper-scale world (2500 servers, 400 stub ASes). The default.
@@ -187,33 +187,14 @@ public:
   /// per-node RNG streams re-derived from (seed, index), middlebox
   /// conntrack/queue state cleared, TCP transients dropped. After this
   /// call, the trace's outcome is a pure function of (WorldParams, batch,
-  /// index), independent of whatever ran on this world before. Both the
-  /// sequential run_campaign() and the parallel shards call it, which is
-  /// why their merged results are byte-identical. Must be called from a
-  /// quiescent simulator (no pending events).
+  /// index), independent of whatever ran on this world before -- which is
+  /// why the merged results are byte-identical at any worker count. Must
+  /// be called from a quiescent simulator (no pending events).
   void begin_trace_epoch(const std::string& vantage, int batch, int index);
 
-  /// Convenience: wires up a Campaign with the world's epoch hook, runs the
-  /// simulator to completion, returns the traces. `after_trace` (optional)
-  /// fires on the simulator thread each time a trace delivers its result --
-  /// the CLI uses it for live progress output. With `journal`, traces
-  /// already on disk are replayed and each live trace is journalled at its
-  /// quiescence barrier. `halt_after` > 0 simulates a crash after that many
-  /// live traces (0 falls back to faults.crash_after_traces). Quarantined
-  /// traces land in `failures` when given.
-  /// `halt_check` (optional) is consulted before each live trace; returning
-  /// true abandons the rest of the schedule like halt_after does (the
-  /// CLI's signal-drain path and the daemon's cancel ride this).
-  std::vector<measure::Trace> run_campaign(
-      const measure::CampaignPlan& plan, const measure::ProbeOptions& options = {},
-      measure::Campaign::AfterTraceHook after_trace = nullptr,
-      measure::CampaignJournal* journal = nullptr, int halt_after = 0,
-      std::vector<measure::TraceFailure>* failures = nullptr,
-      measure::Campaign::HaltCheck halt_check = nullptr);
-
   /// Drop-ledger attribution for a trace this world had to throw away:
-  /// records Measure/TraceQuarantined against the vantage. Used by both
-  /// executors so sequential and sharded reports agree byte for byte.
+  /// records Measure/TraceQuarantined against the vantage. The shard and
+  /// trace-autopsy both use it, so their reports agree byte for byte.
   void quarantine_trace(const std::string& vantage);
 
   // -- observability ---------------------------------------------------------
@@ -224,36 +205,11 @@ public:
   /// Everything the registry and ledger accumulated since the last
   /// mark_obs_baseline() -- one trace's worth when bracketed by epochs.
   obs::ObsSnapshot collect_obs_delta() const;
-  /// Campaign-scoped observability accumulated by the last run_campaign():
-  /// per-trace deltas summed in plan order, excluding world construction.
-  /// Byte-identical to ParallelCampaign::metrics() for the same plan.
-  const obs::ObsSnapshot& campaign_obs() const { return campaign_obs_; }
 
   /// Flight-recorder events since the last mark_obs_baseline() -- one
   /// trace's worth when bracketed by epochs. Empty unless
   /// params.flight_recorder_capacity armed the recorder.
   std::vector<obs::FlightEvent> collect_flight_slice() const;
-  /// Flight-recorder events accumulated by the last run_campaign(),
-  /// per-trace slices concatenated in plan order. Byte-identical to
-  /// ParallelCampaign::flight_events() for the same plan at any worker
-  /// count. Replayed (journalled) traces contribute no events.
-  const std::vector<obs::FlightEvent>& campaign_flights() const {
-    return campaign_flights_;
-  }
-
-  /// The sketched-telemetry campaign aggregate built by the last
-  /// run_campaign(); inactive in exact mode. Byte-identical to
-  /// ParallelCampaign::telemetry() for the same plan at any worker count.
-  const obs::TelemetryAggregate& campaign_telemetry() const {
-    return campaign_telemetry_;
-  }
-
-  /// Merges one trace's obs delta into the campaign accumulators: metrics
-  /// and ledger into campaign_obs(), the telemetry delta folded into the
-  /// sketch aggregate (NOT accumulated sparsely -- that would rebuild the
-  /// O(keys) map the sketches exist to avoid). Both executors and the
-  /// journal-replay path use this, in plan order.
-  void fold_campaign_delta(const obs::ObsSnapshot& delta);
 
   /// Runs `repetitions` ECN traceroutes from each vantage to every server.
   /// Begins its own epoch ("traceroute-epoch"), so the observations are a
@@ -273,8 +229,8 @@ public:
 
   /// Circuit-breaker group resolver over THIS world's ip2as map: "AS<n>",
   /// or "AS-unknown" for unmapped addresses. The returned closure captures
-  /// `this`; it must not outlive the world (the campaign executors bind it
-  /// per run, the parallel shards per worker clone).
+  /// `this`; it must not outlive the world (the executor binds it per
+  /// worker clone, through WorldShard::breaker_group).
   sched::GroupResolver breaker_group_resolver();
 
   /// Enables an RFC 3168 AQM (CE-marking) on the access link of server `i`
@@ -321,9 +277,6 @@ private:
   std::size_t obs_drop_mark_ = 0;
   std::size_t obs_rewrite_mark_ = 0;
   std::size_t obs_flight_mark_ = 0;
-  obs::ObsSnapshot campaign_obs_;
-  std::vector<obs::FlightEvent> campaign_flights_;
-  obs::TelemetryAggregate campaign_telemetry_;
 };
 
 /// measure::CampaignShard over a worker-private World built from `params`.
@@ -367,27 +320,38 @@ private:
 /// the seed, so the clones are identical).
 measure::ParallelCampaign::ShardFactory world_shard_factory(WorldParams params);
 
-/// Convenience mirror of World::run_campaign for the sharded executor:
-/// builds one isolated world per worker, runs the plan across `workers`
-/// threads, returns traces merged in plan order -- byte-identical to the
-/// sequential path. Per-trace failures (if any) are appended to
-/// `failures` when given; the campaign observability snapshot (metrics +
-/// drop ledger, merged in plan order) is written to `metrics_out` when
-/// given.
-/// `journal`/`halt_after` mirror World::run_campaign: journaled traces are
-/// replayed instead of re-run, live traces are checkpointed write-ahead,
-/// and `halt_after` > 0 simulates a crash after that many live traces
-/// (0 falls back to params.faults.crash_after_traces).
-/// With `events_out`, flight-recorder events (per-trace slices merged in
-/// plan order) are appended -- byte-identical to a sequential
-/// World::run_campaign with the same params.
-std::vector<measure::Trace> run_parallel_campaign(
-    const WorldParams& params, const measure::CampaignPlan& plan,
-    const measure::ProbeOptions& options = {}, int workers = 1,
-    std::vector<measure::ParallelCampaign::TraceFailure>* failures = nullptr,
-    obs::ObsSnapshot* metrics_out = nullptr,
-    measure::CampaignJournal* journal = nullptr, int halt_after = 0,
-    std::vector<obs::FlightEvent>* events_out = nullptr,
-    obs::TelemetryAggregate* telemetry_out = nullptr);
+/// Executor options for a campaign over worlds built from `params` -- the
+/// one place every front end gets them from: sched.seed defaults to the
+/// world seed once the supervisor is armed (the jitter streams key off
+/// it), the telemetry config carries the seed the worker worlds resolve
+/// (or the campaign aggregate would hash into different sketch cells than
+/// the shards' deltas), and `halt_after` > 0 simulates a crash after that
+/// many live traces, 0 falling back to params.faults.crash_after_traces.
+measure::ParallelCampaign::Options campaign_options(const WorldParams& params,
+                                                    const measure::ProbeOptions& probe = {},
+                                                    int workers = 1, int halt_after = 0);
+
+/// Journal metadata binding a checkpoint to the campaign it came from:
+/// a journal opened with a different (params, plan) is refused, so a
+/// resume can only ever replay traces of the same campaign.
+measure::JournalMeta journal_meta(const WorldParams& params,
+                                  const measure::CampaignPlan& plan);
+
+/// Everything one campaign run produces, merged in plan order.
+struct CampaignRun {
+  std::vector<measure::Trace> traces;  ///< failed traces omitted, never duplicated
+  std::vector<measure::TraceFailure> failures;  ///< campaign-index order
+  obs::ObsSnapshot metrics;  ///< metrics + drop ledger + time series
+  std::vector<obs::FlightEvent> flights;  ///< empty unless the recorder is armed
+  obs::TelemetryAggregate telemetry;  ///< inactive unless telemetry is sketched
+};
+
+/// Runs `plan` to completion on `workers` isolated worlds built from
+/// `params` (options from campaign_options). With `journal`, journaled
+/// traces are replayed instead of re-run and live traces are checkpointed
+/// write-ahead. The result is byte-identical at any worker count.
+CampaignRun run_campaign(const WorldParams& params, const measure::CampaignPlan& plan,
+                         const measure::ProbeOptions& probe = {}, int workers = 1,
+                         measure::CampaignJournal* journal = nullptr, int halt_after = 0);
 
 }  // namespace ecnprobe::scenario

@@ -6,9 +6,9 @@
 //
 // Determinism contract: the supervisor is TRACE-SCOPED. TraceRunner builds
 // a fresh one per trace, seeded by (config.seed, trace index), so its state
-// never spans traces -- a parallel worker that picks up trace 17 cold
-// reproduces exactly the breaker/pacer state a sequential executor would
-// have at trace 17, because that state is a pure function of the trace's
+// never spans traces -- a worker that picks up trace 17 cold reproduces
+// exactly the breaker/pacer state a worker that ran traces 0-16 first
+// would have there, because that state is a pure function of the trace's
 // own probe outcomes. Every retry schedule is a pure function of
 // (seed, trace, server, step); the pacer is pure integer arithmetic on the
 // sim clock; the breakers are pure functions of the outcome sequence.

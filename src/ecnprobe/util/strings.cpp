@@ -78,6 +78,27 @@ std::string with_commas(std::int64_t n) {
   return n < 0 ? "-" + out : out;
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += strf("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 std::string SimDuration::to_string() const {
   if (ns_ % 1'000'000'000 == 0) return strf("%llds", static_cast<long long>(ns_ / 1'000'000'000));
   if (ns_ % 1'000'000 == 0) return strf("%lldms", static_cast<long long>(ns_ / 1'000'000));

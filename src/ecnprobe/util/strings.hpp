@@ -1,5 +1,6 @@
 // Small string helpers: printf-style formatting into std::string (GCC 12
-// lacks std::format), splitting, trimming, and case folding.
+// lacks std::format), splitting, trimming, case folding, and JSON string
+// escaping.
 #pragma once
 
 #include <string>
@@ -29,5 +30,11 @@ bool iequals(std::string_view a, std::string_view b);
 
 /// Formats a count with thousands separators ("155439" -> "155,439").
 std::string with_commas(std::int64_t n);
+
+/// Escapes `s` for use inside a JSON string literal (quotes not added):
+/// `"` and `\` get a backslash, \n \r \t their short forms, any other
+/// byte below 0x20 becomes \u00XX. Every other byte, UTF-8 included,
+/// passes through unchanged. The one escaper every JSON encoder uses.
+std::string json_escape(std::string_view s);
 
 }  // namespace ecnprobe::util

@@ -96,16 +96,14 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-/// The reference output: the sequential World run the daemon's artifacts
+/// The reference output: the one-worker batch run the daemon's artifacts
 /// must match byte for byte.
-std::string sequential_csv(const CampaignSpec& spec) {
+std::string one_worker_csv(const CampaignSpec& spec) {
   auto params = scenario::WorldParams::paper().scaled(spec.scale);
   params.seed = spec.seed;
-  scenario::World world(params);
   const auto plan = measure::CampaignPlan::for_scale(spec.scale, spec.traces);
-  const auto traces = world.run_campaign(plan);
   std::ostringstream out;
-  measure::write_traces_csv(out, traces);
+  measure::write_traces_csv(out, scenario::run_campaign(params, plan).traces);
   return out.str();
 }
 
@@ -175,8 +173,8 @@ TEST(CampaignDaemonTest, AdmitsRunsAndServesByteIdenticalArtifacts) {
   EXPECT_EQ(result.find("HTTP/1.1 200"), 0u) << result;
   const auto body_at = result.find("\r\n\r\n");
   ASSERT_NE(body_at, std::string::npos);
-  EXPECT_EQ(result.substr(body_at + 4), sequential_csv(spec));
-  EXPECT_EQ(read_file(options.state_dir + "/c1.csv"), sequential_csv(spec));
+  EXPECT_EQ(result.substr(body_at + 4), one_worker_csv(spec));
+  EXPECT_EQ(read_file(options.state_dir + "/c1.csv"), one_worker_csv(spec));
 
   // Per-campaign metrics serve the exported Prometheus artifact once done.
   const auto metrics = http_request(daemon.port(), "GET", "/campaigns/c1/metrics", "");
@@ -388,7 +386,7 @@ TEST(CampaignDaemonTest, DrainCheckpointsAndRestartResumesByteIdentically) {
   std::string error;
   ASSERT_TRUE(resumed.start(&error)) << error;
   ASSERT_EQ(wait_for_state(resumed, "c1", "done"), "done");
-  EXPECT_EQ(read_file(options.state_dir + "/c1.csv"), sequential_csv(spec));
+  EXPECT_EQ(read_file(options.state_dir + "/c1.csv"), one_worker_csv(spec));
   resumed.drain();
 
   // A third start sees the done marker and does not re-run anything.

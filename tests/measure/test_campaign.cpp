@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "ecnprobe/measure/parallel_campaign.hpp"
 #include "ecnprobe/scenario/world.hpp"
 
 namespace ecnprobe::measure {
@@ -31,20 +36,17 @@ TEST(Campaign, RunsPlanAndStampsTraces) {
   auto params = scenario::WorldParams::small(11);
   params.server_count = 8;
   params.offline_prob = 0.0;
-  scenario::World world(params);
 
   CampaignPlan plan;
   plan.entries.push_back({"UGla wired", 1, 2});
   plan.entries.push_back({"EC2 Sin", 2, 1});
 
-  std::vector<std::pair<std::string, int>> hook_calls;
-  Campaign campaign(world.vantage_map(), world.server_addresses(), ProbeOptions{});
-  campaign.set_before_trace([&](const std::string& vantage, int batch, int) {
-    hook_calls.emplace_back(vantage, batch);
+  ParallelCampaign campaign(scenario::world_shard_factory(params), {});
+  std::vector<std::tuple<std::string, int, int>> observed;
+  campaign.set_observer([&](const std::string& vantage, int batch, int index) {
+    observed.emplace_back(vantage, batch, index);
   });
-  std::vector<Trace> traces;
-  campaign.run(plan, [&](std::vector<Trace> t) { traces = std::move(t); });
-  world.sim().run();
+  const auto traces = campaign.run(plan);
 
   ASSERT_EQ(traces.size(), 3u);
   EXPECT_EQ(traces[0].vantage, "UGla wired");
@@ -55,20 +57,28 @@ TEST(Campaign, RunsPlanAndStampsTraces) {
   // Indices are sequential.
   EXPECT_EQ(traces[0].index, 0);
   EXPECT_EQ(traces[2].index, 2);
-  // The before-trace hook fired once per trace, batch 1 before batch 2.
-  ASSERT_EQ(hook_calls.size(), 3u);
-  EXPECT_EQ(hook_calls[0].second, 1);
-  EXPECT_EQ(hook_calls[2].second, 2);
+  // At one worker the observer sees each trace once, in plan order:
+  // batch 1 before batch 2.
+  const std::vector<std::tuple<std::string, int, int>> expected = {
+      {"UGla wired", 1, 0}, {"UGla wired", 1, 1}, {"EC2 Sin", 2, 2}};
+  EXPECT_EQ(observed, expected);
 }
 
 TEST(Campaign, UnknownVantageThrows) {
+  // The trace for a vantage the world lacks throws on its worker; the
+  // executor quarantines it as a failure that names the vantage.
   auto params = scenario::WorldParams::small(12);
   params.server_count = 4;
-  scenario::World world(params);
   CampaignPlan plan;
   plan.entries.push_back({"Atlantis", 1, 1});
-  Campaign campaign(world.vantage_map(), world.server_addresses(), ProbeOptions{});
-  EXPECT_THROW(campaign.run(plan, [](std::vector<Trace>) {}), std::invalid_argument);
+  ParallelCampaign campaign(scenario::world_shard_factory(params), {});
+  EXPECT_TRUE(campaign.run(plan).empty());
+  ASSERT_EQ(campaign.failures().size(), 1u);
+  const auto& failure = campaign.failures()[0];
+  EXPECT_EQ(failure.index, 0);
+  EXPECT_EQ(failure.vantage, "Atlantis");
+  EXPECT_NE(failure.message.find("unknown vantage Atlantis"), std::string::npos);
+  EXPECT_EQ(campaign.metrics().ledger.drops_for_cause("trace-quarantined"), 1u);
 }
 
 }  // namespace

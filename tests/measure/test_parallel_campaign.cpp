@@ -1,9 +1,8 @@
-// Determinism regression harness for the sharded campaign executor: the
-// whole point of ParallelCampaign is that sharding traces across isolated
-// per-worker worlds changes wall-clock time and nothing else. Sequential
-// Campaign output and parallel output at 1, 2, and 8 workers must agree to
-// the byte, and a worker whose trace throws must neither lose nor
-// duplicate anyone else's traces.
+// Determinism regression harness for the campaign executor: the whole
+// point of ParallelCampaign is that sharding traces across isolated
+// per-worker worlds changes wall-clock time and nothing else. Output at
+// one worker and at 2 and 8 workers must agree to the byte, and a worker
+// whose trace throws must neither lose nor duplicate anyone else's traces.
 #include "ecnprobe/measure/parallel_campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -53,45 +52,44 @@ TEST(ParallelCampaign, ByteIdenticalToSequentialAt1And2And8Workers) {
   const auto plan = mixed_plan();
   const ProbeOptions options;
 
-  scenario::World sequential_world(params);
-  const auto sequential = sequential_world.run_campaign(plan, options);
-  ASSERT_EQ(static_cast<int>(sequential.size()), plan.total_traces());
-  const auto sequential_csv = to_csv(sequential);
-  const auto sequential_summary = analysis::summarize_reachability(sequential);
+  const auto one_worker = scenario::run_campaign(params, plan, options).traces;
+  ASSERT_EQ(static_cast<int>(one_worker.size()), plan.total_traces());
+  const auto one_worker_csv = to_csv(one_worker);
+  const auto one_worker_summary = analysis::summarize_reachability(one_worker);
 
-  for (const int workers : {1, 2, 8}) {
+  for (const int workers : {2, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    const auto parallel = scenario::run_parallel_campaign(params, plan, options, workers);
-    ASSERT_EQ(parallel.size(), sequential.size());
+    const auto parallel = scenario::run_campaign(params, plan, options, workers).traces;
+    ASSERT_EQ(parallel.size(), one_worker.size());
 
     // Plan-order merge: index, vantage, and batch line up trace for trace.
     for (std::size_t i = 0; i < parallel.size(); ++i) {
-      EXPECT_EQ(parallel[i].index, sequential[i].index);
-      EXPECT_EQ(parallel[i].vantage, sequential[i].vantage);
-      EXPECT_EQ(parallel[i].batch, sequential[i].batch);
+      EXPECT_EQ(parallel[i].index, one_worker[i].index);
+      EXPECT_EQ(parallel[i].vantage, one_worker[i].vantage);
+      EXPECT_EQ(parallel[i].batch, one_worker[i].batch);
     }
 
     // The strong contract: the merged results CSV is byte-identical.
-    EXPECT_EQ(to_csv(parallel), sequential_csv);
+    EXPECT_EQ(to_csv(parallel), one_worker_csv);
 
     // And so are the paper's headline numbers (Table 1 / Figure 2a inputs).
     const auto summary = analysis::summarize_reachability(parallel);
     EXPECT_DOUBLE_EQ(summary.mean_reachable_udp_plain,
-                     sequential_summary.mean_reachable_udp_plain);
+                     one_worker_summary.mean_reachable_udp_plain);
     EXPECT_DOUBLE_EQ(summary.mean_pct_ect_given_plain,
-                     sequential_summary.mean_pct_ect_given_plain);
+                     one_worker_summary.mean_pct_ect_given_plain);
     EXPECT_DOUBLE_EQ(summary.mean_pct_plain_given_ect,
-                     sequential_summary.mean_pct_plain_given_ect);
+                     one_worker_summary.mean_pct_plain_given_ect);
     EXPECT_DOUBLE_EQ(summary.pct_tcp_negotiating_ecn,
-                     sequential_summary.pct_tcp_negotiating_ecn);
+                     one_worker_summary.pct_tcp_negotiating_ecn);
   }
 }
 
 TEST(ParallelCampaign, RepeatedParallelRunsAreIdentical) {
   const auto params = determinism_params();
   const auto plan = mixed_plan();
-  const auto first = scenario::run_parallel_campaign(params, plan, {}, 4);
-  const auto second = scenario::run_parallel_campaign(params, plan, {}, 4);
+  const auto first = scenario::run_campaign(params, plan, {}, 4).traces;
+  const auto second = scenario::run_campaign(params, plan, {}, 4).traces;
   EXPECT_EQ(to_csv(first), to_csv(second));
 }
 
@@ -123,25 +121,23 @@ TEST(ParallelCampaign, ProgressCounterAndSerializedObserver) {
 
 // The observability half of the determinism contract: the campaign-scoped
 // metrics + drop-ledger snapshot -- merged from per-trace shard deltas in
-// plan order -- must encode to the same JSON bytes as the sequential
-// World's accumulation, at any worker count.
+// plan order -- must encode to the same JSON bytes at one worker as at 2
+// and 8.
 TEST(ParallelCampaign, MetricsByteIdenticalToSequential) {
   const auto params = determinism_params();
   const auto plan = mixed_plan();
   const ProbeOptions options;
 
-  scenario::World sequential_world(params);
-  sequential_world.run_campaign(plan, options);
-  const auto& sequential_obs = sequential_world.campaign_obs();
-  const auto sequential_json = obs::to_json(sequential_obs);
+  const auto one_worker_obs = scenario::run_campaign(params, plan, options).metrics;
+  const auto one_worker_json = obs::to_json(one_worker_obs);
 
   // The campaign must actually have produced substance to compare: packet
   // counters, probe counters, and attributed drops.
-  ASSERT_TRUE(sequential_obs.metrics.families.contains("net_packets_transmitted_total"));
-  ASSERT_TRUE(sequential_obs.metrics.families.contains("probe_udp_total"));
-  ASSERT_GT(sequential_obs.ledger.total_drops(), 0u);
+  ASSERT_TRUE(one_worker_obs.metrics.families.contains("net_packets_transmitted_total"));
+  ASSERT_TRUE(one_worker_obs.metrics.families.contains("probe_udp_total"));
+  ASSERT_GT(one_worker_obs.ledger.total_drops(), 0u);
 
-  for (const int workers : {1, 2, 8}) {
+  for (const int workers : {2, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ParallelCampaign::Options exec;
     exec.workers = workers;
@@ -149,7 +145,7 @@ TEST(ParallelCampaign, MetricsByteIdenticalToSequential) {
     ParallelCampaign campaign(scenario::world_shard_factory(params), exec);
     campaign.run(plan);
     ASSERT_TRUE(campaign.failures().empty());
-    EXPECT_EQ(obs::to_json(campaign.metrics()), sequential_json);
+    EXPECT_EQ(obs::to_json(campaign.metrics()), one_worker_json);
   }
 }
 
@@ -198,6 +194,11 @@ TEST(ParallelCampaign, RuntimeMetricsAccountForEveryTrace) {
   int by_vantage = 0;
   for (const auto& [vantage, count] : progress.completed_by_vantage) by_vantage += count;
   EXPECT_EQ(by_vantage, plan.total_traces());
+  // The live plane's /progress body renders the same snapshot.
+  EXPECT_EQ(progress.to_json(),
+            R"({"total":9,"completed":9,"failed":0,"in_flight":0,)"
+            R"("completed_by_vantage":{"EC2 Tok":2,"EC2 Vir":2,"McQuistin home":1,)"
+            R"("Perkins home":3,"UGla wless":1}})");
 
   const auto runtime = campaign.runtime_metrics();
   ASSERT_TRUE(runtime.families.contains("worker_traces_total"));
@@ -257,10 +258,9 @@ TEST(ParallelCampaign, StressNoLostOrDuplicatedTracesWhenWorkersThrow) {
     EXPECT_NE(failure.message.find("injected failure"), std::string::npos);
   }
 
-  // The surviving traces still match a clean sequential run of the same
+  // The surviving traces still match a clean one-worker run of the same
   // seed: a neighbour's crash must not perturb anyone else's results.
-  scenario::World reference_world(params);
-  const auto reference = reference_world.run_campaign(plan);
+  const auto reference = scenario::run_campaign(params, plan).traces;
   ASSERT_EQ(static_cast<int>(reference.size()), total);
   std::ostringstream expected;
   std::vector<Trace> kept;

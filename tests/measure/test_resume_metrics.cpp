@@ -1,9 +1,9 @@
 // Resume must not double-count observability: a campaign that crashes,
 // journals its progress, and resumes has its journal-replayed per-trace
 // deltas merged exactly once, so the final --metrics-out snapshot is
-// byte-identical to an uninterrupted run's. Both executors are covered;
-// the executors themselves also assert the merge accounting (a replayed
-// trace that also ran live throws instead of silently double-merging).
+// byte-identical to an uninterrupted run's, at one worker and at four; the
+// executor itself also asserts the merge accounting (a trace committed
+// twice throws instead of silently double-merging).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -43,48 +43,37 @@ CampaignPlan resume_plan() {
   return plan;
 }
 
-JournalMeta meta_for(const CampaignPlan& plan, const scenario::WorldParams& params) {
-  JournalMeta meta;
-  meta.plan = plan_fingerprint(plan);
-  meta.faults = params.faults.fingerprint();
-  meta.seed = params.seed;
-  meta.total_traces = plan.total_traces();
-  meta.server_count = params.server_count;
-  return meta;
-}
-
 TEST(ResumeMetrics, SequentialResumeMatchesUninterruptedRun) {
   const auto params = resume_params();
   const auto plan = resume_plan();
+  const auto meta = scenario::journal_meta(params, plan);
 
-  scenario::World reference(params);
-  reference.run_campaign(plan);
-  const auto reference_json = obs::to_json(reference.campaign_obs());
-  ASSERT_GT(reference.campaign_obs().ledger.total_drops(), 0u);
+  const auto reference = scenario::run_campaign(params, plan).metrics;
+  const auto reference_json = obs::to_json(reference);
+  ASSERT_GT(reference.ledger.total_drops(), 0u);
 
   TempFile file("resume_metrics_seq");
   std::string error;
   {
     // Crash after 5 live traces; the journal keeps what completed.
     CampaignJournal journal;
-    ASSERT_TRUE(journal.open(file.path, meta_for(plan, params), &error)) << error;
-    scenario::World halted(params);
-    halted.run_campaign(plan, {}, nullptr, &journal, /*halt_after=*/5);
+    ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
+    scenario::run_campaign(params, plan, {}, 1, &journal, /*halt_after=*/5);
     ASSERT_EQ(journal.entries().size(), 5u);
   }
   CampaignJournal journal;
-  ASSERT_TRUE(journal.open(file.path, meta_for(plan, params), &error)) << error;
-  scenario::World resumed(params);
-  const auto traces = resumed.run_campaign(plan, {}, nullptr, &journal);
-  EXPECT_EQ(static_cast<int>(traces.size()), plan.total_traces());
+  ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
+  const auto resumed = scenario::run_campaign(params, plan, {}, 1, &journal);
+  EXPECT_EQ(static_cast<int>(resumed.traces.size()), plan.total_traces());
   // The strong contract: replayed deltas merged exactly once, so the merged
   // snapshot encodes to the same bytes as the uninterrupted run's.
-  EXPECT_EQ(obs::to_json(resumed.campaign_obs()), reference_json);
+  EXPECT_EQ(obs::to_json(resumed.metrics), reference_json);
 }
 
 TEST(ResumeMetrics, ParallelResumeMatchesUninterruptedRun) {
   const auto params = resume_params();
   const auto plan = resume_plan();
+  const auto meta = scenario::journal_meta(params, plan);
 
   ParallelCampaign::Options exec;
   exec.workers = 4;
@@ -98,7 +87,7 @@ TEST(ResumeMetrics, ParallelResumeMatchesUninterruptedRun) {
   std::size_t journaled = 0;
   {
     CampaignJournal journal;
-    ASSERT_TRUE(journal.open(file.path, meta_for(plan, params), &error)) << error;
+    ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
     ParallelCampaign::Options halted_exec;
     halted_exec.workers = 4;
     halted_exec.halt_after_traces = 5;
@@ -112,7 +101,7 @@ TEST(ResumeMetrics, ParallelResumeMatchesUninterruptedRun) {
     ASSERT_LT(journaled, static_cast<std::size_t>(plan.total_traces()));
   }
   CampaignJournal journal;
-  ASSERT_TRUE(journal.open(file.path, meta_for(plan, params), &error)) << error;
+  ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
   ASSERT_EQ(journal.entries().size(), journaled);
   ParallelCampaign resumed(scenario::world_shard_factory(params), exec);
   resumed.set_journal(&journal);

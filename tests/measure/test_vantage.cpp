@@ -68,12 +68,11 @@ TEST(CampaignChurn, DepartedServersStayGoneWithinCampaign) {
   params.server_count = 40;
   params.batch2_departed_fraction = 0.4;  // exaggerate for the test
   params.offline_prob = 0.0;
-  scenario::World world(params);
 
   CampaignPlan plan;
   plan.entries.push_back({"UGla wired", 1, 1});
   plan.entries.push_back({"UGla wired", 2, 2});
-  const auto traces = world.run_campaign(plan);
+  const auto traces = scenario::run_campaign(params, plan).traces;
   ASSERT_EQ(traces.size(), 3u);
 
   const int before = traces[0].reachable_udp_plain();
@@ -99,10 +98,9 @@ TEST(CampaignChurn, OfflineDrawsVaryPerTrace) {
   params.server_count = 40;
   params.offline_prob = 0.3;
   params.batch2_departed_fraction = 0.0;
-  scenario::World world(params);
   CampaignPlan plan;
   plan.entries.push_back({"EC2 Fra", 1, 3});
-  const auto traces = world.run_campaign(plan);
+  const auto traces = scenario::run_campaign(params, plan).traces;
   ASSERT_EQ(traces.size(), 3u);
   // Different servers offline in different traces (transient, not fixed).
   std::set<std::uint32_t> off0;

@@ -40,7 +40,7 @@ struct CampaignTest : ::testing::Test {
   World world{campaign_params()};
   std::vector<measure::Trace> traces;
 
-  void SetUp() override { traces = world.run_campaign(tiny_plan()); }
+  void SetUp() override { traces = run_campaign(world.params(), tiny_plan()).traces; }
 };
 
 TEST_F(CampaignTest, ProducesPlannedTraceCount) {

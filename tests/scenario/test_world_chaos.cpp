@@ -1,5 +1,5 @@
 // Tentpole robustness properties: fault-injected campaigns stay
-// byte-identical across executors, checkpointed campaigns resume
+// byte-identical across worker counts, checkpointed campaigns resume
 // byte-identically after a simulated crash, and poisoned traces are
 // quarantined with drop-ledger attribution instead of aborting the run.
 #include <gtest/gtest.h>
@@ -38,17 +38,6 @@ measure::CampaignPlan plan_of(int per_vantage) {
   return plan;
 }
 
-measure::JournalMeta meta_for(const WorldParams& params,
-                              const measure::CampaignPlan& plan) {
-  measure::JournalMeta meta;
-  meta.plan = measure::plan_fingerprint(plan);
-  meta.faults = params.faults.fingerprint();
-  meta.seed = params.seed;
-  meta.total_traces = plan.total_traces();
-  meta.server_count = params.server_count;
-  return meta;
-}
-
 struct TempFile {
   std::string path;
   explicit TempFile(const std::string& name) {
@@ -62,34 +51,31 @@ TEST(WorldChaos, FaultedCampaignByteIdenticalAcrossWorkers) {
   const auto params = chaos_params();
   const auto plan = plan_of(2);
 
-  World world(params);
-  const auto seq = world.run_campaign(plan);
-  const auto seq_csv = campaign_csv(seq);
-  const auto seq_obs = obs::encode_obs(world.campaign_obs());
+  const auto seq = run_campaign(params, plan);
+  const auto seq_csv = campaign_csv(seq.traces);
+  const auto seq_obs = obs::encode_obs(seq.metrics);
 
   // Same (profile, seed) reruns to the same bytes...
-  World again(params);
-  EXPECT_EQ(campaign_csv(again.run_campaign(plan)), seq_csv);
-  EXPECT_EQ(obs::encode_obs(again.campaign_obs()), seq_obs);
+  const auto again = run_campaign(params, plan);
+  EXPECT_EQ(campaign_csv(again.traces), seq_csv);
+  EXPECT_EQ(obs::encode_obs(again.metrics), seq_obs);
 
   // ...and sharding must not change a single byte, results or metrics.
   for (const int workers : {2, 8}) {
-    obs::ObsSnapshot par_obs;
-    const auto par = run_parallel_campaign(params, plan, {}, workers, nullptr, &par_obs);
-    EXPECT_EQ(campaign_csv(par), seq_csv) << workers << " workers";
-    EXPECT_EQ(obs::encode_obs(par_obs), seq_obs) << workers << " workers";
+    const auto par = run_campaign(params, plan, {}, workers);
+    EXPECT_EQ(campaign_csv(par.traces), seq_csv) << workers << " workers";
+    EXPECT_EQ(obs::encode_obs(par.metrics), seq_obs) << workers << " workers";
   }
 }
 
 TEST(WorldChaos, SequentialResumeAfterCrashByteIdentical) {
   const auto params = chaos_params();
   const auto plan = plan_of(10);  // 30 traces
-  const auto meta = meta_for(params, plan);
+  const auto meta = journal_meta(params, plan);
 
-  World baseline_world(params);
-  const auto baseline = baseline_world.run_campaign(plan);
-  const auto baseline_csv = campaign_csv(baseline);
-  const auto baseline_obs = obs::encode_obs(baseline_world.campaign_obs());
+  const auto baseline = run_campaign(params, plan);
+  const auto baseline_csv = campaign_csv(baseline.traces);
+  const auto baseline_obs = obs::encode_obs(baseline.metrics);
 
   for (const int kill_after : {1, 13, 29}) {
     TempFile file("chaos_seq_resume_" + std::to_string(kill_after));
@@ -98,20 +84,17 @@ TEST(WorldChaos, SequentialResumeAfterCrashByteIdentical) {
       // The "crashed" run: journals every completed trace, halts mid-plan.
       measure::CampaignJournal journal;
       ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
-      World world(params);
-      const auto partial =
-          world.run_campaign(plan, {}, nullptr, &journal, kill_after);
-      EXPECT_EQ(partial.size(), static_cast<std::size_t>(kill_after));
+      const auto partial = run_campaign(params, plan, {}, 1, &journal, kill_after);
+      EXPECT_EQ(partial.traces.size(), static_cast<std::size_t>(kill_after));
       EXPECT_EQ(journal.entries().size(), static_cast<std::size_t>(kill_after));
     }
     // The resumed run: replays the journal, runs the remainder live.
     measure::CampaignJournal journal;
     ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
     EXPECT_EQ(journal.entries().size(), static_cast<std::size_t>(kill_after));
-    World world(params);
-    const auto resumed = world.run_campaign(plan, {}, nullptr, &journal);
-    EXPECT_EQ(campaign_csv(resumed), baseline_csv) << "kill after " << kill_after;
-    EXPECT_EQ(obs::encode_obs(world.campaign_obs()), baseline_obs)
+    const auto resumed = run_campaign(params, plan, {}, 1, &journal);
+    EXPECT_EQ(campaign_csv(resumed.traces), baseline_csv) << "kill after " << kill_after;
+    EXPECT_EQ(obs::encode_obs(resumed.metrics), baseline_obs)
         << "kill after " << kill_after;
   }
 }
@@ -119,13 +102,11 @@ TEST(WorldChaos, SequentialResumeAfterCrashByteIdentical) {
 TEST(WorldChaos, ParallelResumeAfterCrashByteIdentical) {
   const auto params = chaos_params();
   const auto plan = plan_of(10);  // 30 traces
-  const auto meta = meta_for(params, plan);
+  const auto meta = journal_meta(params, plan);
   const int workers = 4;
 
-  obs::ObsSnapshot baseline_obs;
-  const auto baseline =
-      run_parallel_campaign(params, plan, {}, workers, nullptr, &baseline_obs);
-  const auto baseline_csv = campaign_csv(baseline);
+  const auto baseline = run_campaign(params, plan, {}, workers);
+  const auto baseline_csv = campaign_csv(baseline.traces);
 
   for (const int kill_after : {1, 13, 29}) {
     TempFile file("chaos_par_resume_" + std::to_string(kill_after));
@@ -133,8 +114,7 @@ TEST(WorldChaos, ParallelResumeAfterCrashByteIdentical) {
     {
       measure::CampaignJournal journal;
       ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
-      (void)run_parallel_campaign(params, plan, {}, workers, nullptr, nullptr,
-                                  &journal, kill_after);
+      (void)run_campaign(params, plan, {}, workers, &journal, kill_after);
       // Which traces got claimed before the halt is scheduling-dependent,
       // but at least the halt quota must have been journaled.
       EXPECT_GE(journal.entries().size(), static_cast<std::size_t>(kill_after));
@@ -142,11 +122,9 @@ TEST(WorldChaos, ParallelResumeAfterCrashByteIdentical) {
     }
     measure::CampaignJournal journal;
     ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
-    obs::ObsSnapshot resumed_obs;
-    const auto resumed = run_parallel_campaign(params, plan, {}, workers, nullptr,
-                                               &resumed_obs, &journal);
-    EXPECT_EQ(campaign_csv(resumed), baseline_csv) << "kill after " << kill_after;
-    EXPECT_EQ(obs::encode_obs(resumed_obs), obs::encode_obs(baseline_obs))
+    const auto resumed = run_campaign(params, plan, {}, workers, &journal);
+    EXPECT_EQ(campaign_csv(resumed.traces), baseline_csv) << "kill after " << kill_after;
+    EXPECT_EQ(obs::encode_obs(resumed.metrics), obs::encode_obs(baseline.metrics))
         << "kill after " << kill_after;
   }
 }
@@ -156,40 +134,35 @@ TEST(WorldChaos, PoisonedTraceQuarantinedOthersUnaffected) {
   params.server_count = 10;
   const auto plan = plan_of(2);  // 6 traces
 
-  World clean_world(params);
-  const auto clean = clean_world.run_campaign(plan);
+  const auto clean = run_campaign(params, plan).traces;
   ASSERT_EQ(clean.size(), 6u);
 
   auto poisoned_params = params;
   poisoned_params.faults = *chaos::FaultPlan::parse("none,poison=3");
-  World world(poisoned_params);
-  std::vector<measure::TraceFailure> failures;
-  const auto traces = world.run_campaign(plan, {}, nullptr, nullptr, 0, &failures);
+  const auto poisoned = run_campaign(poisoned_params, plan);
+  const auto& failures = poisoned.failures;
 
   // The poisoned trace is quarantined and attributed, not fatal.
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].index, 3);
   EXPECT_NE(failures[0].message.find("poison"), std::string::npos);
-  EXPECT_EQ(world.campaign_obs().ledger.drops_for_cause("trace-quarantined"), 1u);
+  EXPECT_EQ(poisoned.metrics.ledger.drops_for_cause("trace-quarantined"), 1u);
 
   // Every surviving trace is byte-identical to its fault-free counterpart.
-  ASSERT_EQ(traces.size(), clean.size() - 1);
+  ASSERT_EQ(poisoned.traces.size(), clean.size() - 1);
   std::vector<measure::Trace> clean_minus;
   for (const auto& trace : clean) {
     if (trace.index != 3) clean_minus.push_back(trace);
   }
-  EXPECT_EQ(campaign_csv(traces), campaign_csv(clean_minus));
+  EXPECT_EQ(campaign_csv(poisoned.traces), campaign_csv(clean_minus));
 
-  // The sharded executor quarantines the same trace and produces the same
-  // bytes, results and observability alike.
-  std::vector<measure::ParallelCampaign::TraceFailure> par_failures;
-  obs::ObsSnapshot par_obs;
-  const auto par = run_parallel_campaign(poisoned_params, plan, {}, 2, &par_failures,
-                                         &par_obs);
-  EXPECT_EQ(campaign_csv(par), campaign_csv(traces));
-  ASSERT_EQ(par_failures.size(), 1u);
-  EXPECT_EQ(par_failures[0].index, 3);
-  EXPECT_EQ(obs::encode_obs(par_obs), obs::encode_obs(world.campaign_obs()));
+  // Two workers quarantine the same trace and produce the same bytes,
+  // results and observability alike.
+  const auto par = run_campaign(poisoned_params, plan, {}, 2);
+  EXPECT_EQ(campaign_csv(par.traces), campaign_csv(poisoned.traces));
+  ASSERT_EQ(par.failures.size(), 1u);
+  EXPECT_EQ(par.failures[0].index, 3);
+  EXPECT_EQ(obs::encode_obs(par.metrics), obs::encode_obs(poisoned.metrics));
 }
 
 TEST(WorldChaos, TruncatedQuotesReadAsUnknownNotBleached) {

@@ -1,7 +1,7 @@
 // The probe-lifecycle supervisor through the full world: the paper-fixed
 // default must reproduce the committed golden campaign artefacts byte for
 // byte, a fully-armed supervisor (backoff + jitter + hedging + breakers +
-// pacer + watchdog) must stay byte-identical sequential vs --workers 8,
+// pacer + watchdog) must stay byte-identical at one worker and at 2 and 8,
 // breakers must measurably shorten a blackhole-heavy campaign with every
 // skipped probe attributed, and the watchdog must cancel stalled server
 // probes with attribution.
@@ -9,8 +9,11 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ecnprobe/measure/results.hpp"
 #include "ecnprobe/obs/export.hpp"
@@ -64,40 +67,126 @@ measure::ProbeOptions armed_supervisor() {
   return probe;
 }
 
+/// Where a worker's simulator stood when the executor collected a trace's
+/// delta, i.e. once the trace and its stragglers had settled.
+struct SimEnd {
+  util::SimTime now;
+  std::size_t events = 0;
+};
+
+/// WorldShard that records SimEnd at every delta collection.
+class SimEndShard final : public measure::CampaignShard {
+public:
+  SimEndShard(const WorldParams& params, SimEnd* end) : shard_(params), end_(end) {}
+
+  netsim::Simulator& sim() override { return shard_.sim(); }
+  std::map<std::string, measure::Vantage*> vantages() override { return shard_.vantages(); }
+  std::vector<wire::Ipv4Address> servers() override { return shard_.servers(); }
+  void begin_trace(const std::string& vantage, int batch, int index) override {
+    shard_.begin_trace(vantage, batch, index);
+  }
+  obs::ObsSnapshot collect_trace_metrics() override {
+    *end_ = {shard_.sim().now(), shard_.sim().events_processed()};
+    return shard_.collect_trace_metrics();
+  }
+  std::vector<obs::FlightEvent> collect_trace_events() override {
+    return shard_.collect_trace_events();
+  }
+  void quarantine_trace(const std::string& vantage, int batch, int index) override {
+    shard_.quarantine_trace(vantage, batch, index);
+  }
+  sched::GroupResolver breaker_group() override { return shard_.breaker_group(); }
+
+private:
+  WorldShard shard_;
+  SimEnd* end_;
+};
+
+/// A one-worker campaign plus where its simulator ended: for a one-trace
+/// plan on a fresh world, the simulated time and work the trace took.
+struct MeasuredRun {
+  CampaignRun run;
+  SimEnd end;
+};
+
+MeasuredRun run_measured(const WorldParams& params, const measure::CampaignPlan& plan,
+                         const measure::ProbeOptions& probe) {
+  MeasuredRun measured;
+  measure::ParallelCampaign campaign(
+      [&](int) { return std::make_unique<SimEndShard>(params, &measured.end); },
+      campaign_options(params, probe));
+  measured.run.traces = campaign.run(plan);
+  measured.run.metrics = campaign.metrics();
+  return measured;
+}
+
+/// One row of the golden-artefact table: a world, a probe discipline and
+/// the stem of the committed files under tests/scenario/golden/.
+struct GoldenRow {
+  std::string stem;
+  WorldParams params;
+  measure::ProbeOptions probe;
+  /// The JSON is the --metrics-out report (campaign snapshot plus the
+  /// sketched-telemetry section) instead of the bare campaign snapshot.
+  bool metrics_report = false;
+};
+
+std::vector<GoldenRow> golden_rows() {
+  // The paper default: exactly the pre-supervisor seed campaign. If it
+  // fails, the default policy is no longer invisible.
+  std::vector<GoldenRow> rows;
+  rows.push_back({"campaign_default", WorldParams::small(42), {}, false});
+  // The feature-heavy path: faults with a poisoned (quarantined) trace,
+  // every supervisor feature, sampled sketched telemetry and a sim-time
+  // series, all folded into one campaign.
+  GoldenRow heavy{"campaign_features", WorldParams::small(42), armed_supervisor(), true};
+  heavy.params.faults = *chaos::FaultPlan::parse("wan-chaos,poison=1");
+  heavy.params.telemetry = *obs::TelemetryConfig::parse("sketched,sample-every=2");
+  heavy.params.timeseries = *obs::TimeSeriesConfig::parse("1000");
+  rows.push_back(std::move(heavy));
+  return rows;
+}
+
 TEST(WorldSched, PaperDefaultMatchesGoldenArtifacts) {
-  // Exactly the pre-supervisor seed campaign: WorldParams::small(42) and
-  // this plan produced the committed golden files from the unmodified
-  // tree. If this test fails the default policy is no longer invisible.
-  // Intentional output changes regenerate via ECNPROBE_UPDATE_GOLDEN=1.
-  World world(WorldParams::small(42));
+  // The committed files came from the unmodified tree; intentional output
+  // changes regenerate them via ECNPROBE_UPDATE_GOLDEN=1.
   measure::CampaignPlan plan;
   plan.entries.push_back({"UGla wired", 1, 2});
   plan.entries.push_back({"McQuistin home", 1, 1});
   plan.entries.push_back({"EC2 Tok", 2, 2});
-  const auto traces = world.run_campaign(plan);
-  const std::string csv = traces_csv(traces);
-  const std::string json = obs::to_json(world.campaign_obs());
-
   const std::string dir(ECNPROBE_GOLDEN_DIR);
-  if (std::getenv("ECNPROBE_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream(dir + "/campaign_default.csv", std::ios::binary) << csv;
-    std::ofstream(dir + "/campaign_default.json", std::ios::binary) << json;
-    GTEST_SKIP() << "golden campaign artefacts regenerated";
+  const bool update = std::getenv("ECNPROBE_UPDATE_GOLDEN") != nullptr;
+  for (const auto& row : golden_rows()) {
+    SCOPED_TRACE(row.stem);
+    const auto run = run_campaign(row.params, plan, row.probe);
+    const std::string csv = traces_csv(run.traces);
+    const std::string json =
+        row.metrics_report
+            ? obs::render_metrics_report_json(run.metrics, nullptr, &run.telemetry)
+            : obs::to_json(run.metrics);
+    if (update) {
+      std::ofstream(dir + "/" + row.stem + ".csv", std::ios::binary) << csv;
+      std::ofstream(dir + "/" + row.stem + ".json", std::ios::binary) << json;
+      continue;
+    }
+    const std::string golden_csv = read_file(dir + "/" + row.stem + ".csv");
+    const std::string golden_json = read_file(dir + "/" + row.stem + ".json");
+    ASSERT_FALSE(golden_csv.empty()) << "missing golden " << row.stem << ".csv";
+    ASSERT_FALSE(golden_json.empty()) << "missing golden " << row.stem << ".json";
+    EXPECT_TRUE(csv == golden_csv) << "campaign CSV drifted from the golden bytes";
+    EXPECT_TRUE(json == golden_json) << "campaign obs JSON drifted from the golden bytes";
+    // The paper default also creates no supervisor metric families.
+    if (row.probe.sched.is_paper_default()) {
+      EXPECT_EQ(json.find("sched_"), std::string::npos);
+    }
   }
-  const std::string golden_csv = read_file(dir + "/campaign_default.csv");
-  const std::string golden_json = read_file(dir + "/campaign_default.json");
-  ASSERT_FALSE(golden_csv.empty()) << "missing golden campaign_default.csv";
-  ASSERT_FALSE(golden_json.empty()) << "missing golden campaign_default.json";
-  EXPECT_TRUE(csv == golden_csv) << "campaign CSV drifted from the golden bytes";
-  EXPECT_TRUE(json == golden_json) << "campaign obs JSON drifted from the golden bytes";
-  // The paper default also creates no supervisor metric families.
-  EXPECT_EQ(json.find("sched_"), std::string::npos);
+  if (update) GTEST_SKIP() << "golden campaign artefacts regenerated";
 }
 
 TEST(WorldSched, ArmedSupervisorShardsByteIdentically) {
   // Every supervisor feature at once, on a blackhole-heavy world so the
-  // breakers, hedges, and watchdog all actually fire -- then the sequential
-  // run and the sharded executor must still agree byte for byte.
+  // breakers, hedges, and watchdog all actually fire -- then one worker and
+  // 2 and 8 workers must still agree byte for byte.
   const auto params = blackhole_params();
   const auto probe = armed_supervisor();
   measure::CampaignPlan plan;
@@ -105,24 +194,21 @@ TEST(WorldSched, ArmedSupervisorShardsByteIdentically) {
   plan.entries.push_back({"Perkins home", 1, 1});
   plan.entries.push_back({"EC2 Vir", 2, 2});
 
-  World sequential(params);
-  const auto reference = sequential.run_campaign(plan, probe);
-  const std::string reference_csv = traces_csv(reference);
-  const std::string reference_json = obs::to_json(sequential.campaign_obs());
+  const auto reference = run_campaign(params, plan, probe);
+  const std::string reference_csv = traces_csv(reference.traces);
+  const std::string reference_json = obs::to_json(reference.metrics);
 
   // The supervisor was genuinely exercised, not idle.
   EXPECT_NE(reference_json.find("sched_retry_attempts_total"), std::string::npos);
   EXPECT_NE(reference_json.find("sched_breaker_transitions_total"), std::string::npos);
   EXPECT_NE(reference_json.find("sched_hedges_total"), std::string::npos);
-  EXPECT_GT(sequential.campaign_obs().ledger.drops_for_cause("circuit-open"), 0u);
+  EXPECT_GT(reference.metrics.ledger.drops_for_cause("circuit-open"), 0u);
 
-  for (const int workers : {1, 2, 8}) {
+  for (const int workers : {2, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    obs::ObsSnapshot metrics;
-    const auto traces =
-        run_parallel_campaign(params, plan, probe, workers, nullptr, &metrics);
-    EXPECT_TRUE(traces_csv(traces) == reference_csv);
-    EXPECT_TRUE(obs::to_json(metrics) == reference_json);
+    const auto sharded = run_campaign(params, plan, probe, workers);
+    EXPECT_TRUE(traces_csv(sharded.traces) == reference_csv);
+    EXPECT_TRUE(obs::to_json(sharded.metrics) == reference_json);
   }
 }
 
@@ -136,27 +222,23 @@ TEST(WorldSched, BreakersRouteAroundBlackholedServers) {
   measure::CampaignPlan plan;
   plan.entries.push_back({"UGla wired", 1, 1});
 
-  World plain(params);
-  plain.run_campaign(plan);
-  const auto plain_now = plain.sim().now();
-  const auto plain_events = plain.sim().events_processed();
-  EXPECT_EQ(plain.campaign_obs().ledger.drops_for_cause("circuit-open"), 0u);
+  const auto plain = run_measured(params, plan, {});
+  EXPECT_EQ(plain.run.metrics.ledger.drops_for_cause("circuit-open"), 0u);
 
   measure::ProbeOptions probe;
   probe.sched.breaker.enabled = true;
   probe.sched.breaker.failure_threshold = 2;
   probe.sched.breaker.half_open_after = 4;
-  World breakered(params);
-  const auto breakered_traces = breakered.run_campaign(plan, probe);
+  const auto breakered = run_measured(params, plan, probe);
 
   // Routing around the corpses finishes the campaign in less simulated
   // time AND less simulator work.
-  EXPECT_LT(breakered.sim().now(), plain_now);
-  EXPECT_LT(breakered.sim().events_processed(), plain_events);
+  EXPECT_LT(breakered.end.now, plain.end.now);
+  EXPECT_LT(breakered.end.events, plain.end.events);
 
   // Every skipped probe is attributed: the circuit-open ledger count is
   // exactly the sched_breaker_skips_total sum, and it is not zero.
-  const auto& obs = breakered.campaign_obs();
+  const auto& obs = breakered.run.metrics;
   const auto skipped = obs.ledger.drops_for_cause("circuit-open");
   EXPECT_GT(skipped, 0u);
   std::uint64_t counted = 0;
@@ -167,9 +249,8 @@ TEST(WorldSched, BreakersRouteAroundBlackholedServers) {
 
   // Same plan, same params, same config: the breakered run is itself
   // reproducible.
-  World again(params);
-  const auto replay = again.run_campaign(plan, probe);
-  EXPECT_TRUE(traces_csv(replay) == traces_csv(breakered_traces));
+  const auto replay = run_campaign(params, plan, probe);
+  EXPECT_TRUE(traces_csv(replay.traces) == traces_csv(breakered.run.traces));
 }
 
 TEST(WorldSched, WatchdogCancelsStalledServerProbes) {
@@ -179,23 +260,20 @@ TEST(WorldSched, WatchdogCancelsStalledServerProbes) {
 
   measure::ProbeOptions probe;
   probe.sched.watchdog.deadline = util::SimDuration::seconds(8);
-  World world(params);
-  const auto traces = world.run_campaign(plan, probe);
-  ASSERT_EQ(traces.size(), 1u);
+  const auto run = run_campaign(params, plan, probe);
+  ASSERT_EQ(run.traces.size(), 1u);
   // Cancelled servers still report a (failed) result row; nothing vanishes.
-  EXPECT_EQ(traces[0].servers.size(), static_cast<std::size_t>(params.server_count));
+  EXPECT_EQ(run.traces[0].servers.size(), static_cast<std::size_t>(params.server_count));
 
-  const auto& obs = world.campaign_obs();
-  const auto cancelled = obs.ledger.drops_for_cause("watchdog-cancelled");
+  const auto cancelled = run.metrics.ledger.drops_for_cause("watchdog-cancelled");
   EXPECT_GT(cancelled, 0u);
-  const std::string json = obs::to_json(obs);
+  const std::string json = obs::to_json(run.metrics);
   EXPECT_NE(json.find("sched_watchdog_cancellations_total"), std::string::npos);
 
   // A watchdog-cancelled campaign still shards byte-identically.
-  obs::ObsSnapshot metrics;
-  const auto sharded = run_parallel_campaign(params, plan, probe, 8, nullptr, &metrics);
-  EXPECT_TRUE(traces_csv(sharded) == traces_csv(traces));
-  EXPECT_TRUE(obs::to_json(metrics) == json);
+  const auto sharded = run_campaign(params, plan, probe, 8);
+  EXPECT_TRUE(traces_csv(sharded.traces) == traces_csv(run.traces));
+  EXPECT_TRUE(obs::to_json(sharded.metrics) == json);
 }
 
 }  // namespace

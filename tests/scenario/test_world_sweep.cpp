@@ -24,11 +24,10 @@ protected:
 };
 
 TEST_P(WorldSeedSweep, CampaignInvariantsHold) {
-  World world(params(GetParam()));
   measure::CampaignPlan plan;
   plan.entries.push_back({"UGla wired", 1, 2});
   plan.entries.push_back({"EC2 Sin", 2, 2});
-  const auto traces = world.run_campaign(plan);
+  const auto traces = run_campaign(params(GetParam()), plan).traces;
   ASSERT_EQ(traces.size(), 4u);
 
   for (const auto& trace : traces) {
@@ -69,7 +68,7 @@ TEST_P(WorldSeedSweep, FirewalledServersAlwaysRediscovered) {
   measure::CampaignPlan plan;
   plan.entries.push_back({"Perkins home", 1, 2});
   plan.entries.push_back({"EC2 Tok", 2, 2});
-  const auto traces = world.run_campaign(plan);
+  const auto traces = run_campaign(p, plan).traces;
   const auto diffs = analysis::per_server_differential(traces);
   const auto persistent =
       analysis::persistent_failures(diffs, {"Perkins home", "EC2 Tok"}, 50.0);

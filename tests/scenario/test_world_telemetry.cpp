@@ -2,7 +2,7 @@
 //
 //  * exact mode (the default) must write --metrics-out files byte-identical
 //    to the committed golden captured before the telemetry layer existed;
-//  * sketched mode must produce bit-identical aggregates sequentially and
+//  * sketched mode must produce bit-identical aggregates at one worker and
 //    under --workers N (the estimators are pure functions of config, seed,
 //    and trace stream);
 //  * sketched estimates must reconcile with an exact-mode run of the same
@@ -65,14 +65,13 @@ TEST(WorldTelemetry, ExactModeMetricsFilesMatchGolden) {
   auto params = WorldParams::paper().scaled(0.05);
   params.seed = 42;
   const auto plan = measure::CampaignPlan::paper_layout(1, 1, 1);
-  World world(params);
-  EXPECT_FALSE(world.obs().telemetry.armed());
-  world.run_campaign(plan);
-  EXPECT_FALSE(world.campaign_telemetry().active());
+  EXPECT_FALSE(World(params).obs().telemetry.armed());
+  const auto run = run_campaign(params, plan);
+  EXPECT_FALSE(run.telemetry.active());
 
   const std::string out_json = testing::TempDir() + "metrics_exact.json";
   const std::string out_prom = testing::TempDir() + "metrics_exact.prom";
-  ASSERT_TRUE(obs::write_metrics_files(out_json, world.campaign_obs(), nullptr));
+  ASSERT_TRUE(obs::write_metrics_files(out_json, run.metrics, nullptr));
   const auto json = read_file(out_json);
   const auto prom = read_file(out_prom);
   ASSERT_FALSE(json.empty());
@@ -99,27 +98,24 @@ TEST(WorldTelemetry, SketchedAggregateIsByteIdenticalAcrossWorkerCounts) {
     params.telemetry = sketched_config();
     const auto plan = chaos_plan();
 
-    World sequential(params);
-    ASSERT_TRUE(sequential.obs().telemetry.armed());
-    sequential.run_campaign(plan);
-    const auto& reference = sequential.campaign_telemetry();
+    ASSERT_TRUE(World(params).obs().telemetry.armed());
+    const auto one_worker = run_campaign(params, plan);
+    const auto& reference = one_worker.telemetry;
     ASSERT_TRUE(reference.active());
     EXPECT_GT(reference.counts().total(), 0u);
     const auto reference_json = obs::to_json(reference);
     const auto reference_prom = obs::to_prometheus(reference);
     const auto reference_report =
-        obs::render_metrics_report_json(sequential.campaign_obs(), nullptr, &reference);
+        obs::render_metrics_report_json(one_worker.metrics, nullptr, &reference);
 
-    for (const int workers : {1, 2, 8}) {
+    for (const int workers : {2, 8}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      obs::ObsSnapshot metrics;
-      obs::TelemetryAggregate aggregate;
-      run_parallel_campaign(params, plan, {}, workers, nullptr, &metrics, nullptr, 0,
-                            nullptr, &aggregate);
+      const auto run = run_campaign(params, plan, {}, workers);
+      const auto& aggregate = run.telemetry;
       ASSERT_TRUE(aggregate.active());
       EXPECT_EQ(obs::to_json(aggregate), reference_json);
       EXPECT_EQ(obs::to_prometheus(aggregate), reference_prom);
-      EXPECT_EQ(obs::render_metrics_report_json(metrics, nullptr, &aggregate),
+      EXPECT_EQ(obs::render_metrics_report_json(run.metrics, nullptr, &aggregate),
                 reference_report);
     }
   }
@@ -132,17 +128,14 @@ TEST(WorldTelemetry, SketchedEstimatesReconcileWithExactRun) {
 
     // Truth: the same world in exact mode. Telemetry recording makes no
     // simulation RNG draws, so both modes see identical drop streams.
-    auto exact_params = chaos_params(seed);
-    World exact(exact_params);
-    exact.run_campaign(plan);
-    const auto& truth = exact.campaign_obs().ledger;
+    const auto exact = run_campaign(chaos_params(seed), plan);
+    const auto& truth = exact.metrics.ledger;
     ASSERT_GT(truth.total_drops(), 0u);
 
     auto sketched_params = chaos_params(seed);
     sketched_params.telemetry = sketched_config();
-    World sketched(sketched_params);
-    sketched.run_campaign(plan);
-    const auto& aggregate = sketched.campaign_telemetry();
+    const auto sketched = run_campaign(sketched_params, plan);
+    const auto& aggregate = sketched.telemetry;
     ASSERT_TRUE(aggregate.active());
     const auto bound = aggregate.error_bound();
 
@@ -172,28 +165,26 @@ TEST(WorldTelemetry, HeadSamplingKeepsFlightEventsForSampledTracesOnly) {
   auto params = chaos_params(61);
   params.flight_recorder_capacity = 1 << 14;
   params.telemetry = sketched_config();  // sample_every = 2
-  World world(params);
-  world.run_campaign(chaos_plan());
-  const auto& flights = world.campaign_flights();
+  const auto run = run_campaign(params, chaos_plan());
+  const auto& flights = run.flights;
   ASSERT_FALSE(flights.empty());
   for (const auto& event : flights) {
     EXPECT_EQ(event.key.trace % 2, 0)
         << "unsampled trace " << event.key.trace << " leaked a flight event";
   }
   // Unsampled traces still contribute to the sketch.
-  const auto& aggregate = world.campaign_telemetry();
+  const auto& aggregate = run.telemetry;
   EXPECT_GT(aggregate.traces_folded(), aggregate.sampled_exact_traces());
 }
 
 TEST(WorldTelemetry, SketchedLedgerKeepsOnlySampledTraceRows) {
   auto params = chaos_params(61);
   params.telemetry = sketched_config();
-  World world(params);
-  world.run_campaign(chaos_plan());
+  const auto run = run_campaign(params, chaos_plan());
   // The exact ledger rows that survive sketched mode all come from
   // sampled traces, so campaign drop totals are <= the sketch stream.
-  const auto& obs_ledger = world.campaign_obs().ledger;
-  const auto& aggregate = world.campaign_telemetry();
+  const auto& obs_ledger = run.metrics.ledger;
+  const auto& aggregate = run.telemetry;
   EXPECT_LE(obs_ledger.total_drops() + obs_ledger.total_rewrites(),
             aggregate.counts().total());
 }

@@ -3,7 +3,7 @@
 //
 //  * a campaign with --timeseries produces a non-empty series whose window
 //    totals reconcile with the end-of-run counters;
-//  * the series is byte-identical sequentially and under --workers {1,2,8}
+//  * the series is byte-identical at one worker and under --workers {2,8}
 //    (folded per-trace in plan order, epoch-relative windows);
 //  * it is also byte-identical across the calendar and heap event-queue
 //    backends (ECNPROBE_SCHEDULER), like every other campaign output;
@@ -42,10 +42,9 @@ measure::CampaignPlan series_plan() {
 }
 
 TEST(WorldTimeSeries, SeriesReconcilesWithCampaignTotals) {
-  World world(series_params(42));
-  ASSERT_TRUE(world.obs().timeseries.armed());
-  world.run_campaign(series_plan());
-  const auto& series = world.campaign_obs().timeseries;
+  ASSERT_TRUE(World(series_params(42)).obs().timeseries.armed());
+  const auto run = run_campaign(series_params(42), series_plan());
+  const auto& series = run.metrics.timeseries;
   ASSERT_FALSE(series.empty());
   EXPECT_EQ(series.window_nanos, 500'000'000);
 
@@ -60,7 +59,7 @@ TEST(WorldTimeSeries, SeriesReconcilesWithCampaignTotals) {
     series_rtt += window.rtt_count;
   }
   std::uint64_t counter_udp = 0;
-  const auto& families = world.campaign_obs().metrics.families;
+  const auto& families = run.metrics.metrics.families;
   const auto it = families.find("probe_udp_total");
   ASSERT_NE(it, families.end());
   for (const auto& [labels, sample] : it->second.samples) {
@@ -76,19 +75,16 @@ TEST(WorldTimeSeries, ByteIdenticalAcrossWorkerCounts) {
     const auto params = series_params(seed);
     const auto plan = series_plan();
 
-    World sequential(params);
-    sequential.run_campaign(plan);
-    ASSERT_FALSE(sequential.campaign_obs().timeseries.empty());
-    const auto reference_json = obs::to_json(sequential.campaign_obs());
+    const auto one_worker = run_campaign(params, plan).metrics;
+    ASSERT_FALSE(one_worker.timeseries.empty());
+    const auto reference_json = obs::to_json(one_worker);
     ASSERT_NE(reference_json.find("\"timeseries\""), std::string::npos);
-    const auto reference_prom =
-        obs::to_prometheus(sequential.campaign_obs().timeseries);
+    const auto reference_prom = obs::to_prometheus(one_worker.timeseries);
 
-    for (const int workers : {1, 2, 8}) {
+    for (const int workers : {2, 8}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      obs::ObsSnapshot metrics;
-      run_parallel_campaign(params, plan, {}, workers, nullptr, &metrics);
-      EXPECT_EQ(metrics.timeseries, sequential.campaign_obs().timeseries);
+      const auto metrics = run_campaign(params, plan, {}, workers).metrics;
+      EXPECT_EQ(metrics.timeseries, one_worker.timeseries);
       EXPECT_EQ(obs::to_json(metrics), reference_json);
       EXPECT_EQ(obs::to_prometheus(metrics.timeseries), reference_prom);
     }
@@ -102,9 +98,7 @@ TEST(WorldTimeSeries, ByteIdenticalAcrossSchedulerBackends) {
   const char* backends[2] = {"calendar", "heap"};
   for (int i = 0; i < 2; ++i) {
     ::setenv("ECNPROBE_SCHEDULER", backends[i], 1);
-    World world(params);
-    world.run_campaign(plan);
-    json_by_backend[i] = obs::to_json(world.campaign_obs());
+    json_by_backend[i] = obs::to_json(run_campaign(params, plan).metrics);
   }
   ::unsetenv("ECNPROBE_SCHEDULER");
   ASSERT_NE(json_by_backend[0].find("\"timeseries\""), std::string::npos);
@@ -114,12 +108,10 @@ TEST(WorldTimeSeries, ByteIdenticalAcrossSchedulerBackends) {
 TEST(WorldTimeSeries, DisabledSeriesKeepsLegacyExports) {
   auto params = series_params(42);
   params.timeseries = obs::TimeSeriesConfig{};  // off (the default)
-  World world(params);
-  EXPECT_FALSE(world.obs().timeseries.armed());
-  world.run_campaign(series_plan());
-  EXPECT_TRUE(world.campaign_obs().timeseries.empty());
-  EXPECT_EQ(obs::to_json(world.campaign_obs()).find("timeseries"),
-            std::string::npos);
+  EXPECT_FALSE(World(params).obs().timeseries.armed());
+  const auto metrics = run_campaign(params, series_plan()).metrics;
+  EXPECT_TRUE(metrics.timeseries.empty());
+  EXPECT_EQ(obs::to_json(metrics).find("timeseries"), std::string::npos);
 }
 
 }  // namespace

@@ -56,5 +56,17 @@ TEST(WithCommas, GroupsThousands) {
   EXPECT_EQ(with_commas(-1234567), "-1,234,567");
 }
 
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape(R"(say "hi")"), R"(say \"hi\")");
+  EXPECT_EQ(json_escape(R"(C:\path)"), R"(C:\\path)");
+  EXPECT_EQ(json_escape("a\nb\rc\td"), R"(a\nb\rc\td)");
+  EXPECT_EQ(json_escape(std::string("nul\0bel\x07", 8)), R"(nul\u0000bel\u0007)");
+  EXPECT_EQ(json_escape("\x1f"), R"(\u001f)");
+  // Multi-byte UTF-8 (and DEL) pass through byte for byte.
+  const std::string utf8 = "S\xc3\xa3o Paulo \xe2\x86\x92 \x7f";
+  EXPECT_EQ(json_escape(utf8), utf8);
+  EXPECT_EQ(json_escape(""), "");
+}
+
 }  // namespace
 }  // namespace ecnprobe::util

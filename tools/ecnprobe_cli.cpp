@@ -330,33 +330,6 @@ bool apply_timeseries(const Options& options, scenario::WorldParams* params) {
   return true;
 }
 
-/// JSON body for GET /progress. Hand-rolled like every encoder in obs/;
-/// vantage names need escaping (they contain spaces, could contain
-/// quotes).
-std::string progress_json(const measure::ParallelCampaign::Progress& p) {
-  auto escape = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  };
-  std::string json = "{\"total\":" + std::to_string(p.total) +
-                     ",\"completed\":" + std::to_string(p.completed) +
-                     ",\"failed\":" + std::to_string(p.failed) +
-                     ",\"in_flight\":" + std::to_string(p.in_flight) +
-                     ",\"completed_by_vantage\":{";
-  bool first = true;
-  for (const auto& [vantage, count] : p.completed_by_vantage) {
-    if (!first) json.push_back(',');
-    first = false;
-    json += "\"" + escape(vantage) + "\":" + std::to_string(count);
-  }
-  json += "}}";
-  return json;
-}
-
 /// The campaign plan both `campaign` and `trace-autopsy` use, so the trace
 /// indices the autopsy re-runs line up with the campaign's own. Shared
 /// with the ecnprobed daemon via CampaignPlan::for_scale, so a daemon
@@ -366,8 +339,8 @@ measure::CampaignPlan plan_for(const Options& options) {
 }
 
 /// Set by the SIGINT/SIGTERM handler when a checkpointed campaign should
-/// drain: both executors consult it before starting each live trace, so
-/// every started trace still reaches its write-ahead journal append and
+/// drain: a watcher thread turns it into ParallelCampaign::request_halt(),
+/// so every started trace still reaches its write-ahead journal append and
 /// the process exits with a resumable checkpoint instead of dying
 /// mid-trace.
 volatile std::sig_atomic_t g_drain_signal = 0;
@@ -413,14 +386,8 @@ int cmd_campaign(const Options& options) {
                    options.checkpoint.c_str());
       return 1;
     }
-    measure::JournalMeta meta;
-    meta.plan = measure::plan_fingerprint(plan);
-    meta.faults = params.faults.fingerprint();
-    meta.seed = params.seed;
-    meta.total_traces = plan.total_traces();
-    meta.server_count = params.server_count;
     std::string error;
-    if (!journal.open(options.checkpoint, meta, &error)) {
+    if (!journal.open(options.checkpoint, scenario::journal_meta(params, plan), &error)) {
       std::fprintf(stderr, "ecnprobe: %s\n", error.c_str());
       return 1;
     }
@@ -437,125 +404,87 @@ int cmd_campaign(const Options& options) {
     std::signal(SIGTERM, on_drain_signal);
   }
 
-  // Sequential and sharded paths produce byte-identical CSVs and campaign
-  // metrics; --workers only changes wall-clock time.
-  const bool tty = isatty(fileno(stderr)) != 0;
-  const int total = plan.total_traces();
-  std::vector<measure::Trace> traces;
-  obs::ObsSnapshot campaign_obs;
-  obs::MetricsSnapshot runtime;
-  bool have_runtime = false;
-  obs::TelemetryAggregate telemetry;
-  std::vector<obs::FlightEvent> flights;
+  // The CSV and campaign metrics are byte-identical at any --workers;
+  // it only changes wall-clock time.
   measure::ProbeOptions probe;
   probe.sched = options.sched;
-  // The live plane serves from ParallelCampaign's thread-safe snapshots,
-  // so --serve-obs routes through the sharded executor even at one
-  // worker -- the merged outputs are byte-identical either way.
-  if (options.workers > 1 || options.serve_obs >= 0) {
-    measure::ParallelCampaign::Options exec;
-    exec.workers = options.workers;
-    exec.probe = probe;
-    exec.telemetry = params.telemetry.resolved(params.seed);
-    if (!exec.probe.sched.is_paper_default() && exec.probe.sched.seed == 0) {
-      exec.probe.sched.seed = params.seed;
+  measure::ParallelCampaign campaign(
+      scenario::world_shard_factory(params),
+      scenario::campaign_options(params, probe, options.workers, options.halt_after));
+  if (journal_ptr != nullptr) campaign.set_journal(journal_ptr);
+  // Live observability plane: a real HTTP listener rendering from the
+  // executor's thread-safe snapshots. Strictly read-only -- nothing the
+  // campaign computes ever depends on whether (or when) it is scraped.
+  std::unique_ptr<http::ObsHttpServer> obs_server;
+  if (options.serve_obs >= 0) {
+    http::ObsHttpServer::Options server_options;
+    server_options.port = static_cast<std::uint16_t>(options.serve_obs);
+    http::ObsHttpServer::Providers providers;
+    providers.metrics = [&campaign] {
+      const auto snap = campaign.metrics_snapshot();
+      return obs::to_prometheus(snap.metrics) + obs::to_prometheus(snap.timeseries);
+    };
+    providers.progress = [&campaign] { return campaign.progress().to_json(); };
+    obs_server =
+        std::make_unique<http::ObsHttpServer>(server_options, std::move(providers));
+    std::string error;
+    if (!obs_server->start(&error)) {
+      std::fprintf(stderr, "ecnprobe: --serve-obs: %s\n", error.c_str());
+      return 1;
     }
-    exec.halt_after_traces = options.halt_after > 0 ? options.halt_after
-                                                    : params.faults.crash_after_traces;
-    measure::ParallelCampaign campaign(scenario::world_shard_factory(params), exec);
-    if (journal_ptr != nullptr) campaign.set_journal(journal_ptr);
-    // Live observability plane: a real HTTP listener rendering from the
-    // executor's thread-safe snapshots. Strictly read-only -- nothing the
-    // campaign computes ever depends on whether (or when) it is scraped.
-    std::unique_ptr<http::ObsHttpServer> obs_server;
-    if (options.serve_obs >= 0) {
-      http::ObsHttpServer::Options server_options;
-      server_options.port = static_cast<std::uint16_t>(options.serve_obs);
-      http::ObsHttpServer::Providers providers;
-      providers.metrics = [&campaign] {
-        const auto snap = campaign.metrics_snapshot();
-        return obs::to_prometheus(snap.metrics) + obs::to_prometheus(snap.timeseries);
-      };
-      providers.progress = [&campaign] { return progress_json(campaign.progress()); };
-      obs_server =
-          std::make_unique<http::ObsHttpServer>(server_options, std::move(providers));
-      std::string error;
-      if (!obs_server->start(&error)) {
-        std::fprintf(stderr, "ecnprobe: --serve-obs: %s\n", error.c_str());
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "live obs plane: http://127.0.0.1:%u  (/metrics /progress /events)\n",
-                   static_cast<unsigned>(obs_server->port()));
-    }
-    // Progress line on a monitor thread: progress() is a lock-cheap
-    // snapshot of the runtime registry, safe to poll while workers run.
-    std::atomic<bool> running{true};
-    // Signal-to-halt bridge: request_halt() is not async-signal-safe to
-    // call from the handler itself, so a watcher thread polls the flag.
-    std::thread drain_watcher;
-    if (journal_ptr != nullptr) {
-      drain_watcher = std::thread([&campaign, &running] {
-        while (running.load(std::memory_order_relaxed)) {
-          if (g_drain_signal != 0) {
-            campaign.request_halt();
-            break;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-      });
-    }
-    std::thread monitor;
-    if (tty) {
-      monitor = std::thread([&] {
-        while (running.load(std::memory_order_relaxed)) {
-          const auto p = campaign.progress();
-          std::fprintf(stderr, "\r  %d/%d traces, %d in flight, %d failed   ",
-                       p.completed, p.total, p.in_flight, p.failed);
-          std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        }
-      });
-    }
-    traces = campaign.run(plan);
-    running.store(false, std::memory_order_relaxed);
-    if (drain_watcher.joinable()) drain_watcher.join();
-    if (monitor.joinable()) {
-      monitor.join();
-      std::fprintf(stderr, "\r  %d/%d traces done%*s\n", campaign.traces_completed(),
-                   total, 20, "");
-    }
-    for (const auto& failure : campaign.failures()) {
-      std::fprintf(stderr, "trace %d (%s) failed: %s\n", failure.index,
-                   failure.vantage.c_str(), failure.message.c_str());
-    }
-    campaign_obs = campaign.metrics();
-    runtime = campaign.runtime_metrics();
-    have_runtime = true;
-    telemetry = campaign.telemetry();
-    flights = campaign.flight_events();
-  } else {
-    scenario::World world(params);
-    int completed = 0;
-    std::vector<measure::TraceFailure> failures;
-    traces = world.run_campaign(
-        plan, probe,
-        [&](const std::string&, int, int) {
-          ++completed;
-          if (tty) std::fprintf(stderr, "\r  %d/%d traces   ", completed, total);
-        },
-        journal_ptr, options.halt_after, &failures,
-        journal_ptr != nullptr
-            ? measure::Campaign::HaltCheck([] { return g_drain_signal != 0; })
-            : measure::Campaign::HaltCheck{});
-    if (tty && completed > 0) std::fprintf(stderr, "\r  %d/%d traces done   \n", completed, total);
-    for (const auto& failure : failures) {
-      std::fprintf(stderr, "trace %d (%s) quarantined: %s\n", failure.index,
-                   failure.vantage.c_str(), failure.message.c_str());
-    }
-    campaign_obs = world.campaign_obs();
-    telemetry = world.campaign_telemetry();
-    flights = world.campaign_flights();
+    std::fprintf(stderr,
+                 "live obs plane: http://127.0.0.1:%u  (/metrics /progress /events)\n",
+                 static_cast<unsigned>(obs_server->port()));
   }
+  // Progress line on a monitor thread: progress() is a lock-cheap
+  // snapshot of the runtime registry, safe to poll while workers run.
+  std::atomic<bool> running{true};
+  // Signal-to-halt bridge: request_halt() is not async-signal-safe to
+  // call from the handler itself, so a watcher thread polls the flag.
+  std::thread drain_watcher;
+  if (journal_ptr != nullptr) {
+    drain_watcher = std::thread([&campaign, &running] {
+      while (running.load(std::memory_order_relaxed)) {
+        if (g_drain_signal != 0) {
+          campaign.request_halt();
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+    });
+  }
+  std::thread monitor;
+  if (isatty(fileno(stderr)) != 0) {
+    monitor = std::thread([&] {
+      while (running.load(std::memory_order_relaxed)) {
+        const auto p = campaign.progress();
+        std::fprintf(stderr, "\r  %d/%d traces, %d in flight, %d failed   ",
+                     p.completed, p.total, p.in_flight, p.failed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(250));
+      }
+    });
+  }
+  const auto traces = campaign.run(plan);
+  obs_server.reset();  // the live plane serves the campaign only
+  running.store(false, std::memory_order_relaxed);
+  if (drain_watcher.joinable()) drain_watcher.join();
+  if (monitor.joinable()) {
+    monitor.join();
+    std::fprintf(stderr, "\r  %d/%d traces done%*s\n", campaign.traces_completed(),
+                 plan.total_traces(), 20, "");
+  }
+  for (const auto& failure : campaign.failures()) {
+    std::fprintf(stderr, "trace %d (%s) quarantined: %s\n", failure.index,
+                 failure.vantage.c_str(), failure.message.c_str());
+  }
+  const auto& campaign_obs = campaign.metrics();
+  const auto& telemetry = campaign.telemetry();
+  const auto& flights = campaign.flight_events();
+  // Executor runtime metrics are wall-clock noise: exported only when
+  // several workers ran or the live plane was up, so a one-worker run's
+  // metrics file stays comparable byte for byte.
+  const auto runtime = campaign.runtime_metrics();
+  const bool have_runtime = options.workers > 1 || options.serve_obs >= 0;
   if (journal_ptr != nullptr && g_drain_signal != 0) {
     // Drained on a signal: the journal holds every trace that started.
     // Skip the partial exports -- the resume run produces the real ones.
@@ -654,14 +583,8 @@ int cmd_trace_autopsy(const Options& options) {
       return 1;
     }
     measure::CampaignJournal journal;
-    measure::JournalMeta meta;
-    meta.plan = measure::plan_fingerprint(plan);
-    meta.faults = params.faults.fingerprint();
-    meta.seed = params.seed;
-    meta.total_traces = plan.total_traces();
-    meta.server_count = params.server_count;
     std::string error;
-    if (!journal.open(options.checkpoint, meta, &error)) {
+    if (!journal.open(options.checkpoint, scenario::journal_meta(params, plan), &error)) {
       std::fprintf(stderr, "ecnprobe: %s\n", error.c_str());
       return 1;
     }
@@ -680,14 +603,13 @@ int cmd_trace_autopsy(const Options& options) {
     world.begin_trace_epoch(planned.vantage, planned.batch, options.trace);
     auto& vantage = world.vantage(planned.vantage);
     vantage.capture().clear();
-    // Mirror the campaign executors' supervisor defaults so an autopsy of a
-    // supervised campaign replays the trace bit for bit.
+    // The campaign's own supervisor defaults (and the breaker groups of
+    // this world) so an autopsy of a supervised campaign replays the trace
+    // bit for bit.
     measure::ProbeOptions probe;
     probe.sched = options.sched;
-    if (!probe.sched.is_paper_default()) {
-      if (probe.sched.seed == 0) probe.sched.seed = params.seed;
-      if (probe.sched.breaker.enabled) probe.breaker_group = world.breaker_group_resolver();
-    }
+    probe = scenario::campaign_options(params, probe).probe;
+    if (probe.sched.breaker.enabled) probe.breaker_group = world.breaker_group_resolver();
     measure::TraceRunner runner(vantage, world.server_addresses(), probe);
     bool done = false;
     runner.run(planned.batch, options.trace, [&](measure::Trace) { done = true; });
@@ -786,13 +708,14 @@ int cmd_traceroute(const Options& options) {
 }
 
 int cmd_report(const Options& options) {
-  scenario::World world(params_for(options));
+  const auto params = params_for(options);
   auto plan = measure::CampaignPlan::for_scale(options.scale);
   std::fprintf(stderr, "running %d traces x %d servers...\n", plan.total_traces(),
-               world.params().server_count);
+               params.server_count);
   analysis::ReportInputs inputs;
-  inputs.traces = world.run_campaign(plan);
+  inputs.traces = scenario::run_campaign(params, plan).traces;
   std::fprintf(stderr, "running traceroutes...\n");
+  scenario::World world(params);
   inputs.traceroutes = world.run_traceroutes(2);
   inputs.ip2as = &world.ip2as();
   inputs.geo = analysis::summarize_geo(world.server_addresses(), world.geodb());
