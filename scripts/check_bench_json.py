@@ -69,10 +69,11 @@ def main(argv):
             print(f"  info    {name}: {gen_value:g} (baseline {base_value:g}, unguarded)")
             continue
         compared += 1
-        # Deterministic counts (events, bytes, bools) must hold in both
-        # directions -- any move is a behaviour change. Ratios ("x") only
-        # fail when they drop: a faster machine is not a regression.
-        two_sided = base_unit in ("events", "bytes", "bool")
+        # Deterministic counts (events, other counts, bytes, bools) must
+        # hold in both directions -- any move is a behaviour change. Ratios
+        # ("x") only fail when they drop: a faster machine is not a
+        # regression.
+        two_sided = base_unit in ("events", "count", "bytes", "bool")
         if base_value == 0.0:
             ok = gen_value == 0.0
             drift = float("inf") if not ok else 0.0

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <sstream>
 
 #include "ecnprobe/obs/codec.hpp"
@@ -184,11 +186,19 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
   // complete and authoritative, so the temp is garbage by definition.
   std::remove((path + ".tmp").c_str());
 
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (in.is_open()) {
+    const std::string text(std::istreambuf_iterator<char>(in), {});
+    in.close();
+    // A record is committed once its newline is on disk. A kill inside
+    // append() can leave only an unterminated last line: it is dropped
+    // here and truncated away below, so appending resumes on a line
+    // boundary instead of gluing the next record onto the torn one.
+    const std::size_t committed = text.rfind('\n') + 1;  // 0 when there is none
+    std::istringstream lines(text.substr(0, committed));
     std::string line;
     int line_no = 0;
-    while (std::getline(in, line)) {
+    while (std::getline(lines, line)) {
       ++line_no;
       if (line.empty()) continue;
       if (line_no == 1) {
@@ -241,9 +251,16 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
       entries_[index] = std::move(entry);
     }
     if (line_no == 0) {
-      // Zero-length file (e.g. created by a crash before the header flush):
-      // treat as fresh.
-      in.close();
+      // Nothing committed: a zero-length file, or a header torn by a crash
+      // before its newline -- treat as fresh. Anything else is not this
+      // journal.
+      if (expected_header.compare(0, text.size(), text) != 0) {
+        if (error != nullptr) {
+          *error = "journal " + path + " belongs to a different campaign\n  have: " + text +
+                   "\n  want: " + expected_header;
+        }
+        return false;
+      }
       out_.open(path, std::ios::trunc);
       if (!out_.is_open()) {
         if (error != nullptr) *error = "cannot write journal " + path;
@@ -252,7 +269,16 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
       out_ << expected_header << '\n' << std::flush;
       return true;
     }
-    in.close();
+    if (committed < text.size()) {
+      std::error_code ec;
+      std::filesystem::resize_file(path, committed, ec);
+      if (ec) {
+        if (error != nullptr) {
+          *error = "cannot truncate the torn tail of journal " + path + ": " + ec.message();
+        }
+        return false;
+      }
+    }
     out_.open(path, std::ios::app);
     if (!out_.is_open()) {
       if (error != nullptr) *error = "cannot append to journal " + path;

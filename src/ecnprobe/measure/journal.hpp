@@ -16,6 +16,9 @@
 // single token. The checksum covers the escaped payload; any flipped
 // byte -- in the payload or the checksum itself -- fails open() with the
 // offending line number rather than silently replaying a damaged trace.
+// A record is committed once its newline is on disk: an unterminated last
+// line (a kill inside append()) was never committed, so open() truncates
+// it away and the trace simply runs again.
 // The header pins what the journal is a journal *of*: resuming under a
 // different plan, fault profile, seed, or server count is refused.
 //
@@ -59,9 +62,12 @@ public:
 
   /// Opens `path` for checkpointing: a missing file starts a fresh journal
   /// (header written immediately); an existing file is validated against
-  /// `meta` and its records loaded into entries(). Returns false -- with a
-  /// human-readable reason in `*error` -- on a header mismatch, a checksum
-  /// failure, or any malformed record. Never silently drops a record.
+  /// `meta` and its records loaded into entries(). An unterminated last
+  /// line is an uncommitted record (or header): it is truncated from the
+  /// file before appending resumes. Returns false -- with a human-readable
+  /// reason in `*error` -- on a header mismatch, a checksum failure, or any
+  /// malformed newline-terminated record. Never silently drops a committed
+  /// record.
   bool open(const std::string& path, const JournalMeta& meta, std::string* error);
 
   /// Completed traces recovered from disk, by campaign index.

@@ -81,6 +81,8 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
       runtime_.gauge("campaign_in_flight", {{"vantage", planned.vantage}},
                      "traces currently executing, per vantage");
   in_flight->add(1);
+  const auto vit = worker.vantages.find(planned.vantage);
+  Vantage* vantage = vit == worker.vantages.end() ? nullptr : vit->second;
   try {
     {
       obs::Profiler::Scope plan_scope("plan");
@@ -90,11 +92,9 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
       std::lock_guard<std::mutex> lock(observer_mutex_);
       observer_(planned.vantage, planned.batch, index);
     }
-    const auto it = worker.vantages.find(planned.vantage);
-    if (it == worker.vantages.end()) {
+    if (vantage == nullptr) {
       throw std::invalid_argument("ParallelCampaign: unknown vantage " + planned.vantage);
     }
-    Vantage* vantage = it->second;
     vantage->capture().clear();
     ProbeOptions probe = options_.probe;
     if (probe.sched.breaker.enabled) {
@@ -128,6 +128,10 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     PendingDelta delta;
     delta.obs = worker.shard->collect_trace_metrics();
     delta.events = worker.shard->collect_trace_events();
+    // The capture holds this trace's packets only: shards may read it while
+    // collecting, and releasing it here bounds a worker's memory to the
+    // trace it runs instead of every vantage's latest trace.
+    vantage->capture().clear();
     if (journal_ != nullptr) {
       // Write-ahead: the trace is durable before it counts as complete.
       obs::Profiler::Scope journal_scope("journal");
@@ -165,6 +169,7 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     PendingDelta delta;
     delta.obs = worker.shard->collect_trace_metrics();
     delta.events = worker.shard->collect_trace_events();
+    if (vantage != nullptr) vantage->capture().clear();
     commit_delta(index, std::move(delta));
     runtime_.counter("campaign_failed_total", {{"vantage", planned.vantage}},
                      "traces that threw, per vantage")->inc();

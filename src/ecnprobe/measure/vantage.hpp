@@ -31,8 +31,10 @@ public:
   http::HttpGetClient& http() { return http_client_; }
   traceroute::Tracerouter& tracer();
 
-  /// The always-on capture (tcpdump analogue); cleared between traces by
-  /// the campaign runner.
+  /// The always-on capture (tcpdump analogue). In a campaign it holds the
+  /// running trace's packets only: the executor reads it nowhere, shards
+  /// may inspect it in CampaignShard::collect_trace_metrics(), and it is
+  /// cleared, storage and all, as the trace commits.
   netsim::PacketCapture& capture() { return capture_; }
 
 private:

@@ -32,7 +32,11 @@ public:
   void record(SimTime time, Direction dir, const wire::Datagram& dgram);
 
   const std::vector<CapturedPacket>& packets() const { return packets_; }
-  void clear() { packets_.clear(); }
+  /// Drops every recorded packet and gives the storage back (capacity 0),
+  /// so a capture only ever holds the packets of the session it records:
+  /// the campaign executor clears a vantage's capture as each trace
+  /// commits.
+  void clear() { std::vector<CapturedPacket>().swap(packets_); }
 
   /// Convenience filters mirroring common tcpdump expressions.
   static Filter proto_filter(wire::IpProto proto);

@@ -1,7 +1,7 @@
 #include "ecnprobe/topology/internet.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <limits>
 #include <stdexcept>
 
 #include "ecnprobe/util/log.hpp"
@@ -49,6 +49,7 @@ std::unique_ptr<Internet> Internet::build(netsim::Simulator& sim,
                                           const TopologyParams& params, util::Rng rng) {
   std::unique_ptr<Internet> internet(new Internet(sim, rng));
   internet->build_graph(params);
+  internet->trees_.resize(internet->router_count());
   internet->net_.set_routing_oracle(
       [raw = internet.get()](NodeId at, wire::Ipv4Address dst) {
         return raw->route_oracle(at, dst);
@@ -78,13 +79,17 @@ NodeId Internet::add_router(AsInfo& as, const TopologyParams& params) {
   auto router = std::make_unique<netsim::Router>(
       name, router_params, rng_.fork(name));
   const NodeId id = net_.add_node(std::move(router));
+  if (id != router_asn_.size()) {
+    throw std::logic_error("Internet::add_router: routers must precede every other node");
+  }
   // Router addresses come from the AS block, so traceroute responders map to
   // the right AS.
   const std::uint32_t block_size = 1u << (32 - as.prefix_len);
   std::uint32_t& cursor = next_host_addr_[as.asn];
   if (cursor >= block_size - 1) throw std::runtime_error("router address exhausted");
   net_.node(id).set_address(wire::Ipv4Address{as.prefix.value() + ++cursor});
-  router_of_[id] = as.asn;
+  router_asn_.push_back(as.asn);
+  adjacency_.emplace_back();
   as.routers.push_back(id);
   return id;
 }
@@ -92,6 +97,10 @@ NodeId Internet::add_router(AsInfo& as, const TopologyParams& params) {
 void Internet::connect_routers(NodeId a, NodeId b, const LinkParams& link, bool inter_as,
                                Asn asn_a, Asn asn_b) {
   const auto [if_a, if_b] = net_.connect(a, b, link);
+  if (std::max(if_a, if_b) > std::numeric_limits<std::int16_t>::max()) {
+    throw std::length_error("Internet::connect_routers: interface index overflows the "
+                            "forwarding table's int16_t egress");
+  }
   adjacency_[a].push_back({b, if_a});
   adjacency_[b].push_back({a, if_b});
   const auto key = [](NodeId n, int i) {
@@ -277,42 +286,40 @@ bool Internet::is_inter_as_interface(NodeId node, int if_index) const {
   return it != inter_as_if_.end() && it->second;
 }
 
-const std::vector<std::int32_t>& Internet::tree_toward(NodeId dest_router) {
-  const auto it = trees_.find(dest_router);
-  if (it != trees_.end()) return it->second;
+const std::vector<std::int16_t>& Internet::tree_toward(NodeId dest_router) {
+  auto& egress = trees_[dest_router];
+  if (!egress.empty()) return egress;
 
   // BFS outward from the destination router. For each router reached from
   // `u` over an edge, the next hop toward the destination is the reverse
-  // interface of that edge. adjacency_ stores, per node, (peer, if_on_node);
+  // interface of that edge. adjacency_ stores, per router, (peer, if_on_node);
   // when expanding u via (v, if_u) we need v's interface back to u -- so the
   // relaxation iterates v's own adjacency entries instead.
-  std::vector<std::int32_t> egress(net_.node_count(), kNoInterface);
-  std::vector<char> visited(net_.node_count(), 0);
-  std::deque<NodeId> frontier;
+  egress.assign(router_count(), static_cast<std::int16_t>(kNoInterface));
+  std::vector<char> visited(router_count(), 0);
+  std::vector<NodeId> frontier;
+  frontier.reserve(router_count());
   visited[dest_router] = 1;
   frontier.push_back(dest_router);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    const auto adj_it = adjacency_.find(u);
-    if (adj_it == adjacency_.end()) continue;
-    for (const auto& [v, if_u] : adj_it->second) {
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId u = frontier[head];
+    for (const auto& [v, if_u] : adjacency_[u]) {
       if (visited[v]) continue;
       // Down links are invisible to routing (links are symmetric, so
       // checking this side suffices).
       if (!net_.interface(u, if_u).up) continue;
       visited[v] = 1;
       // Find v's interface toward u.
-      for (const auto& [w, if_v] : adjacency_.at(v)) {
+      for (const auto& [w, if_v] : adjacency_[v]) {
         if (w == u) {
-          egress[v] = if_v;
+          egress[v] = static_cast<std::int16_t>(if_v);
           break;
         }
       }
       frontier.push_back(v);
     }
   }
-  return trees_.emplace(dest_router, std::move(egress)).first->second;
+  return egress;
 }
 
 int Internet::route_oracle(NodeId at, wire::Ipv4Address dst) {
@@ -322,12 +329,11 @@ int Internet::route_oracle(NodeId at, wire::Ipv4Address dst) {
     dest_router = attachment->router;
   } else {
     const NodeId node = net_.find_by_address(dst);
-    if (node == kInvalidNode || !router_of_.contains(node)) return kNoInterface;
+    if (!is_router(node)) return kNoInterface;
     dest_router = node;
   }
-  const auto& tree = tree_toward(dest_router);
-  if (at >= tree.size()) return kNoInterface;
-  return tree[at];
+  if (!is_router(at)) return kNoInterface;
+  return tree_toward(dest_router)[at];
 }
 
 }  // namespace ecnprobe::topology

@@ -1,15 +1,18 @@
 // Synthetic Internet topology: a three-tier AS graph (global transit,
 // regional transit, stub/access networks) with a handful of routers per AS,
 // inter-AS links between border routers, address allocation per AS, and a
-// routing oracle backed by per-destination shortest-path trees. This is the
-// substrate the measurement campaign runs over; the scenario module places
-// middleboxes on its interfaces.
+// routing oracle backed by a router-indexed forwarding table: one lazily
+// built next-hop tree per destination router. This is the substrate the
+// measurement campaign runs over; the scenario module places middleboxes on
+// its interfaces.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ecnprobe/geo/geo.hpp"
@@ -104,9 +107,8 @@ public:
 
   /// Ground-truth AS of a router node.
   std::optional<Asn> asn_of_router(netsim::NodeId node) const {
-    const auto it = router_of_.find(node);
-    if (it == router_of_.end()) return std::nullopt;
-    return it->second;
+    if (!is_router(node)) return std::nullopt;
+    return router_asn_[node];
   }
   const IpToAsMap& ip2as() const { return ip2as_; }
 
@@ -116,9 +118,9 @@ public:
   /// Drops all cached shortest-path trees. Call after changing link state
   /// (set_link_up) so traffic reroutes around failures -- the mechanism
   /// behind route-change experiments. Tree construction skips down links.
-  void invalidate_routes() { trees_.clear(); }
+  void invalidate_routes() { trees_.assign(trees_.size(), {}); }
 
-  std::size_t router_count() const { return router_of_.size(); }
+  std::size_t router_count() const { return router_asn_.size(); }
 
 private:
   Internet(netsim::Simulator& sim, util::Rng rng);
@@ -129,7 +131,8 @@ private:
   void connect_routers(netsim::NodeId a, netsim::NodeId b, const netsim::LinkParams& link,
                        bool inter_as, Asn asn_a, Asn asn_b);
   int route_oracle(netsim::NodeId at, wire::Ipv4Address dst);
-  const std::vector<std::int32_t>& tree_toward(netsim::NodeId dest_router);
+  const std::vector<std::int16_t>& tree_toward(netsim::NodeId dest_router);
+  bool is_router(netsim::NodeId node) const { return node < router_asn_.size(); }
 
   netsim::Simulator& sim_;
   util::Rng rng_;
@@ -139,19 +142,25 @@ private:
   std::map<Asn, std::size_t> as_index_;
   std::map<Asn, std::uint32_t> next_host_addr_;  ///< allocation cursor per AS
 
-  // Router-graph adjacency for BFS: per node, (neighbor, egress_if) pairs.
-  std::map<netsim::NodeId, std::vector<std::pair<netsim::NodeId, int>>> adjacency_;
-  std::map<netsim::NodeId, Asn> router_of_;
+  // Routers are built before any host is attached, so their node ids are
+  // 0..router_count()-1 and a router's ordinal is its node id: every
+  // router-keyed table below is a plain vector indexed by it.
+  std::vector<Asn> router_asn_;
+  // Router-graph adjacency for BFS: per router, (neighbor, egress_if) pairs.
+  std::vector<std::vector<std::pair<netsim::NodeId, int>>> adjacency_;
 
   std::vector<InterAsLink> inter_as_links_;
   std::vector<InterfaceRef> intra_as_interfaces_;
   std::map<std::uint64_t, bool> inter_as_if_;  ///< (node<<32|if) -> inter-AS?
 
-  std::map<std::uint32_t, Attachment> attachments_;  ///< host addr -> attachment
+  std::unordered_map<std::uint32_t, Attachment> attachments_;  ///< host addr -> attachment
 
-  // Per-destination-router shortest-path trees: egress interface index on
-  // every router toward the key router; kNoInterface if unreachable.
-  std::map<netsim::NodeId, std::vector<std::int32_t>> trees_;
+  // The forwarding table: trees_[d] holds, per router, the egress interface
+  // toward router d (kNoInterface if unreachable), or is empty until a
+  // packet first needs it. Router-to-router interfaces are created before
+  // any host link, so their indices are small; connect_routers() checks
+  // that each fits the int16_t entry.
+  std::vector<std::vector<std::int16_t>> trees_;
 
   IpToAsMap ip2as_;
 };

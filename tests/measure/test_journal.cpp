@@ -184,6 +184,94 @@ TEST(CampaignJournal, EmptyFileTreatedAsFresh) {
   EXPECT_TRUE(journal.append(sample_trace(0), sample_delta()));
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// A header plus records for traces 0..2, as append() writes them.
+std::string three_record_journal(const std::string& path) {
+  CampaignJournal journal;
+  std::string error;
+  EXPECT_TRUE(journal.open(path, sample_meta(), &error)) << error;
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(journal.append(sample_trace(i), sample_delta()));
+  return read_file(path);
+}
+
+// A kill inside append() leaves the last record without its newline. It
+// was never committed: open() drops it, truncates it from the file, and
+// the re-run trace appends on a clean line boundary.
+TEST(CampaignJournal, TornLastRecordIsTruncatedAndResumes) {
+  TempFile file("journal_torn_tail");
+  const std::string pristine = three_record_journal(file.path);
+  const std::size_t last_start = pristine.rfind('\n', pristine.size() - 2) + 1;
+  write_file(file.path, pristine.substr(0, last_start + (pristine.size() - last_start) / 2));
+
+  std::string error;
+  CampaignJournal journal;
+  ASSERT_TRUE(journal.open(file.path, sample_meta(), &error)) << error;
+  EXPECT_EQ(journal.entries().size(), 2u);
+  EXPECT_FALSE(journal.has(2));
+  EXPECT_EQ(read_file(file.path), pristine.substr(0, last_start));
+  ASSERT_TRUE(journal.append(sample_trace(2), sample_delta()));
+  EXPECT_EQ(read_file(file.path), pristine);
+}
+
+// The same with only the final newline lost: the record is whole but not
+// committed. Accepting it would glue the next append onto its line, and
+// the journal after that would refuse to open ("malformed record").
+TEST(CampaignJournal, RecordMissingOnlyItsNewlineIsNotGluedToTheNext) {
+  TempFile file("journal_lost_newline");
+  const std::string pristine = three_record_journal(file.path);
+  write_file(file.path, pristine.substr(0, pristine.size() - 1));
+
+  std::string error;
+  {
+    CampaignJournal journal;
+    ASSERT_TRUE(journal.open(file.path, sample_meta(), &error)) << error;
+    EXPECT_EQ(journal.entries().size(), 2u);
+    ASSERT_TRUE(journal.append(sample_trace(2), sample_delta()));
+    ASSERT_TRUE(journal.append(sample_trace(3), sample_delta()));
+  }
+  CampaignJournal reopened;
+  ASSERT_TRUE(reopened.open(file.path, sample_meta(), &error)) << error;
+  EXPECT_EQ(reopened.entries().size(), 4u);
+}
+
+// Newline-terminated damage is still refused, torn tail or not, and a torn
+// first line only counts as a torn header when it is one.
+TEST(CampaignJournal, TornTailPolicyStillRefusesDamageAndForeignFiles) {
+  TempFile file("journal_torn_refusals");
+  const std::string pristine = three_record_journal(file.path);
+  std::string damaged = pristine;
+  damaged[pristine.find("\nT ") + 3] = '9';  // first record's index token
+  write_file(file.path, damaged + "T 4 torn");
+  std::string error;
+  CampaignJournal journal;
+  EXPECT_FALSE(journal.open(file.path, sample_meta(), &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_EQ(read_file(file.path), damaged + "T 4 torn") << "a refused journal was modified";
+
+  const std::string header = pristine.substr(0, pristine.find('\n'));
+  write_file(file.path, header.substr(0, header.size() / 2));
+  CampaignJournal torn_header;
+  ASSERT_TRUE(torn_header.open(file.path, sample_meta(), &error)) << error;
+  EXPECT_TRUE(torn_header.entries().empty());
+
+  write_file(file.path, "not a journal");
+  CampaignJournal foreign;
+  EXPECT_FALSE(foreign.open(file.path, sample_meta(), &error));
+  EXPECT_NE(error.find("different campaign"), std::string::npos) << error;
+  EXPECT_EQ(read_file(file.path), "not a journal");
+}
+
 TEST(CampaignJournal, RotatePreservesEveryEntryAndStaysAppendable) {
   TempFile file("journal_rotate");
   std::string error;

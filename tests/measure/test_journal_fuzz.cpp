@@ -174,12 +174,12 @@ TEST(JournalFuzz, EveryTruncationRefusesCleanlyOrRecoversAValidPrefix) {
     write_all(file.path, pristine.substr(0, cut));
     if (open_and_check(file.path)) ++clean_opens;
   }
-  // Exactly the line-boundary cuts succeed: the empty file (fresh
-  // journal), each cut right after a newline, and each cut right before
-  // one (getline tolerates a missing final newline on a complete line).
-  // With kEntries+1 lines that is 1 + 2*(kEntries+1) clean outcomes;
-  // every mid-line cut must have refused.
-  EXPECT_EQ(clean_opens, 2 * kEntries + 3);
+  // Every cut opens: a record is committed once its newline is on disk,
+  // so whatever follows the last newline -- a torn record, a record that
+  // lost only its newline, a torn header -- was never committed and is
+  // truncated, and open_and_check() verified the committed prefix bit for
+  // bit.
+  EXPECT_EQ(clean_opens, static_cast<int>(pristine.size()) + 1);
 }
 
 TEST(JournalFuzz, RandomBitFlipsNeverReplayDamagedRecords) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
 
 namespace ecnprobe::topology {
@@ -150,6 +152,102 @@ TEST_F(InternetTest, DeterministicForSameSeed) {
     EXPECT_EQ(other->ases()[i].routers.size(), internet->ases()[i].routers.size());
   }
   EXPECT_EQ(other->inter_as_links().size(), internet->inter_as_links().size());
+}
+
+/// Reference next hops toward `dest`: a plain BFS over the router graph as
+/// the Network itself records it -- interfaces in index order, host links
+/// and down links skipped -- giving each router its first interface back
+/// to the router it was discovered from; kNoInterface where unreachable.
+std::vector<int> reference_egress(netsim::Network& net, const std::vector<bool>& is_router,
+                                  netsim::NodeId dest) {
+  std::vector<int> egress(net.node_count(), netsim::kNoInterface);
+  std::vector<bool> seen(net.node_count(), false);
+  std::deque<netsim::NodeId> queue{dest};
+  seen[dest] = true;
+  while (!queue.empty()) {
+    const netsim::NodeId u = queue.front();
+    queue.pop_front();
+    for (int i = 0; i < static_cast<int>(net.interface_count(u)); ++i) {
+      const auto& iface = net.interface(u, i);
+      const netsim::NodeId v = iface.peer;
+      if (!is_router[v] || seen[v] || !iface.up) continue;
+      seen[v] = true;
+      for (int j = 0; j < static_cast<int>(net.interface_count(v)); ++j) {
+        if (net.interface(v, j).peer == u) {
+          egress[v] = j;
+          break;
+        }
+      }
+      queue.push_back(v);
+    }
+  }
+  return egress;
+}
+
+TEST_F(InternetTest, ForwardingTableMatchesReferenceBfsAcrossLinkChanges) {
+  auto& net = internet->net();
+  std::vector<Internet::Attachment> hosts;
+  for (const auto asn : internet->stub_ases()) {
+    auto host = std::make_unique<netsim::Host>("h" + std::to_string(asn),
+                                               netsim::Host::Params{}, util::Rng(asn));
+    hosts.push_back(internet->attach_host(asn, std::move(host), netsim::LinkParams{}));
+  }
+  std::vector<netsim::NodeId> routers;
+  std::vector<bool> is_router(net.node_count(), false);
+  for (const auto& as : internet->ases()) {
+    for (const auto router : as.routers) {
+      routers.push_back(router);
+      is_router[router] = true;
+    }
+  }
+  ASSERT_EQ(routers.size(), internet->router_count());
+
+  // Every (router, destination) egress, destinations being every router
+  // address and every attached host; returns the table for comparison.
+  const auto check_all = [&](const std::string& phase) {
+    SCOPED_TRACE(phase);
+    std::vector<int> table;
+    for (const auto dest : routers) {
+      const auto expected = reference_egress(net, is_router, dest);
+      for (const auto at : routers) {
+        const int egress = net.route(at, net.node(dest).address());
+        EXPECT_EQ(egress, expected[at]) << "router " << at << " toward router " << dest;
+        table.push_back(egress);
+      }
+    }
+    for (const auto& host : hosts) {
+      const auto expected = reference_egress(net, is_router, host.router);
+      const auto addr = net.node(host.host).address();
+      for (const auto at : routers) {
+        const int want = at == host.router ? host.router_if : expected[at];
+        EXPECT_EQ(net.route(at, addr), want) << "router " << at << " toward host " << addr.to_string();
+      }
+      // Hosts never forward: the oracle has no entry for them.
+      EXPECT_EQ(net.route(host.host, net.node(routers.front()).address()),
+                netsim::kNoInterface);
+    }
+    return table;
+  };
+
+  const auto intact = check_all("intact");
+  // Kill one uplink of a dual-homed stub: traffic must reroute.
+  const Asn stub = hosts.front().asn;
+  std::vector<const InterAsLink*> uplinks;
+  for (const auto& link : internet->inter_as_links()) {
+    if (link.asn_a == stub || link.asn_b == stub) uplinks.push_back(&link);
+  }
+  ASSERT_GE(uplinks.size(), 2u);
+  net.set_link_up(uplinks[0]->a.node, uplinks[0]->a.if_index, false);
+  internet->invalidate_routes();
+  const auto rerouted = check_all("one uplink down");
+  EXPECT_NE(rerouted, intact) << "the failed link carried no route";
+
+  // Cut the stub off entirely: its routers become unreachable.
+  for (const auto* link : uplinks) net.set_link_up(link->a.node, link->a.if_index, false);
+  internet->invalidate_routes();
+  const auto isolated = check_all("stub isolated");
+  EXPECT_NE(std::count(isolated.begin(), isolated.end(), netsim::kNoInterface),
+            std::count(rerouted.begin(), rerouted.end(), netsim::kNoInterface));
 }
 
 TEST_F(InternetTest, ReroutesAroundDownLinksAfterInvalidation) {
