@@ -86,7 +86,14 @@ public:
 
   void add(const std::string& name, double value, const std::string& unit,
            bool guarded = false) {
-    metrics_.push_back({name, value, unit, guarded});
+    metrics_.push_back({name, value, unit, guarded, false});
+  }
+
+  /// A guarded deterministic count that must reproduce exactly: written
+  /// with "exact": true, which check_bench_json.py fails on any change in
+  /// either direction, whatever --max-regress allows.
+  void add_exact(const std::string& name, double value, const std::string& unit) {
+    metrics_.push_back({name, value, unit, true, true});
   }
 
   /// Attaches a self-profiler report (obs::Profiler::to_json()). Emitted as
@@ -114,9 +121,9 @@ public:
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       const auto& m = metrics_[i];
       std::fprintf(f, "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\", "
-                      "\"guarded\": %s}%s\n",
+                      "\"guarded\": %s%s}%s\n",
                    m.name.c_str(), m.value, m.unit.c_str(),
-                   m.guarded ? "true" : "false",
+                   m.guarded ? "true" : "false", m.exact ? ", \"exact\": true" : "",
                    i + 1 < metrics_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -135,6 +142,7 @@ private:
     double value;
     std::string unit;
     bool guarded;
+    bool exact;
   };
   std::string bench_;
   std::string profile_json_;

@@ -39,8 +39,10 @@ int main(int argc, char** argv) {
     std::ostringstream os;
     bench::Stopwatch export_watch;
     const auto packets = obs::write_pcapng(os, events);
+    // The size is the stream position: copying the capture out with str()
+    // would double its footprint for a byte count.
     std::printf("  pcapng export:     %6.3f s, %zu packets, %.1f MB\n",
-                export_watch.seconds(), packets, os.str().size() / 1e6);
+                export_watch.seconds(), packets, static_cast<double>(os.tellp()) / 1e6);
   }
   {
     bench::Stopwatch export_watch;

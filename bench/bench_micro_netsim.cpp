@@ -236,10 +236,15 @@ TimerShape sparse_shape() {
   return shape;
 }
 
-/// Steady-state timer throughput of `shape` on one scheduler. Returns fired
-/// events per second; reaping cancelled timers is part of the work timed.
-double timer_events_per_sec(netsim::SchedulerKind kind, const TimerShape& shape,
-                            std::uint64_t budget) {
+/// One scheduler's run of a timer shape.
+struct TimerRun {
+  double events_per_sec;  ///< fired events/s; reaping cancelled timers is timed too
+  double words_per_pop;   ///< calendar bitmap words tested per queue pop (0 on the heap)
+};
+
+/// Steady-state timer throughput of `shape` on one scheduler.
+TimerRun run_timers(netsim::SchedulerKind kind, const TimerShape& shape,
+                    std::uint64_t budget) {
   netsim::Simulator sim(kind);
 
   // Self-rescheduling timer state shared by reference: the per-event
@@ -250,6 +255,7 @@ double timer_events_per_sec(netsim::SchedulerKind kind, const TimerShape& shape,
     const std::vector<TimerDraw>& draws;
     std::uint64_t remaining;
     std::uint64_t cursor = 0;
+    std::uint64_t cancelled = 0;  ///< filed cancelled, popped by the run as reaps
     void fire() {
       if (remaining == 0) return;
       --remaining;
@@ -257,6 +263,7 @@ double timer_events_per_sec(netsim::SchedulerKind kind, const TimerShape& shape,
         const TimerDraw& draw = draws[cursor++ & 1023];
         if (draw.cancelled) {
           sim.schedule(draw.delay, [] {}).cancel();
+          ++cancelled;
         } else if (draw.handle) {
           (void)sim.schedule(draw.delay, [this] { fire(); });
           return;
@@ -273,7 +280,10 @@ double timer_events_per_sec(netsim::SchedulerKind kind, const TimerShape& shape,
   const bench::Stopwatch timer;
   sim.run();
   const double seconds = timer.seconds();
-  return seconds > 0.0 ? static_cast<double>(sim.events_processed()) / seconds : 0.0;
+  const auto fired = static_cast<double>(sim.events_processed());
+  return {seconds > 0.0 ? fired / seconds : 0.0,
+          static_cast<double>(sim.bitmap_words_tested()) /
+              (fired + static_cast<double>(tick.cancelled))};
 }
 
 /// Full four-way probes through the small calibrated world; returns
@@ -300,24 +310,44 @@ std::pair<double, double> probe_throughput(int probes) {
 }
 
 /// Adds the calendar's throughput on `calendar_shape`, the heap's on
-/// `legacy_shape`, and their guarded ratio, best of three: the ratios gate
-/// CI, so squeeze scheduler noise out.
+/// `legacy_shape`, their guarded ratio, and the calendar's bitmap words
+/// tested per pop. The ratios gate CI, so squeeze scheduler noise out: the
+/// rounds interleave the two schedulers, alternating which runs first, and
+/// keep each one's best. The word count is deterministic -- every round
+/// reads the same -- and is guarded exactly: walking empty buckets instead
+/// of jumping to the next occupied one changes it whatever the host's speed.
 void add_scheduler_comparison(bench::BenchJson& json, const TimerShape& calendar_shape,
                               const TimerShape& legacy_shape, const std::string& suffix) {
   constexpr std::uint64_t kBudget = 1'000'000;
-  double overhauled = 0.0, legacy = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    overhauled = std::max(overhauled, timer_events_per_sec(netsim::SchedulerKind::Calendar,
-                                                           calendar_shape, kBudget));
-    legacy = std::max(legacy, timer_events_per_sec(netsim::SchedulerKind::LegacyHeap,
-                                                   legacy_shape, kBudget));
+  constexpr int kRounds = 9;
+  double overhauled = 0.0, legacy = 0.0, words_per_pop = 0.0;
+  const auto run_calendar = [&] {
+    const TimerRun run =
+        run_timers(netsim::SchedulerKind::Calendar, calendar_shape, kBudget);
+    overhauled = std::max(overhauled, run.events_per_sec);
+    words_per_pop = run.words_per_pop;
+  };
+  const auto run_legacy = [&] {
+    legacy = std::max(legacy, run_timers(netsim::SchedulerKind::LegacyHeap, legacy_shape,
+                                         kBudget).events_per_sec);
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    if (round % 2 == 0) {
+      run_calendar();
+      run_legacy();
+    } else {
+      run_legacy();
+      run_calendar();
+    }
   }
   const double speedup = legacy > 0.0 ? overhauled / legacy : 0.0;
   json.add("sim_events_per_sec_calendar" + suffix, overhauled, "events/s");
   json.add("sim_events_per_sec_legacy" + suffix, legacy, "events/s");
   json.add("calendar_vs_legacy_speedup" + suffix, speedup, "x", /*guarded=*/true);
-  std::printf("%d timers: calendar %.3g ev/s, legacy heap %.3g ev/s, speedup %.2fx\n",
-              calendar_shape.timers, overhauled, legacy, speedup);
+  json.add_exact("calendar_bitmap_words_per_pop" + suffix, words_per_pop, "count");
+  std::printf("%d timers: calendar %.3g ev/s, legacy heap %.3g ev/s, speedup %.2fx, "
+              "%.6f bitmap words per pop\n",
+              calendar_shape.timers, overhauled, legacy, speedup, words_per_pop);
 }
 
 int run_bench_json(const std::string& path) {

@@ -10,6 +10,11 @@ construction (speedup ratios, deterministic event/byte counts), so a CI
 runner's absolute speed never trips the gate; unguarded raw-throughput
 metrics are reported but never fail the build.
 
+A guarded metric marked "exact": true in the baseline is a deterministic
+cost count (e.g. checksum words summed per rewrite, bitmap words tested
+per scheduler pop): it must reproduce exactly, and any change in either
+direction fails whatever --max-regress says.
+
 The generated file may carry a subset of the baseline's metrics (CI smoke
 runs small presets); only the intersection is compared. See
 docs/performance.md for the schema and the baseline-update workflow.
@@ -39,7 +44,7 @@ def load(path):
         if not isinstance(m["value"], (int, float)) or isinstance(m["value"], bool):
             sys.exit(f"FAIL: {path}: non-numeric value in {m['name']}")
         out[m["name"]] = (float(m["value"]), bool(m.get("guarded", False)),
-                          str(m.get("unit", "")))
+                          str(m.get("unit", "")), bool(m.get("exact", False)))
     return doc.get("bench", "?"), out
 
 
@@ -61,14 +66,21 @@ def main(argv):
 
     failures = []
     compared = 0
-    for name, (base_value, base_guarded, base_unit) in sorted(base.items()):
+    for name, (base_value, base_guarded, base_unit, base_exact) in sorted(base.items()):
         if name not in gen:
             continue  # smoke runs may generate a subset
-        gen_value, _, _ = gen[name]
+        gen_value = gen[name][0]
         if not base_guarded:
             print(f"  info    {name}: {gen_value:g} (baseline {base_value:g}, unguarded)")
             continue
         compared += 1
+        if base_exact:
+            ok = gen_value == base_value
+            print(f"  {'ok' if ok else 'REGRESS':7s} {name}: {gen_value:g} vs baseline "
+                  f"{base_value:g} (exact)")
+            if not ok:
+                failures.append(name)
+            continue
         # Deterministic counts (events, other counts, bytes, bools) must
         # hold in both directions -- any move is a behaviour change. Ratios
         # ("x") only fail when they drop: a faster machine is not a

@@ -56,15 +56,17 @@ void CalendarQueue::to_wheel(SimEvent&& ev) {
   ++wheel_count_;
 }
 
-std::size_t CalendarQueue::next_occupied(std::size_t from) const {
+std::size_t CalendarQueue::next_occupied(std::size_t from) {
   // The word holding `from` is tested twice at most: first from `from` up,
   // then whole after wrapping, which finds the buckets behind the cursor.
   const std::size_t last_word = occupied_.size() - 1;  // word count is a power of two
   std::size_t word = from / 64;
   std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from % 64));
+  ++words_tested_;
   while (bits == 0) {
     word = (word + 1) & last_word;
     bits = occupied_[word];
+    ++words_tested_;
   }
   return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }

@@ -135,6 +135,10 @@ public:
   std::size_t bucket_count() const { return buckets_.size(); }
   std::int64_t bucket_width_ns() const { return width_ns_; }
   std::uint64_t resizes() const { return resizes_; }
+  /// Occupancy-bitmap words tested while finding the next bucket, over the
+  /// queue's life: a deterministic count of the search cost, about one per
+  /// pop. Walking empty buckets one by one instead would show up here.
+  std::uint64_t bitmap_words_tested() const { return words_tested_; }
 
 private:
   std::int64_t horizon_ns() const {
@@ -149,7 +153,7 @@ private:
   void to_wheel(SimEvent&& ev);
   /// First occupied bucket at or after `from`, wrapping; the wheel must
   /// hold at least one event.
-  std::size_t next_occupied(std::size_t from) const;
+  std::size_t next_occupied(std::size_t from);
   /// Positions the cursor on the bucket holding the global minimum:
   /// re-anchors from the ladder if the wheel drained, jumps over empty
   /// buckets, and pulls ladder events the grown horizon now covers.
@@ -173,6 +177,7 @@ private:
   std::vector<SimEvent> ladder_;  ///< std::*_heap ordered by LadderLater
   std::size_t size_ = 0;
   std::uint64_t resizes_ = 0;
+  std::uint64_t words_tested_ = 0;
 };
 
 /// The facade Simulator drives: one scheduler active per instance, chosen
@@ -199,6 +204,10 @@ public:
   }
   std::size_t size() const {
     return kind_ == SchedulerKind::Calendar ? calendar_.size() : heap_.size();
+  }
+  /// CalendarQueue::bitmap_words_tested(); 0 on the heap.
+  std::uint64_t bitmap_words_tested() const {
+    return kind_ == SchedulerKind::Calendar ? calendar_.bitmap_words_tested() : 0;
   }
   void clear() {
     if (kind_ == SchedulerKind::Calendar) calendar_.clear();

@@ -55,7 +55,8 @@ bool write_pcap_file(const std::string& path, const PacketCapture& capture) {
   std::ofstream os(path, std::ios::binary);
   if (!os) return false;
   write_pcap(os, capture);
-  return static_cast<bool>(os);
+  os.close();  // a full disk may only show when the last buffer flushes
+  return !os.fail();
 }
 
 }  // namespace ecnprobe::netsim

@@ -115,6 +115,8 @@ public:
   /// scheduler pressure gauge. One branch on the schedule path.
   std::size_t events_high_water() const { return live_high_water_; }
   std::size_t idle_callbacks_pending() const { return idle_.size(); }
+  /// The calendar queue's search cost (CalendarQueue::bitmap_words_tested).
+  std::uint64_t bitmap_words_tested() const { return queue_.bitmap_words_tested(); }
 
   /// Event-loop instrumentation: a fired-events counter and a histogram of
   /// the *simulated* delay between scheduling and firing (both measured in

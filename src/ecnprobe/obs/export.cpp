@@ -503,7 +503,10 @@ bool write_metrics_files(const std::string& path, const ObsSnapshot& campaign,
     prom_os << to_prometheus(*telemetry);
   }
   prom_os << to_prometheus(campaign.timeseries);
-  return json_os.good() && prom_os.good();
+  // A full disk may only show when the last buffer flushes, at close.
+  json_os.close();
+  prom_os.close();
+  return !json_os.fail() && !prom_os.fail();
 }
 
 std::string render_loss_autopsy(const LedgerSnapshot& ledger) {

@@ -14,6 +14,11 @@
 // little-endian, timestamps are exact integer nanoseconds, and events are
 // emitted in the order given -- so two equal event vectors always produce
 // identical files. CI diffs a --workers 1 recording against --workers 8.
+//
+// Both render in place: a pcapng block is assembled in one reused buffer
+// and written once, and the trace JSON is appended field by field
+// (std::to_chars, util::json_escape_append) into storage of its final size
+// or, for files, streamed out in chunks of whole events.
 #pragma once
 
 #include <cstddef>
@@ -34,11 +39,13 @@ bool write_pcapng_file(const std::string& path, const std::vector<FlightEvent>& 
 
 /// Chrome trace-event JSON ({"traceEvents": [...]}) covering every event,
 /// wire bytes or not. Timestamps are microseconds with exact nanosecond
-/// fractions.
+/// fractions. The document is sized exactly before it is rendered and
+/// reserved once; std::logic_error if the rendering disagrees with the size.
 std::string to_chrome_trace_json(const std::vector<FlightEvent>& events);
 
-/// Writes `prefix`.pcapng and `prefix`.trace.json. Returns false if either
-/// file cannot be written.
+/// Writes `prefix`.pcapng and `prefix`.trace.json, the latter streamed (the
+/// same bytes as to_chrome_trace_json, never whole in memory). Returns true
+/// only once both files have been written and closed cleanly.
 bool write_flight_files(const std::string& prefix, const std::vector<FlightEvent>& events);
 
 }  // namespace ecnprobe::obs

@@ -78,24 +78,57 @@ std::string with_commas(std::int64_t n) {
   return n < 0 ? "-" + out : out;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strf("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
+namespace {
+
+/// The two-byte escape of `c` (a backslash and a letter or `c` itself), or
+/// empty when `c` passes through unchanged or takes the \u00XX form.
+std::string_view short_escape(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: return {};
+  }
+}
+
+bool needs_escape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
+}  // namespace
+
+void json_escape_append(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (!needs_escape(c)) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    const std::string_view escape = short_escape(c);
+    if (!escape.empty()) {
+      out += escape;
+    } else {
+      const char unicode[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+      out.append(unicode, sizeof unicode);
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+std::size_t json_escaped_size(std::string_view s) {
+  std::size_t size = s.size();
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (needs_escape(c)) size += short_escape(c).empty() ? std::size_t{5} : std::size_t{1};
+  }
+  return size;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(json_escaped_size(s));
+  json_escape_append(out, s);
   return out;
 }
 

@@ -34,7 +34,14 @@ std::string with_commas(std::int64_t n);
 /// Escapes `s` for use inside a JSON string literal (quotes not added):
 /// `"` and `\` get a backslash, \n \r \t their short forms, any other
 /// byte below 0x20 becomes \u00XX. Every other byte, UTF-8 included,
-/// passes through unchanged. The one escaper every JSON encoder uses.
+/// passes through unchanged. The one escape rule every JSON encoder uses;
+/// json_escape() is json_escape_append() into a fresh string.
 std::string json_escape(std::string_view s);
+
+/// Appends the escaped form of `s` to `out`.
+void json_escape_append(std::string& out, std::string_view s);
+
+/// Length of the escaped form of `s`, for exact-size reservations.
+std::size_t json_escaped_size(std::string_view s);
 
 }  // namespace ecnprobe::util

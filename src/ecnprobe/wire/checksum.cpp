@@ -2,7 +2,14 @@
 
 namespace ecnprobe::wire {
 
+namespace {
+thread_local std::uint64_t words_summed = 0;
+}  // namespace
+
+std::uint64_t checksum_words_summed() { return words_summed; }
+
 std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data, std::uint32_t acc) {
+  words_summed += (data.size() + 1) / 2;
   std::size_t i = 0;
   for (; i + 1 < data.size(); i += 2) {
     acc += static_cast<std::uint32_t>((data[i] << 8) | data[i + 1]);
@@ -23,6 +30,7 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
 std::uint16_t checksum_update(std::uint16_t check, std::uint16_t old_word,
                               std::uint16_t new_word) {
   // HC' = ~fold(~HC + ~m + m')   (RFC 1624 eqn 3)
+  words_summed += 3;
   std::uint32_t acc = static_cast<std::uint32_t>(~check & 0xffff);
   acc += static_cast<std::uint32_t>(~old_word & 0xffff);
   acc += new_word;

@@ -34,6 +34,13 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data);
 std::uint16_t checksum_update(std::uint16_t check, std::uint16_t old_word,
                               std::uint16_t new_word);
 
+/// 16-bit words the calling thread has fed into one's-complement sums so
+/// far: checksum_accumulate() counts one per word of its data (an odd
+/// trailing byte is a word), checksum_update() three (~HC, ~m and m'). A
+/// deterministic cost count for benches: an RFC 1624 rewrite of one IPv4
+/// header word costs 3, a full re-sum of the header 10.
+std::uint64_t checksum_words_summed();
+
 /// Pseudo-header seed for UDP/TCP checksums: src/dst address, protocol, and
 /// transport length, as RFC 768/793 require.
 std::uint32_t pseudo_header_sum(std::uint32_t src_addr, std::uint32_t dst_addr,

@@ -133,6 +133,41 @@ case $out in
     ;;
 esac
 
+# An --out file that cannot be written fails the command: exit 1 with
+# "cannot write PATH", never "wrote PATH". A missing directory fails at
+# open; /dev/full accepts the open and fails when the buffered bytes flush.
+must_fail_write() {
+  local desc=$1 path=$2
+  shift 2
+  local err rc
+  err=$("$BIN" "$@" 2>&1 >/dev/null)
+  rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "FAIL: '$desc' ($*) exited $rc, expected 1"
+    fails=$((fails + 1))
+  elif ! printf '%s' "$err" | grep -qF "cannot write $path"; then
+    echo "FAIL: '$desc' ($*) did not report 'cannot write $path'; stderr was: $err"
+    fails=$((fails + 1))
+  elif printf '%s' "$err" | grep -qF "wrote $path"; then
+    echo "FAIL: '$desc' ($*) claimed to have written $path"
+    fails=$((fails + 1))
+  else
+    echo "ok: $desc"
+  fi
+}
+
+must_fail_write "campaign --out in a missing directory" "$TMP/missing/t.csv" \
+  campaign --scale 0.02 --traces 1 --out "$TMP/missing/t.csv"
+must_fail_write "report --out in a missing directory" "$TMP/missing/r.md" \
+  report --scale 0.02 --out "$TMP/missing/r.md"
+if [ -w /dev/full ]; then
+  must_fail_write "campaign --out /dev/full" /dev/full \
+    campaign --scale 0.02 --traces 1 --out /dev/full
+  must_fail_write "report --out /dev/full" /dev/full \
+    report --scale 0.02 --out /dev/full
+  must_fail_write "pcap --out /dev/full" /dev/full pcap --scale 0.02 --out /dev/full
+fi
+
 must_pass "fully supervised campaign" campaign --scale 0.02 --traces 1 \
   --retry-policy backoff --retry-max 4 --retry-base-ms 500 --retry-factor 2 \
   --retry-jitter 0.2 --retry-budget-ms 8000 --retry-hedge-ms 250 \

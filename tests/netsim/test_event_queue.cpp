@@ -200,6 +200,25 @@ TEST(CalendarQueue, ClearRetainsBucketCapacity) {
   expect_sorted_drain(queue, {30, 10, 20});
 }
 
+TEST(CalendarQueue, BitmapWordsTestedCountOneWordPer64BucketsSkipped) {
+  // Three events 500 buckets apart on a 1024-bucket wheel (16 bitmap
+  // words). The first pop tests the cursor's word; each later pop tests the
+  // cursor's word, now empty above the cursor, then one word per 64 buckets
+  // up to the next event's: 1 + 8 + 9. Walking the 1,000 empty buckets in
+  // between one at a time would count each of them.
+  CalendarQueue queue(64, 1024);
+  queue.push(make_event(0, 0));
+  queue.push(make_event(500 * 64, 1));
+  queue.push(make_event(1000 * 64, 2));
+  EXPECT_EQ(queue.bitmap_words_tested(), 0u);
+  EXPECT_EQ(queue.pop().seq, 0u);
+  EXPECT_EQ(queue.bitmap_words_tested(), 1u);
+  EXPECT_EQ(queue.pop().seq, 1u);
+  EXPECT_EQ(queue.bitmap_words_tested(), 9u);
+  EXPECT_EQ(queue.pop().seq, 2u);
+  EXPECT_EQ(queue.bitmap_words_tested(), 18u);
+}
+
 TEST(EventQueue, KindSelectsBackend) {
   EventQueue calendar(SchedulerKind::Calendar);
   EventQueue heap(SchedulerKind::LegacyHeap);

@@ -1,7 +1,8 @@
 // Flight-recorder integration through the campaign executor: the recorded
 // event stream (and both export formats) must be byte-identical at one
 // worker and at 2 and 8, and a fixed-seed capture must match the committed
-// golden pcapng byte for byte (regenerate with ECNPROBE_UPDATE_GOLDEN=1).
+// golden pcapng and Chrome trace byte for byte (regenerate with
+// ECNPROBE_UPDATE_GOLDEN=1).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -79,22 +80,23 @@ TEST(WorldFlightRecorder, SequentialAndShardedRecordingsAreByteIdentical) {
   }
 }
 
-TEST(WorldFlightRecorder, GoldenPcapngMatchesByteForByte) {
-  // Tiny fixed-seed campaign: 3 servers, one trace. The committed capture
-  // pins the full export stack -- event taxonomy, span keys, epoch-relative
-  // timestamps, wire bytes, pcapng framing. An intentional format change
-  // regenerates it with: ECNPROBE_UPDATE_GOLDEN=1 ./test_scenario
+/// Tiny fixed-seed campaign: 3 servers, one trace. The committed exports
+/// of its recording pin the full export stack -- event taxonomy, span
+/// keys, epoch-relative timestamps, wire bytes, pcapng framing and the
+/// Chrome trace's JSON rendering.
+std::vector<obs::FlightEvent> golden_flights() {
   auto params = WorldParams::small(7);
   params.server_count = 3;
   params.flight_recorder_capacity = 4096;
   measure::CampaignPlan plan;
   plan.entries.push_back({"UGla wired", 1, 1});
+  return run_campaign(params, plan).flights;
+}
 
-  const auto flights = run_campaign(params, plan).flights;
-  const auto bytes = pcapng_bytes(flights);
-  ASSERT_FALSE(flights.empty());
-
-  const std::string golden_path = std::string(ECNPROBE_GOLDEN_DIR) + "/flight_small.pcapng";
+/// Compares `bytes` with the committed golden `name`. An intentional format
+/// change regenerates it with: ECNPROBE_UPDATE_GOLDEN=1 ./test_scenario
+void expect_golden(const std::string& bytes, const std::string& name) {
+  const std::string golden_path = std::string(ECNPROBE_GOLDEN_DIR) + "/" + name;
   if (std::getenv("ECNPROBE_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(golden_path, std::ios::binary);
     ASSERT_TRUE(out) << "cannot write " << golden_path;
@@ -107,7 +109,19 @@ TEST(WorldFlightRecorder, GoldenPcapngMatchesByteForByte) {
   buffer << in.rdbuf();
   const auto golden = buffer.str();
   ASSERT_EQ(bytes.size(), golden.size());
-  EXPECT_TRUE(bytes == golden) << "flight recording drifted from the golden capture";
+  EXPECT_TRUE(bytes == golden) << name << " drifted from the golden export";
+}
+
+TEST(WorldFlightRecorder, GoldenPcapngMatchesByteForByte) {
+  const auto flights = golden_flights();
+  ASSERT_FALSE(flights.empty());
+  expect_golden(pcapng_bytes(flights), "flight_small.pcapng");
+}
+
+TEST(WorldFlightRecorder, GoldenChromeTraceMatchesByteForByte) {
+  const auto flights = golden_flights();
+  ASSERT_FALSE(flights.empty());
+  expect_golden(obs::to_chrome_trace_json(flights), "flight_small.trace.json");
 }
 
 }  // namespace

@@ -68,5 +68,21 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControlBytes) {
   EXPECT_EQ(json_escape(""), "");
 }
 
+TEST(JsonEscape, AppendAndSizeAgreeWithEscapeOnEveryByte) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all += static_cast<char>(c);
+  std::string out = "prefix:";
+  json_escape_append(out, all);
+  EXPECT_EQ(out, "prefix:" + json_escape(all));
+  EXPECT_EQ(json_escaped_size(all), json_escape(all).size());
+  for (int c = 0; c < 256; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    EXPECT_EQ(json_escaped_size(one), json_escape(one).size()) << c;
+  }
+  // Of the 32 control bytes, \n \r \t take two bytes and the other 29 take
+  // six (\u00XX); quote and backslash take two; the other 222 bytes one.
+  EXPECT_EQ(json_escaped_size(all), 29u * 6 + 3 * 2 + 2 * 2 + 222);
+}
+
 }  // namespace
 }  // namespace ecnprobe::util

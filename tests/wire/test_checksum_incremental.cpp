@@ -125,6 +125,30 @@ TEST(DatagramMutators, PatchedWireCacheMatchesFullReencode) {
   }
 }
 
+TEST(DatagramMutators, CachedRewritesSumThreeWordsNotTheHeader) {
+  // The cost count BENCH_wire.json guards exactly: a full header sum is ten
+  // words, an RFC 1624 patch three, and a TTL or ECN rewrite through the
+  // wire cache is one patch -- never a re-sum of the header.
+  const std::vector<std::uint8_t> header(Ipv4Header::kSize, 0x45);
+  std::uint64_t before = checksum_words_summed();
+  (void)internet_checksum(header);
+  EXPECT_EQ(checksum_words_summed() - before, 10u);
+  before = checksum_words_summed();
+  (void)checksum_update(0x1234, 0x4011, 0x3f11);
+  EXPECT_EQ(checksum_words_summed() - before, 3u);
+
+  Datagram dgram = make_udp_datagram(Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 9, 9),
+                                     4242, 123, std::vector<std::uint8_t>(48, 1),
+                                     Ecn::Ect0);
+  (void)dgram.wire_view();
+  before = checksum_words_summed();
+  dgram.set_ttl(17);
+  dgram.set_ecn(Ecn::NotEct);
+  EXPECT_EQ(checksum_words_summed() - before, 6u);
+  dgram.set_ttl(17);  // unchanged word: nothing to patch
+  EXPECT_EQ(checksum_words_summed() - before, 6u);
+}
+
 TEST(DatagramMutators, TouchPayloadInvalidatesCache) {
   const std::vector<std::uint8_t> payload{1, 2, 3, 4};
   Datagram dgram = make_udp_datagram(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), 1,

@@ -514,6 +514,11 @@ int cmd_campaign(const Options& options) {
   } else {
     std::ofstream os(options.out);
     measure::write_traces_csv(os, traces);
+    os.close();  // a full disk may only show when the last buffer flushes
+    if (os.fail()) {
+      std::fprintf(stderr, "cannot write %s\n", options.out.c_str());
+      return 1;
+    }
     std::fprintf(stderr, "wrote %s\n", options.out.c_str());
   }
   const auto autopsy = obs::render_loss_autopsy(campaign_obs.ledger);
@@ -728,6 +733,11 @@ int cmd_report(const Options& options) {
   } else {
     std::ofstream os(options.out);
     os << report;
+    os.close();
+    if (os.fail()) {
+      std::fprintf(stderr, "cannot write %s\n", options.out.c_str());
+      return 1;
+    }
     std::fprintf(stderr, "wrote %s\n", options.out.c_str());
   }
   return 0;
