@@ -5,6 +5,7 @@
 //   $ ./ntp_pool_study                  # 10% scale (250 servers), quick
 //   $ ./ntp_pool_study 1.0              # full paper scale (2500 servers, 210 traces)
 //   $ ./ntp_pool_study 1.0 --workers=8  # campaign sharded across 8 threads
+//   $ ./ntp_pool_study 0.05 --traces 13 --seed 7    # 13 traces, another world
 //   $ ./ntp_pool_study --metrics-out metrics.json   # export metrics + ledger
 //   $ ./ntp_pool_study --faults wan-chaos --checkpoint run.journal
 //   $ ./ntp_pool_study --resume run.journal         # continue a killed run
@@ -14,19 +15,22 @@
 //   $ ./ntp_pool_study --timeseries 500              # 500 ms sim-time series windows
 //   $ ./ntp_pool_study --serve-obs 9100 --workers=4  # live /metrics /progress /events
 //
-// --workers=N shards the campaign across N threads (one isolated world
-// clone per worker); the merged results -- and the campaign metrics/drop
-// ledger in --metrics-out -- are byte-identical to a one-worker run, just
-// faster on a multicore box. --faults injects a
-// named fault profile (see docs/robustness.md); --checkpoint journals
-// every completed trace so a killed run resumes byte-identically with
-// --resume; --halt-after N simulates the kill.
+// The positional SCALE and the campaign keys (--scale --seed --traces
+// --workers --faults --telemetry --timeseries --sched) go through
+// scenario::CampaignSpec::from_args: the keys, rules and messages of
+// `ecnprobe campaign` and of an ecnprobed spec. A bad value or an unknown
+// flag exits 2 with the usage text. The other flags are this program's:
+// --metrics-out, --checkpoint (journal every completed trace, so a killed
+// run resumes byte-identically with --resume), --halt-after N (simulate
+// the kill), --record and --serve-obs. --workers=N shards the campaign
+// across N threads, one isolated world clone each; the merged results and
+// the campaign metrics/drop ledger in --metrics-out are byte-identical to
+// a one-worker run, just faster on a multicore box.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ecnprobe/analysis/differential.hpp"
 #include "ecnprobe/analysis/geosummary.hpp"
@@ -34,88 +38,88 @@
 #include "ecnprobe/analysis/reachability.hpp"
 #include "ecnprobe/analysis/report.hpp"
 #include "ecnprobe/analysis/trend.hpp"
-#include "ecnprobe/chaos/fault_plan.hpp"
 #include "ecnprobe/http/obs_server.hpp"
 #include "ecnprobe/measure/journal.hpp"
 #include "ecnprobe/measure/parallel_campaign.hpp"
 #include "ecnprobe/obs/export.hpp"
 #include "ecnprobe/obs/flight_export.hpp"
+#include "ecnprobe/scenario/spec.hpp"
 #include "ecnprobe/scenario/world.hpp"
-#include "ecnprobe/sched/policy.hpp"
+#include "ecnprobe/util/strings.hpp"
+
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: ntp_pool_study [SCALE] [--scale F] [--seed N] [--traces N] [--workers N]\n"
+               "         [--faults SPEC] [--telemetry SPEC] [--timeseries SPEC] [--sched SPEC]\n"
+               "         [--metrics-out FILE] [--checkpoint FILE | --resume FILE]\n"
+               "         [--halt-after N] [--record PREFIX] [--serve-obs PORT]\n"
+               "  the campaign keys take what `ecnprobe campaign` takes (see its usage);\n"
+               "  every flag also takes the --flag=VALUE spelling\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ecnprobe;
-  double scale = 0.1;
-  int workers = 1;
+  std::vector<std::string> spec_args;
   int halt_after = 0;
   bool resume = false;
   std::string metrics_out;
-  std::string faults_spec = "none";
-  std::string sched_spec = "paper";
   std::string checkpoint;
   std::string record;
-  std::string telemetry_spec = "exact";
-  std::string timeseries_spec = "off";
   int serve_obs = -1;  // --serve-obs PORT: -1 = off, 0 = ephemeral
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-    if (arg.rfind("--workers=", 0) == 0) workers = std::atoi(arg.c_str() + 10);
-    else if (arg == "--workers") workers = std::atoi(next_value());
-    else if (arg.rfind("--metrics-out=", 0) == 0) metrics_out = arg.substr(14);
-    else if (arg == "--metrics-out") metrics_out = next_value();
-    else if (arg.rfind("--faults=", 0) == 0) faults_spec = arg.substr(9);
-    else if (arg == "--faults") faults_spec = next_value();
-    else if (arg.rfind("--sched=", 0) == 0) sched_spec = arg.substr(8);
-    else if (arg == "--sched") sched_spec = next_value();
-    else if (arg.rfind("--checkpoint=", 0) == 0) checkpoint = arg.substr(13);
-    else if (arg == "--checkpoint") checkpoint = next_value();
-    else if (arg.rfind("--resume=", 0) == 0) { checkpoint = arg.substr(9); resume = true; }
-    else if (arg == "--resume") { checkpoint = next_value(); resume = true; }
-    else if (arg.rfind("--halt-after=", 0) == 0) halt_after = std::atoi(arg.c_str() + 13);
-    else if (arg == "--halt-after") halt_after = std::atoi(next_value());
-    else if (arg.rfind("--record=", 0) == 0) record = arg.substr(9);
-    else if (arg == "--record") record = next_value();
-    else if (arg.rfind("--telemetry=", 0) == 0) telemetry_spec = arg.substr(12);
-    else if (arg == "--telemetry") telemetry_spec = next_value();
-    else if (arg.rfind("--timeseries=", 0) == 0) timeseries_spec = arg.substr(13);
-    else if (arg == "--timeseries") timeseries_spec = next_value();
-    else if (arg.rfind("--serve-obs=", 0) == 0) serve_obs = std::atoi(arg.c_str() + 12);
-    else if (arg == "--serve-obs") serve_obs = std::atoi(next_value());
-    else scale = std::atof(arg.c_str());
+    if (arg.rfind("--", 0) != 0) {
+      spec_args.push_back("--scale=" + arg);
+      continue;
+    }
+    const auto eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      std::fprintf(stderr, "ntp_pool_study: %s requires a value\n", flag.c_str());
+      return usage();
+    }
+    if (flag == "--metrics-out") {
+      metrics_out = value;
+    } else if (flag == "--checkpoint" || flag == "--resume") {
+      checkpoint = value;
+      resume = flag == "--resume";
+    } else if (flag == "--record") {
+      record = value;
+    } else if (flag == "--halt-after" || flag == "--serve-obs") {
+      const bool serve = flag == "--serve-obs";
+      const auto n = util::parse_integer<int>(value);
+      if (!n || *n < 0 || (serve && *n > 65535)) {
+        std::fprintf(stderr, "ntp_pool_study: bad value for %s: '%s'\n", flag.c_str(),
+                     value.c_str());
+        return usage();
+      }
+      (serve ? serve_obs : halt_after) = *n;
+    } else {
+      spec_args.push_back(flag + "=" + value);  // a campaign key, or refused below
+    }
   }
-  if (workers < 1) workers = 1;
-
-  auto params = scenario::WorldParams::paper().scaled(scale);
-  const auto faults = chaos::FaultPlan::parse(faults_spec);
-  if (!faults) {
-    std::fprintf(stderr, "ntp_pool_study: %s\n", faults.error().message.c_str());
-    return 2;
+  const auto spec = scenario::CampaignSpec::from_args(spec_args);
+  if (!spec) {
+    std::fprintf(stderr, "ntp_pool_study: %s\n", spec.error().message.c_str());
+    return usage();
   }
-  params.faults = *faults;
-  const auto sched = sched::SupervisorConfig::parse(sched_spec);
-  if (!sched) {
-    std::fprintf(stderr, "ntp_pool_study: %s\n", sched.error().message.c_str());
-    return 2;
-  }
-  const auto telemetry_config = obs::TelemetryConfig::parse(telemetry_spec);
-  if (!telemetry_config) {
-    std::fprintf(stderr, "ntp_pool_study: %s\n", telemetry_config.error().message.c_str());
-    return 2;
-  }
-  params.telemetry = *telemetry_config;
-  const auto timeseries_config = obs::TimeSeriesConfig::parse(timeseries_spec);
-  if (!timeseries_config) {
-    std::fprintf(stderr, "ntp_pool_study: %s\n",
-                 timeseries_config.error().message.c_str());
-    return 2;
-  }
-  params.timeseries = *timeseries_config;
-  measure::ProbeOptions probe;
-  probe.sched = *sched;
+  auto resolved = spec->resolve();
+  auto& params = resolved.params;
+  const auto& plan = resolved.plan;
+  const int workers = spec->workers;
   if (!record.empty()) params.flight_recorder_capacity = 1 << 16;
   std::printf("== ECN-with-UDP measurement study (scale %.2f: %d servers) ==\n\n",
-              scale, params.server_count);
+              spec->scale, params.server_count);
   scenario::World world(params);
 
   // -- Section 3: discovery ------------------------------------------------
@@ -130,7 +134,6 @@ int main(int argc, char** argv) {
               analysis::render_figure1(geo_summary, 72, 20).c_str());
 
   // -- Section 4.1 / 4.3: the campaign --------------------------------------
-  const auto plan = measure::CampaignPlan::for_scale(scale);
   std::printf("[2/4] running the measurement campaign (%d traces, %d worker%s, faults: %s)...\n",
               plan.total_traces(), workers, workers == 1 ? "" : "s",
               params.faults.name.c_str());
@@ -155,9 +158,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  measure::ParallelCampaign campaign(scenario::world_shard_factory(params),
-                                     scenario::campaign_options(params, probe, workers,
-                                                                halt_after));
+  measure::ParallelCampaign campaign(
+      scenario::world_shard_factory(params),
+      scenario::campaign_options(params, resolved.probe, workers, halt_after));
   if (journal_ptr != nullptr) campaign.set_journal(journal_ptr);
   std::unique_ptr<http::ObsHttpServer> obs_server;
   if (serve_obs >= 0) {

@@ -10,18 +10,18 @@
 #include <fstream>
 #include <sstream>
 
-#include "ecnprobe/chaos/fault_plan.hpp"
-#include "ecnprobe/daemon/json.hpp"
 #include "ecnprobe/measure/journal.hpp"
 #include "ecnprobe/measure/results.hpp"
 #include "ecnprobe/obs/event_stream.hpp"
 #include "ecnprobe/obs/export.hpp"
 #include "ecnprobe/scenario/world.hpp"
-#include "ecnprobe/sched/policy.hpp"
+#include "ecnprobe/util/json.hpp"
 
 namespace ecnprobe::daemon {
 
 namespace {
+
+using util::json_quote;
 
 constexpr const char* kQueued = "queued";
 constexpr const char* kRunning = "running";
@@ -79,7 +79,7 @@ void emit_event(const char* kind, const std::string& text) {
 struct CampaignDaemon::Campaign {
   std::string id;
   std::uint64_t seq = 0;
-  CampaignSpec spec;
+  TenantSpec spec;
   std::string state = kQueued;
   std::string detail;
   int total_traces = 0;
@@ -137,7 +137,7 @@ bool CampaignDaemon::rescan_state_dir(std::string* error) {
     if (id.size() > 1 && id[0] == 'c') {
       campaign->seq = std::strtoull(id.c_str() + 1, nullptr, 10);
     }
-    const auto spec = CampaignSpec::from_json(text);
+    const auto spec = TenantSpec::from_json(text);
     if (!spec) {
       // A spec this daemon wrote cannot be invalid unless the file was
       // damaged; quarantine it rather than crash-loop on every restart.
@@ -148,8 +148,7 @@ bool CampaignDaemon::rescan_state_dir(std::string* error) {
       continue;
     }
     campaign->spec = *spec;
-    campaign->total_traces =
-        measure::CampaignPlan::for_scale(spec->scale, spec->traces).total_traces();
+    campaign->total_traces = spec->resolve().plan.total_traces();
     std::string marker;
     if (read_file(marker_path(id, kDone), &marker)) {
       campaign->state = kDone;
@@ -296,13 +295,14 @@ void CampaignDaemon::watchdog_loop() {
 }
 
 void CampaignDaemon::run_campaign(const std::shared_ptr<Campaign>& campaign) {
-  const CampaignSpec& spec = campaign->spec;
-  // Same world/plan construction as `ecnprobe campaign` with the flags
-  // this spec mirrors -- the byte-identity of daemon and CLI artifacts
-  // rests on going through the identical factories.
-  auto params = scenario::WorldParams::paper().scaled(spec.scale);
-  params.seed = spec.seed;
-  const auto plan = measure::CampaignPlan::for_scale(spec.scale, spec.traces);
+  const TenantSpec& spec = campaign->spec;
+  // The world, plan and probe discipline `ecnprobe campaign` resolves from
+  // the same keys as flags -- the byte-identity of daemon and CLI
+  // artifacts rests on this one resolution. The spec passed from_json at
+  // admission or rescan, so it resolves.
+  const auto resolved = spec.resolve();
+  const auto& params = resolved.params;
+  const auto& plan = resolved.plan;
 
   auto fail = [&](const std::string& why) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -314,20 +314,6 @@ void CampaignDaemon::run_campaign(const std::shared_ptr<Campaign>& campaign) {
     emit_event("campaign-failed", "id=" + campaign->id + " error=" + why);
   };
 
-  // Sub-specs were validated at admission; a parse failure here means the
-  // persisted spec was damaged after admission.
-  const auto faults = chaos::FaultPlan::parse(spec.faults);
-  const auto telemetry = obs::TelemetryConfig::parse(spec.telemetry);
-  const auto timeseries = obs::TimeSeriesConfig::parse(spec.timeseries);
-  const auto sched_config = sched::SupervisorConfig::parse(spec.sched);
-  if (!faults || !telemetry || !timeseries || !sched_config) {
-    fail("persisted spec no longer parses");
-    return;
-  }
-  params.faults = *faults;
-  params.telemetry = *telemetry;
-  params.timeseries = *timeseries;
-
   measure::CampaignJournal journal;
   std::string journal_error;
   const std::string journal_path =
@@ -337,10 +323,8 @@ void CampaignDaemon::run_campaign(const std::shared_ptr<Campaign>& campaign) {
     return;
   }
 
-  measure::ProbeOptions probe;
-  probe.sched = *sched_config;
   const int workers = std::min(spec.workers, options_.max_workers);
-  auto exec_options = scenario::campaign_options(params, probe, workers);
+  auto exec_options = scenario::campaign_options(params, resolved.probe, workers);
   // A fault plan's crash-after is the batch tools' simulated kill; a
   // daemon campaign always runs until done, cancelled or drained.
   exec_options.halt_after_traces = 0;
@@ -441,12 +425,12 @@ void CampaignDaemon::run_campaign(const std::shared_ptr<Campaign>& campaign) {
 }
 
 http::ObsHttpServer::Response CampaignDaemon::admit(const std::string& body) {
-  const auto spec = CampaignSpec::from_json(body);
+  const auto spec = TenantSpec::from_json(body);
   if (!spec) {
     rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
     return error_response(400, "Bad Request", spec.error().message);
   }
-  const auto plan = measure::CampaignPlan::for_scale(spec->scale, spec->traces);
+  const auto plan = spec->resolve().plan;
   if (options_.max_traces > 0 && plan.total_traces() > options_.max_traces) {
     rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
     return error_response(

@@ -1,21 +1,10 @@
 #include "ecnprobe/daemon/spec.hpp"
 
-#include <cmath>
-#include <cstdio>
-
-#include "ecnprobe/chaos/fault_plan.hpp"
-#include "ecnprobe/daemon/json.hpp"
-#include "ecnprobe/obs/telemetry.hpp"
-#include "ecnprobe/obs/timeseries.hpp"
-#include "ecnprobe/sched/policy.hpp"
+#include "ecnprobe/util/json.hpp"
 
 namespace ecnprobe::daemon {
 
 namespace {
-
-util::Error spec_error(const std::string& message) {
-  return util::make_error("spec", "invalid campaign spec: " + message);
-}
 
 bool valid_tenant(const std::string& tenant) {
   if (tenant.empty() || tenant.size() > 64) return false;
@@ -27,113 +16,30 @@ bool valid_tenant(const std::string& tenant) {
   return true;
 }
 
-/// Extracts an integer field that must have been written without a
-/// fractional part ("3", not 3.0 or "3e0").
-bool exact_int(const JsonValue& v, long long* out) {
-  if (!v.is(JsonValue::Kind::Number)) return false;
-  if (v.raw_number.find_first_of(".eE") != std::string::npos) return false;
-  *out = static_cast<long long>(v.number);
-  return true;
-}
-
 }  // namespace
 
-util::Expected<CampaignSpec> CampaignSpec::from_json(const std::string& text) {
-  const auto doc = parse_json(text);
+util::Expected<TenantSpec> TenantSpec::from_json(const std::string& text) {
+  auto doc = util::parse_json(text);
   if (!doc) return doc.error();
-  if (!doc->is(JsonValue::Kind::Object)) {
-    return spec_error("top-level value must be an object");
-  }
-  CampaignSpec spec;
-  for (const auto& [key, value] : doc->object) {
-    if (key == "tenant") {
-      if (!value.is(JsonValue::Kind::String) || !valid_tenant(value.string)) {
-        return spec_error("\"tenant\" must be a short [A-Za-z0-9._-] string");
-      }
-      spec.tenant = value.string;
-    } else if (key == "scale") {
-      if (!value.is(JsonValue::Kind::Number) || !(value.number > 0.0) ||
-          !std::isfinite(value.number)) {
-        return spec_error("\"scale\" must be a positive number");
-      }
-      spec.scale = value.number;
-    } else if (key == "seed") {
-      long long n = 0;
-      if (!exact_int(value, &n) || n < 0) {
-        return spec_error("\"seed\" must be a non-negative integer");
-      }
-      spec.seed = static_cast<std::uint64_t>(n);
-    } else if (key == "traces") {
-      long long n = 0;
-      if (!exact_int(value, &n) || n < 0 || n > (1 << 20)) {
-        return spec_error("\"traces\" must be an integer in [0, 1048576]");
-      }
-      spec.traces = static_cast<int>(n);
-    } else if (key == "workers") {
-      long long n = 0;
-      if (!exact_int(value, &n) || n < 1 || n > 256) {
-        return spec_error("\"workers\" must be an integer in [1, 256]");
-      }
-      spec.workers = static_cast<int>(n);
-    } else if (key == "faults") {
-      if (!value.is(JsonValue::Kind::String)) {
-        return spec_error("\"faults\" must be a string");
-      }
-      spec.faults = value.string;
-    } else if (key == "telemetry") {
-      if (!value.is(JsonValue::Kind::String)) {
-        return spec_error("\"telemetry\" must be a string");
-      }
-      spec.telemetry = value.string;
-    } else if (key == "timeseries") {
-      if (!value.is(JsonValue::Kind::String)) {
-        return spec_error("\"timeseries\" must be a string");
-      }
-      spec.timeseries = value.string;
-    } else if (key == "sched") {
-      if (!value.is(JsonValue::Kind::String)) {
-        return spec_error("\"sched\" must be a string");
-      }
-      spec.sched = value.string;
-    } else {
-      return spec_error("unknown key \"" + key + "\"");
+  TenantSpec spec;
+  // The tenant is the daemon's key; everything else is the campaign's.
+  if (auto tenant = doc->object.extract("tenant")) {
+    if (!tenant.mapped().is(util::JsonValue::Kind::String) ||
+        !valid_tenant(tenant.mapped().string)) {
+      return util::make_error("spec", "invalid campaign spec: \"tenant\" must be a "
+                                      "short [A-Za-z0-9._-] string");
     }
+    spec.tenant = tenant.mapped().string;
   }
-  // Sub-specs go through the exact parsers the CLI flags use, so the
-  // daemon accepts precisely the language the CLI accepts -- same error
-  // messages, same rejected corner cases.
-  if (const auto faults = chaos::FaultPlan::parse(spec.faults); !faults) {
-    return spec_error(faults.error().message);
-  }
-  if (const auto telemetry = obs::TelemetryConfig::parse(spec.telemetry); !telemetry) {
-    return spec_error(telemetry.error().message);
-  }
-  if (const auto series = obs::TimeSeriesConfig::parse(spec.timeseries); !series) {
-    return spec_error(series.error().message);
-  }
-  if (const auto sched = sched::SupervisorConfig::parse(spec.sched); !sched) {
-    return spec_error(sched.error().message);
-  }
+  const auto campaign = scenario::CampaignSpec::from_json(*doc);
+  if (!campaign) return campaign.error();
+  static_cast<scenario::CampaignSpec&>(spec) = *campaign;
   return spec;
 }
 
-std::string CampaignSpec::to_json() const {
-  char scale_buf[64];
-  // %.17g round-trips any double exactly, so persisted specs re-admit to
-  // an equal spec (and thus an identical plan fingerprint).
-  std::snprintf(scale_buf, sizeof(scale_buf), "%.17g", scale);
-  std::string out = "{";
-  out += "\"tenant\":" + json_quote(tenant);
-  out += ",\"scale\":" + std::string(scale_buf);
-  out += ",\"seed\":" + std::to_string(seed);
-  out += ",\"traces\":" + std::to_string(traces);
-  out += ",\"workers\":" + std::to_string(workers);
-  out += ",\"faults\":" + json_quote(faults);
-  out += ",\"telemetry\":" + json_quote(telemetry);
-  out += ",\"timeseries\":" + json_quote(timeseries);
-  out += ",\"sched\":" + json_quote(sched);
-  out += "}";
-  return out;
+std::string TenantSpec::to_json() const {
+  return "{\"tenant\":" + util::json_quote(tenant) + "," +
+         scenario::CampaignSpec::to_json().substr(1);
 }
 
 }  // namespace ecnprobe::daemon

@@ -1,45 +1,32 @@
-// Campaign spec: the JSON document a tenant POSTs to ecnprobed. Exactly
-// the knobs the batch CLI's `campaign` command takes -- and validated
-// with the same strictness and the same underlying parsers (FaultPlan,
-// TelemetryConfig, TimeSeriesConfig, SupervisorConfig) -- so a spec that
-// admits here runs byte-identically to the CLI invocation it mirrors.
-// Unknown keys are rejected, not ignored: a misspelled "falts" must not
-// silently run a clean campaign.
+// What a tenant POSTs to ecnprobed: the campaign spec every front end
+// shares (scenario::CampaignSpec, same keys, rules and messages as the
+// CLI's flags) plus the daemon's own admission identity, the tenant. A
+// spec that admits here runs byte-identically to the CLI invocation with
+// the same keys as flags.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
+#include "ecnprobe/scenario/spec.hpp"
 #include "ecnprobe/util/expected.hpp"
 
 namespace ecnprobe::daemon {
 
-struct CampaignSpec {
+struct TenantSpec : scenario::CampaignSpec {
   /// Admission-control identity; campaigns from one tenant share that
   /// tenant's active-campaign budget. Non-empty, [A-Za-z0-9._-], <= 64.
   std::string tenant = "default";
-  double scale = 0.1;          ///< world scale, > 0
-  std::uint64_t seed = 42;     ///< world seed
-  int traces = 0;              ///< uniform plan override; 0 = scaled layout
-  int workers = 1;             ///< requested shard workers (daemon may cap)
-  std::string faults = "none"; ///< chaos::FaultPlan::parse spec
-  std::string telemetry = "exact";  ///< obs::TelemetryConfig::parse spec
-  std::string timeseries = "off";   ///< obs::TimeSeriesConfig::parse spec
-  /// Probe supervision rig, sched::SupervisorConfig::parse format
-  /// ("paper" | "backoff,...,pace-rate=50,breaker-failures=3"). This is
-  /// where a tenant's pacing/breaker budget rides.
-  std::string sched = "paper";
 
-  /// Parses and fully validates a spec document: JSON syntax, unknown
-  /// keys, field types/ranges, and every sub-spec through its own
-  /// strict parser. Returns the first error with a precise message.
-  static util::Expected<CampaignSpec> from_json(const std::string& text);
+  /// Parses and fully validates a spec document: JSON syntax, the
+  /// tenant, then every campaign key through scenario::CampaignSpec.
+  /// Returns the first error with a precise message.
+  static util::Expected<TenantSpec> from_json(const std::string& text);
 
-  /// Canonical JSON rendering (fixed field order); from_json(to_json())
+  /// Canonical JSON rendering, tenant first; from_json(to_json())
   /// round-trips to an equal spec. Used to persist admitted specs.
   std::string to_json() const;
 
-  bool operator==(const CampaignSpec&) const = default;
+  bool operator==(const TenantSpec&) const = default;
 };
 
 }  // namespace ecnprobe::daemon

@@ -37,12 +37,12 @@ struct CampaignPlan {
                                    int ec2_traces = 14);
 
   /// The scaled layout every front end shares: the paper's per-vantage
-  /// counts multiplied by `scale` (floored at 1 each), or -- when
-  /// `traces_override` > 0 -- exactly that many traces spread uniformly
-  /// over the 13 vantages. The CLI's campaign/trace-autopsy/report
-  /// commands and the ecnprobed daemon all build plans through here, so a
-  /// daemon campaign and a batch CLI run with the same (scale, traces)
-  /// spec execute -- and number -- identical traces.
+  /// counts multiplied by `scale` in (0, 1] (floored at 1 each), or --
+  /// when `traces_override` > 0 -- exactly that many traces spread
+  /// uniformly over the 13 vantages. scenario::CampaignSpec::resolve()
+  /// builds every front end's plan through here, so a daemon campaign and
+  /// a batch CLI run with the same (scale, traces) spec execute -- and
+  /// number -- identical traces.
   static CampaignPlan for_scale(double scale, int traces_override = 0);
 };
 

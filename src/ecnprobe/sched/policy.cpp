@@ -181,14 +181,9 @@ util::Expected<SupervisorConfig> SupervisorConfig::parse(const std::string& spec
       if (!want_double(0.0) || d <= 0.0) return bad("bad watchdog-ms '" + value + "'");
       config.watchdog.deadline = from_ms(d);
     } else if (key == "seed") {
-      std::uint64_t s = 0;
-      char* end = nullptr;
-      errno = 0;
-      s = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || errno != 0 || end != value.c_str() + value.size()) {
-        return bad("bad seed '" + value + "'");
-      }
-      config.seed = s;
+      const auto seed = util::parse_integer<std::uint64_t>(value);
+      if (!seed) return bad("bad seed '" + value + "'");
+      config.seed = *seed;
     } else {
       return bad("unknown supervisor key '" + key + "'");
     }

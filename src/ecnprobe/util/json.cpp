@@ -1,4 +1,4 @@
-#include "ecnprobe/daemon/json.hpp"
+#include "ecnprobe/util/json.hpp"
 
 #include <cctype>
 #include <cerrno>
@@ -6,7 +6,7 @@
 
 #include "ecnprobe/util/strings.hpp"
 
-namespace ecnprobe::daemon {
+namespace ecnprobe::util {
 
 namespace {
 
@@ -194,15 +194,15 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return it == object.end() ? nullptr : &it->second;
 }
 
-util::Expected<JsonValue> parse_json(const std::string& text) {
+Expected<JsonValue> parse_json(const std::string& text) {
   Parser parser{text, 0, {}};
   JsonValue value;
   if (!parser.parse_value(&value, 0)) {
-    return util::make_error("json", "invalid JSON: " + parser.error);
+    return make_error("json", "invalid JSON: " + parser.error);
   }
   parser.skip_ws();
   if (parser.pos != text.size()) {
-    return util::make_error(
+    return make_error(
         "json", "invalid JSON: trailing characters at offset " +
                     std::to_string(parser.pos));
   }
@@ -210,7 +210,7 @@ util::Expected<JsonValue> parse_json(const std::string& text) {
 }
 
 std::string json_quote(const std::string& s) {
-  return "\"" + util::json_escape(s) + "\"";
+  return "\"" + json_escape(s) + "\"";
 }
 
-}  // namespace ecnprobe::daemon
+}  // namespace ecnprobe::util

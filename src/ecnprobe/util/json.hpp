@@ -1,9 +1,9 @@
-// Minimal strict JSON parser for the daemon's campaign-spec documents.
-// Same philosophy as the CLI's option parsing and the wire decoders:
-// malformed input is rejected as a value (Expected), never coerced --
-// trailing garbage, duplicate keys, unterminated strings, and bad number
-// syntax all fail with a positioned message instead of yielding a
-// half-parsed spec.
+// Minimal strict JSON parser for campaign-spec documents (ecnprobed's
+// POST bodies and persisted specs). Same philosophy as the CLI's option
+// parsing and the wire decoders: malformed input is rejected as a value
+// (Expected), never coerced -- trailing garbage, duplicate keys,
+// unterminated strings, and bad number syntax all fail with a positioned
+// message instead of yielding a half-parsed spec.
 //
 // Deliberately small: objects, arrays, strings (with the common escapes;
 // \uXXXX is rejected rather than mis-decoded), numbers (kept as both
@@ -18,7 +18,7 @@
 
 #include "ecnprobe/util/expected.hpp"
 
-namespace ecnprobe::daemon {
+namespace ecnprobe::util {
 
 struct JsonValue {
   enum class Kind { Null, Bool, Number, String, Object, Array };
@@ -40,9 +40,9 @@ struct JsonValue {
 
 /// Parses one complete JSON document. The whole input must be consumed
 /// (trailing non-whitespace fails), and object keys must be unique.
-util::Expected<JsonValue> parse_json(const std::string& text);
+Expected<JsonValue> parse_json(const std::string& text);
 
 /// Escapes a string for embedding in a JSON document (quotes included).
 std::string json_quote(const std::string& s);
 
-}  // namespace ecnprobe::daemon
+}  // namespace ecnprobe::util

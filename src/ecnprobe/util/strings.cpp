@@ -1,6 +1,7 @@
 #include "ecnprobe/util/strings.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -65,6 +66,15 @@ bool iequals(std::string_view a, std::string_view b) {
     }
   }
   return true;
+}
+
+std::optional<double> parse_number(std::string_view s) {
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc{} || end != s.data() + s.size() || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string with_commas(std::int64_t n) {

@@ -1,10 +1,13 @@
 // Small string helpers: printf-style formatting into std::string (GCC 12
-// lacks std::format), splitting, trimming, case folding, and JSON string
-// escaping.
+// lacks std::format), splitting, trimming, case folding, strict number
+// parsing, and JSON string escaping.
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace ecnprobe::util {
@@ -27,6 +30,22 @@ bool istarts_with(std::string_view s, std::string_view prefix);
 
 /// True if the two strings are equal, case-insensitively (ASCII).
 bool iequals(std::string_view a, std::string_view b);
+
+/// Parses all of `s` as a base-10 integer of type T: digits with a
+/// leading '-' allowed for signed T only; no '+', no whitespace, nothing
+/// after the digits, and within T's range. Empty on anything else.
+template <typename T>
+std::optional<T> parse_integer(std::string_view s) {
+  T value{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return value;
+}
+
+/// Parses all of `s` as a finite decimal number ("0.05", "-2", "1e-3"):
+/// no '+', no whitespace, no hex, no inf/nan, nothing after. Empty on
+/// anything else.
+std::optional<double> parse_number(std::string_view s);
 
 /// Formats a count with thousands separators ("155439" -> "155,439").
 std::string with_commas(std::int64_t n);

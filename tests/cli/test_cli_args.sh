@@ -55,27 +55,49 @@ must_fail "negative seed" campaign --seed -1
 must_fail "trailing garbage in int" campaign --traces 3x
 must_fail "unexpected positional" analyze a.csv b.csv
 
-# Probe-supervision flags are strict too: out-of-range retry/pace/breaker/
-# watchdog values must die at argument parsing with a usage message.
-must_fail "unknown retry policy" campaign --retry-policy sometimes
-must_fail "non-numeric retry max" campaign --retry-max banana
-must_fail "zero retry max" campaign --retry-max 0
-must_fail "zero retry base" campaign --retry-base-ms 0
-must_fail "negative retry base" campaign --retry-base-ms -100
-must_fail "retry factor below one" campaign --retry-factor 0.5
-must_fail "retry jitter at one" campaign --retry-jitter 1.0
-must_fail "negative retry jitter" campaign --retry-jitter -0.1
-must_fail "negative retry budget" campaign --retry-budget-ms -1
-must_fail "negative hedge delay" campaign --retry-hedge-ms -5
-must_fail "hedge without backoff" campaign --retry-policy paper --retry-hedge-ms 100
-must_fail "zero pace rate" campaign --pace-rate 0
-must_fail "non-numeric pace rate" campaign --pace-rate fast
-must_fail "zero pace burst" campaign --pace-burst 0
-must_fail "negative pace gap" campaign --pace-dest-gap-ms -2
-must_fail "zero breaker failures" campaign --breaker-failures 0
-must_fail "zero breaker half-open" campaign --breaker-half-open 0
-must_fail "zero watchdog deadline" campaign --watchdog-ms 0
-must_fail "missing supervision value" campaign --retry-base-ms
+# Probe supervision rides in one --sched spec, parsed by the same
+# SupervisorConfig::parse as ntp_pool_study's --sched and an ecnprobed
+# spec's "sched" key: out-of-range and cross-field values die at argument
+# parsing with a usage message.
+must_fail "unknown retry policy" campaign --sched sometimes
+must_fail "non-numeric retry max" campaign --sched backoff,max-attempts=banana
+must_fail "zero retry max" campaign --sched backoff,max-attempts=0
+must_fail "zero retry base" campaign --sched backoff,base-ms=0
+must_fail "negative retry base" campaign --sched backoff,base-ms=-100
+must_fail "retry factor below one" campaign --sched backoff,factor=0.5
+must_fail "retry jitter at one" campaign --sched backoff,jitter=1.0
+must_fail "negative retry jitter" campaign --sched backoff,jitter=-0.1
+must_fail "negative retry budget" campaign --sched backoff,budget-ms=-1
+must_fail "negative hedge delay" campaign --sched backoff,hedge-ms=-5
+must_fail "hedge without backoff" campaign --sched paper,hedge-ms=100
+must_fail "zero pace rate" campaign --sched paper,pace-rate=0
+must_fail "non-numeric pace rate" campaign --sched paper,pace-rate=fast
+must_fail "zero pace burst" campaign --sched paper,pace-burst=0
+must_fail "pace burst without a rate" campaign --sched paper,pace-burst=2
+must_fail "pace gap without a rate" campaign --sched paper,pace-dest-gap-ms=500
+must_fail "negative pace gap" campaign --sched paper,pace-dest-gap-ms=-2
+must_fail "zero breaker failures" campaign --sched paper,breaker-failures=0
+must_fail "zero breaker half-open" campaign --sched paper,breaker-half-open=0
+must_fail "zero watchdog deadline" campaign --sched paper,watchdog-ms=0
+must_fail "missing supervision value" campaign --sched
+must_fail "retired supervision flag" campaign --retry-policy backoff
+
+# One range per campaign key, the same in every front end.
+must_fail "scale above one" campaign --scale 4
+must_fail "workers above 256" campaign --workers 1000
+must_fail "traces above 2^20" campaign --traces 2000000
+must_fail "repeated campaign key" campaign --scale 0.02 --scale 0.05
+
+# Commands refuse the flags they do not read instead of ignoring them.
+must_fail "report ignores faults" report --scale 0.02 --faults wan-chaos
+must_fail "report ignores workers" report --scale 0.02 --workers 4
+must_fail "report ignores traces" report --scale 0.02 --traces 3
+must_fail "report ignores telemetry" report --scale 0.02 --telemetry sketched
+must_fail "discover ignores faults" discover --scale 0.02 --faults blackhole-heavy
+must_fail "discover ignores retry policy" discover --scale 0.02 --retry-policy backoff
+must_fail "traceroute ignores workers" traceroute --scale 0.02 --count 1 --workers 2
+must_fail "pcap ignores traces" pcap --scale 0.02 --traces 1 --out "$TMP/p.pcap"
+must_fail "trace-autopsy ignores workers" trace-autopsy --scale 0.02 --trace 0 --workers 2
 
 # Live-plane flags: the port must be a bare integer in [0, 65535].
 must_fail "non-numeric serve-obs port" campaign --serve-obs banana
@@ -83,8 +105,19 @@ must_fail "out-of-range serve-obs port" campaign --serve-obs 70000
 must_fail "negative serve-obs port" campaign --serve-obs -1
 must_fail "missing serve-obs value" campaign --serve-obs
 
+# Sub-spec errors are campaign-key errors: refused at argument parsing,
+# with the usage message, like every other bad key.
+must_fail "unknown fault profile" campaign --scale 0.02 --traces 1 --faults lolwut
+must_fail "bad fault override" campaign --scale 0.02 --traces 1 \
+  --faults none,corrupt-prob=x
+must_fail "bad telemetry spec" campaign --scale 0.02 --traces 1 --telemetry nope
+must_fail "bad timeseries spec" campaign --scale 0.02 --traces 1 \
+  --timeseries banana
+must_fail "zero timeseries window" campaign --scale 0.02 --traces 1 \
+  --timeseries window-ms=0
+
 # Errors detected past argument parsing report their own message (no usage
-# text): bad fault specs and resuming a journal that does not exist.
+# text): resuming a journal that does not exist.
 must_fail_plain() {
   local desc=$1
   shift
@@ -96,17 +129,12 @@ must_fail_plain() {
   fi
 }
 
-must_fail_plain "unknown fault profile" campaign --scale 0.02 --traces 1 --faults lolwut
-must_fail_plain "bad fault override" campaign --scale 0.02 --traces 1 \
-  --faults none,corrupt-prob=x
 must_fail_plain "--resume missing journal" campaign --scale 0.02 --traces 1 \
   --resume "$TMP/absent.journal"
-must_fail_plain "bad timeseries spec" campaign --scale 0.02 --traces 1 \
-  --timeseries banana
-must_fail_plain "zero timeseries window" campaign --scale 0.02 --traces 1 \
-  --timeseries window-ms=0
 
 must_pass "plain campaign" campaign --scale 0.02 --traces 1 --out "$TMP/t.csv"
+must_fail "analyze ignores scale" analyze --scale 0.02 "$TMP/t.csv"
+must_fail "analyze ignores workers" analyze --workers 2 "$TMP/t.csv"
 must_pass "faulted campaign with checkpoint" campaign --scale 0.02 --traces 2 \
   --faults none,poison=1 --checkpoint "$TMP/run.journal" --out "$TMP/t2.csv"
 must_pass "resume of that checkpoint" campaign --scale 0.02 --traces 2 \
@@ -169,11 +197,10 @@ if [ -w /dev/full ]; then
 fi
 
 must_pass "fully supervised campaign" campaign --scale 0.02 --traces 1 \
-  --retry-policy backoff --retry-max 4 --retry-base-ms 500 --retry-factor 2 \
-  --retry-jitter 0.2 --retry-budget-ms 8000 --retry-hedge-ms 250 \
-  --breaker-failures 2 --breaker-half-open 3 \
-  --pace-rate 200 --pace-burst 2 --pace-dest-gap-ms 5 --watchdog-ms 20000 \
+  --sched backoff,max-attempts=4,base-ms=500,factor=2,jitter=0.2,budget-ms=8000,hedge-ms=250,breaker-failures=2,breaker-half-open=3,pace-rate=200,pace-burst=2,pace-dest-gap-ms=5,watchdog-ms=20000 \
   --out "$TMP/t4.csv"
+must_pass "flag=value spelling" campaign --scale=0.02 --traces=1 --sched=paper \
+  --out="$TMP/t7.csv"
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails CLI argument checks failed"

@@ -98,31 +98,30 @@ std::string read_file(const std::string& path) {
 
 /// The reference output: the one-worker batch run the daemon's artifacts
 /// must match byte for byte.
-std::string one_worker_csv(const CampaignSpec& spec) {
-  auto params = scenario::WorldParams::paper().scaled(spec.scale);
-  params.seed = spec.seed;
-  const auto plan = measure::CampaignPlan::for_scale(spec.scale, spec.traces);
+std::string one_worker_csv(const TenantSpec& spec) {
+  const auto resolved = spec.resolve();
   std::ostringstream out;
-  measure::write_traces_csv(out, scenario::run_campaign(params, plan).traces);
+  measure::write_traces_csv(
+      out, scenario::run_campaign(resolved.params, resolved.plan, resolved.probe).traces);
   return out.str();
 }
 
 TEST(CampaignSpecJson, RoundTripsAndValidatesLikeTheCli) {
-  CampaignSpec spec;
+  TenantSpec spec;
   spec.tenant = "team-a";
   spec.scale = 0.05;
   spec.seed = 7;
   spec.traces = 4;
   spec.workers = 3;
   spec.sched = "backoff,pace-rate=50,breaker-failures=3";
-  const auto round = CampaignSpec::from_json(spec.to_json());
+  const auto round = TenantSpec::from_json(spec.to_json());
   ASSERT_TRUE(round) << round.error().message;
   EXPECT_EQ(*round, spec);
 
   // Defaults apply for an empty object.
-  const auto defaults = CampaignSpec::from_json("{}");
+  const auto defaults = TenantSpec::from_json("{}");
   ASSERT_TRUE(defaults);
-  EXPECT_EQ(*defaults, CampaignSpec{});
+  EXPECT_EQ(*defaults, TenantSpec{});
 
   const char* rejected[] = {
       "",                                     // not JSON
@@ -141,7 +140,7 @@ TEST(CampaignSpecJson, RoundTripsAndValidatesLikeTheCli) {
       "{\"sched\":\"warp-speed\"}",
   };
   for (const char* text : rejected) {
-    const auto parsed = CampaignSpec::from_json(text);
+    const auto parsed = TenantSpec::from_json(text);
     EXPECT_FALSE(parsed) << "accepted: " << text;
     if (!parsed) {
       EXPECT_FALSE(parsed.error().message.empty());
@@ -157,7 +156,7 @@ TEST(CampaignDaemonTest, AdmitsRunsAndServesByteIdenticalArtifacts) {
   ASSERT_TRUE(daemon.start(&error)) << error;
   ASSERT_NE(daemon.port(), 0);
 
-  CampaignSpec spec;
+  TenantSpec spec;
   spec.scale = 0.02;
   spec.traces = 2;
   spec.workers = 2;
@@ -353,7 +352,7 @@ TEST(CampaignDaemonTest, DrainCheckpointsAndRestartResumesByteIdentically) {
   options.state_dir = unique_state_dir("daemon_drain");
   options.concurrency = 1;
 
-  CampaignSpec spec;
+  TenantSpec spec;
   spec.scale = 0.05;
   spec.traces = 40;
   spec.workers = 2;

@@ -1,5 +1,5 @@
 // Spec-reader robustness fuzzing. ecnprobed admits campaign specs from
-// the network, so daemon::parse_json and CampaignSpec::from_json see
+// the network, so util::parse_json and TenantSpec::from_json see
 // untrusted bytes: every-offset truncations and random bit flips of a
 // valid spec, random byte strings, and nesting past the reader's 32-level
 // limit. The contract under test: each input yields either an error with
@@ -10,8 +10,8 @@
 #include <cstdint>
 #include <string>
 
-#include "ecnprobe/daemon/json.hpp"
 #include "ecnprobe/daemon/spec.hpp"
+#include "ecnprobe/util/json.hpp"
 
 namespace ecnprobe::daemon {
 namespace {
@@ -28,7 +28,7 @@ struct Lcg {
 
 /// A spec exercising every key, every sub-spec parser included.
 std::string valid_spec() {
-  CampaignSpec spec;
+  TenantSpec spec;
   spec.tenant = "fuzz-tenant.1";
   spec.scale = 0.05;
   spec.seed = 1234;
@@ -43,17 +43,17 @@ std::string valid_spec() {
 
 /// Enforces the contract for one input; returns true when it admitted.
 bool admit_or_refuse(const std::string& text) {
-  const auto doc = parse_json(text);
+  const auto doc = util::parse_json(text);
   if (!doc) {
     EXPECT_FALSE(doc.error().message.empty());
   }
-  const auto spec = CampaignSpec::from_json(text);
+  const auto spec = TenantSpec::from_json(text);
   if (!spec) {
     EXPECT_FALSE(spec.error().message.empty()) << "refusal without a reason";
     return false;
   }
   EXPECT_TRUE(doc) << "spec admitted from text the JSON reader refuses";
-  const auto again = CampaignSpec::from_json(spec->to_json());
+  const auto again = TenantSpec::from_json(spec->to_json());
   EXPECT_TRUE(again) << "admitted spec does not re-validate: " << spec->to_json();
   if (again) {
     EXPECT_EQ(*again, *spec);
@@ -110,11 +110,11 @@ TEST(SpecFuzz, NestingPastTheLimitIsRefused) {
     return std::string(levels, '[') + std::string(levels, ']');
   };
   // 33 levels is the deepest value the reader accepts ...
-  EXPECT_TRUE(parse_json(nested(33)));
+  EXPECT_TRUE(util::parse_json(nested(33)));
   EXPECT_FALSE(admit_or_refuse(nested(33)));  // a valid document, not a spec
   // ... one more is refused by depth, not by running out of stack.
   for (const std::size_t levels : {34u, 35u, 1000u, 1000000u}) {
-    const auto doc = parse_json(nested(levels));
+    const auto doc = util::parse_json(nested(levels));
     ASSERT_FALSE(doc) << levels << " levels";
     EXPECT_NE(doc.error().message.find("nesting too deep"), std::string::npos)
         << doc.error().message;
@@ -126,7 +126,7 @@ TEST(SpecFuzz, NestingPastTheLimitIsRefused) {
   std::string objects;
   for (int i = 0; i < 40; ++i) objects += "{\"k\":";
   objects += "1" + std::string(40, '}');
-  const auto doc = parse_json(objects);
+  const auto doc = util::parse_json(objects);
   ASSERT_FALSE(doc);
   EXPECT_NE(doc.error().message.find("nesting too deep"), std::string::npos);
   EXPECT_FALSE(admit_or_refuse(objects));

@@ -1,36 +1,39 @@
 // The ecnprobe command-line tool: run the study's stages individually and
 // pipe results between them as CSV/pcap.
 //
-//   ecnprobe discover      [--scale F] [--seed N] [--rounds R]
-//   ecnprobe campaign      [--scale F] [--seed N] [--traces N] [--workers N] [--out FILE]
-//                          [--metrics-out FILE] [--faults SPEC] [--checkpoint FILE]
-//                          [--resume FILE] [--halt-after N] [--record PREFIX]
-//                          [--telemetry exact|sketched[,...]]
+//   ecnprobe discover      [--scale F] [--seed N] [--rounds R] [--vantage NAME]
+//   ecnprobe campaign      [--scale F] [--seed N] [--traces N] [--workers N]
+//                          [--faults SPEC] [--telemetry SPEC] [--timeseries SPEC]
+//                          [--sched SPEC] [--out FILE] [--metrics-out FILE]
+//                          [--checkpoint FILE | --resume FILE] [--halt-after N]
+//                          [--record PREFIX] [--serve-obs PORT] [--profile]
 //   ecnprobe analyze       <traces.csv>
 //   ecnprobe traceroute    [--scale F] [--seed N] [--vantage NAME] [--count N]
-//   ecnprobe pcap          [--scale F] [--seed N] [--out FILE]
+//   ecnprobe pcap          [--scale F] [--seed N] [--vantage NAME] [--out FILE]
 //   ecnprobe report        [--scale F] [--seed N] [--out FILE]
-//   ecnprobe trace-autopsy --trace N [--server ADDR] [--scale F] [--seed N]
-//                          [--faults SPEC] [--resume FILE]
+//   ecnprobe trace-autopsy --trace N [--server ADDR] [--resume FILE] [--scale F]
+//                          [--seed N] [--traces N] [--faults SPEC]
+//                          [--telemetry SPEC] [--sched SPEC]
 //
-// Option parsing is strict: unknown flags, missing values, and malformed
-// numbers ("--workers banana", negative trace counts) exit non-zero with
-// the usage message instead of being silently coerced to zero.
+// The campaign keys (--scale ... --sched) are scenario::CampaignSpec's, the
+// same keys and rules as ntp_pool_study's flags and an ecnprobed spec.
+// Option parsing is strict: a flag the command does not read, a missing
+// value or a malformed one ("--workers banana", a negative trace count)
+// exits 2 with the usage message instead of being ignored or coerced.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "ecnprobe/chaos/fault_plan.hpp"
 #include "ecnprobe/measure/journal.hpp"
@@ -46,11 +49,12 @@
 #include "ecnprobe/measure/probe.hpp"
 #include "ecnprobe/http/obs_server.hpp"
 #include "ecnprobe/netsim/pcap.hpp"
-#include "ecnprobe/sched/policy.hpp"
 #include "ecnprobe/obs/export.hpp"
 #include "ecnprobe/obs/flight_export.hpp"
 #include "ecnprobe/obs/profiler.hpp"
+#include "ecnprobe/scenario/spec.hpp"
 #include "ecnprobe/scenario/world.hpp"
+#include "ecnprobe/util/strings.hpp"
 #include "ecnprobe/wire/dissect.hpp"
 
 namespace {
@@ -58,284 +62,118 @@ namespace {
 using namespace ecnprobe;
 
 struct Options {
-  double scale = 0.1;
-  std::uint64_t seed = 42;
+  /// The campaign keys; commands that take only some of them get the
+  /// defaults for the rest.
+  scenario::CampaignSpec spec;
   int rounds = 0;
-  int traces = 0;
   int count = 8;
-  int workers = 1;
   int halt_after = 0;
   std::string vantage = "UGla wired";
   std::string out;
   std::string metrics_out;
   std::string input;
-  std::string faults = "none";
   std::string checkpoint;  ///< journal path (--checkpoint or --resume)
   bool resume = false;     ///< --resume: the journal must already exist
   std::string record;      ///< flight-recorder output prefix (--record)
   int trace = -1;          ///< trace-autopsy: campaign trace index
   std::string server;      ///< trace-autopsy: restrict to this server address
-  /// Telemetry fidelity knob: "exact" (default, byte-identical to the
-  /// pre-telemetry output) or "sketched[,eps=..,delta=..,alpha=..,
-  /// sample-every=N,reservoir=N,budget-kb=N,seed=N]".
-  std::string telemetry = "exact";
-  /// Deterministic sim-time series: "off" (default), a bare window width
-  /// in sim-milliseconds, or "window-ms=N,alpha=F,max-windows=N".
-  std::string timeseries = "off";
   /// Live observability plane port (--serve-obs): -1 = off, 0 = ephemeral.
   int serve_obs = -1;
   /// Wall-clock self-profiler (--profile); outside the determinism
   /// contract, never touches campaign outputs.
   bool profile = false;
-  /// Probe-lifecycle supervision (--retry-*, --pace-*, --breaker-*,
-  /// --watchdog-ms). Defaults to the paper-fixed discipline; the seed is
-  /// left 0 so the scenario layer keys the jitter streams off --seed.
-  ecnprobe::sched::SupervisorConfig sched;
 };
 
-bool parse_int_arg(const char* s, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < -(1l << 30) || v > (1l << 30)) {
-    return false;
-  }
-  *out = static_cast<int>(v);
+struct Command {
+  std::string_view name;
+  int (*run)(const Options&);
+  /// Every flag the command reads, campaign keys included; any other flag
+  /// is refused.
+  std::vector<std::string_view> flags;
+};
+
+/// Parses a front-end integer flag's value into `out` if it lies in [lo, hi].
+bool int_in(const std::string& text, int lo, int hi, int* out) {
+  const auto value = util::parse_integer<int>(text);
+  if (!value || *value < lo || *value > hi) return false;
+  *out = *value;
   return true;
 }
 
-bool parse_u64_arg(const char* s, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || std::strchr(s, '-') != nullptr) {
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_double_arg(const char* s, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse(int argc, char** argv, int first, Options* options) {
-  for (int i = first; i < argc; ++i) {
+bool parse(const Command& command, int argc, char** argv, Options* options) {
+  std::vector<std::string> spec_args;
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto need = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "ecnprobe: %s requires a value\n", arg.c_str());
-        return nullptr;
+    if (arg.rfind("--", 0) != 0) {
+      if (command.name == "analyze" && options->input.empty()) {
+        options->input = arg;
+        continue;
       }
-      return argv[++i];
-    };
-    const auto bad = [&](const char* v) {
-      std::fprintf(stderr, "ecnprobe: bad value for %s: '%s'\n", arg.c_str(), v);
-      return false;
-    };
-    const char* v = nullptr;
-    if (arg == "--scale") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_double_arg(v, &options->scale) || options->scale <= 0.0) return bad(v);
-    } else if (arg == "--seed") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_u64_arg(v, &options->seed)) return bad(v);
-    } else if (arg == "--rounds") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_int_arg(v, &options->rounds) || options->rounds < 0) return bad(v);
-    } else if (arg == "--traces") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_int_arg(v, &options->traces) || options->traces < 0) return bad(v);
-    } else if (arg == "--count") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_int_arg(v, &options->count) || options->count < 1) return bad(v);
-    } else if (arg == "--workers") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_int_arg(v, &options->workers) || options->workers < 1) return bad(v);
-    } else if (arg == "--halt-after") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_int_arg(v, &options->halt_after) || options->halt_after < 0) return bad(v);
-    } else if (arg == "--vantage") {
-      if ((v = need()) == nullptr) return false;
-      options->vantage = v;
-    } else if (arg == "--out") {
-      if ((v = need()) == nullptr) return false;
-      options->out = v;
-    } else if (arg == "--metrics-out") {
-      if ((v = need()) == nullptr) return false;
-      options->metrics_out = v;
-    } else if (arg == "--faults") {
-      if ((v = need()) == nullptr) return false;
-      options->faults = v;
-    } else if (arg == "--checkpoint") {
-      if ((v = need()) == nullptr) return false;
-      options->checkpoint = v;
-    } else if (arg == "--resume") {
-      if ((v = need()) == nullptr) return false;
-      options->checkpoint = v;
-      options->resume = true;
-    } else if (arg == "--record") {
-      if ((v = need()) == nullptr) return false;
-      options->record = v;
-    } else if (arg == "--telemetry") {
-      if ((v = need()) == nullptr) return false;
-      options->telemetry = v;
-    } else if (arg == "--timeseries") {
-      if ((v = need()) == nullptr) return false;
-      options->timeseries = v;
-    } else if (arg == "--serve-obs") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_int_arg(v, &options->serve_obs) || options->serve_obs < 0 ||
-          options->serve_obs > 65535) {
-        return bad(v);
-      }
-    } else if (arg == "--profile") {
-      options->profile = true;
-    } else if (arg == "--trace") {
-      if ((v = need()) == nullptr) return false;
-      if (!parse_int_arg(v, &options->trace) || options->trace < 0) return bad(v);
-    } else if (arg == "--server") {
-      if ((v = need()) == nullptr) return false;
-      options->server = v;
-    } else if (arg == "--retry-policy") {
-      if ((v = need()) == nullptr) return false;
-      if (std::string(v) == "paper") {
-        options->sched.retry.kind = sched::RetryPolicy::Kind::PaperFixed;
-      } else if (std::string(v) == "backoff") {
-        options->sched.retry.kind = sched::RetryPolicy::Kind::Backoff;
-      } else {
-        return bad(v);
-      }
-    } else if (arg == "--retry-max") {
-      if ((v = need()) == nullptr) return false;
-      int n = 0;
-      if (!parse_int_arg(v, &n) || n < 1) return bad(v);
-      options->sched.retry.max_attempts = n;
-    } else if (arg == "--retry-base-ms") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d <= 0.0) return bad(v);
-      options->sched.retry.base_timeout = util::SimDuration::from_seconds(d / 1e3);
-    } else if (arg == "--retry-factor") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d < 1.0) return bad(v);
-      options->sched.retry.backoff_factor = d;
-    } else if (arg == "--retry-max-timeout-ms") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d <= 0.0) return bad(v);
-      options->sched.retry.max_timeout = util::SimDuration::from_seconds(d / 1e3);
-    } else if (arg == "--retry-jitter") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d < 0.0 || d >= 1.0) return bad(v);
-      options->sched.retry.jitter = d;
-    } else if (arg == "--retry-budget-ms") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d < 0.0) return bad(v);
-      options->sched.retry.total_budget = util::SimDuration::from_seconds(d / 1e3);
-    } else if (arg == "--retry-hedge-ms") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d < 0.0) return bad(v);
-      options->sched.retry.hedge_delay = util::SimDuration::from_seconds(d / 1e3);
-    } else if (arg == "--pace-rate") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d <= 0.0) return bad(v);
-      options->sched.pacer.enabled = true;
-      options->sched.pacer.rate_per_sec = d;
-    } else if (arg == "--pace-burst") {
-      if ((v = need()) == nullptr) return false;
-      int n = 0;
-      if (!parse_int_arg(v, &n) || n < 1) return bad(v);
-      options->sched.pacer.burst = n;
-    } else if (arg == "--pace-dest-gap-ms") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d < 0.0) return bad(v);
-      options->sched.pacer.per_dest_gap = util::SimDuration::from_seconds(d / 1e3);
-    } else if (arg == "--breaker-failures") {
-      if ((v = need()) == nullptr) return false;
-      int n = 0;
-      if (!parse_int_arg(v, &n) || n < 1) return bad(v);
-      options->sched.breaker.enabled = true;
-      options->sched.breaker.failure_threshold = n;
-    } else if (arg == "--breaker-half-open") {
-      if ((v = need()) == nullptr) return false;
-      int n = 0;
-      if (!parse_int_arg(v, &n) || n < 1) return bad(v);
-      options->sched.breaker.enabled = true;
-      options->sched.breaker.half_open_after = n;
-    } else if (arg == "--watchdog-ms") {
-      if ((v = need()) == nullptr) return false;
-      double d = 0;
-      if (!parse_double_arg(v, &d) || d <= 0.0) return bad(v);
-      options->sched.watchdog.deadline = util::SimDuration::from_seconds(d / 1e3);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "ecnprobe: unknown option '%s'\n", arg.c_str());
-      return false;
-    } else if (options->input.empty()) {
-      options->input = arg;
-    } else {
       std::fprintf(stderr, "ecnprobe: unexpected argument '%s'\n", arg.c_str());
       return false;
     }
+    const auto eq = arg.find('=');
+    const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    if (std::find(command.flags.begin(), command.flags.end(), name) == command.flags.end()) {
+      std::fprintf(stderr, "ecnprobe: %s does not take --%s\n",
+                   std::string(command.name).c_str(), name.c_str());
+      return false;
+    }
+    if (name == "profile" && eq == std::string::npos) {
+      options->profile = true;
+      continue;
+    }
+    std::string v;
+    if (eq != std::string::npos) {
+      v = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      v = argv[++i];
+    } else {
+      std::fprintf(stderr, "ecnprobe: --%s requires a value\n", name.c_str());
+      return false;
+    }
+    bool ok = true;
+    if (name == "rounds") {
+      ok = int_in(v, 0, 1 << 30, &options->rounds);
+    } else if (name == "count") {
+      ok = int_in(v, 1, 1 << 30, &options->count);
+    } else if (name == "halt-after") {
+      ok = int_in(v, 0, 1 << 30, &options->halt_after);
+    } else if (name == "serve-obs") {
+      ok = int_in(v, 0, 65535, &options->serve_obs);
+    } else if (name == "trace") {
+      ok = int_in(v, 0, 1 << 30, &options->trace);
+    } else if (name == "profile") {
+      ok = false;  // takes no value
+    } else if (name == "vantage") {
+      options->vantage = v;
+    } else if (name == "out") {
+      options->out = v;
+    } else if (name == "metrics-out") {
+      options->metrics_out = v;
+    } else if (name == "checkpoint" || name == "resume") {
+      options->checkpoint = v;
+      options->resume = name == "resume";
+    } else if (name == "record") {
+      options->record = v;
+    } else if (name == "server") {
+      options->server = v;
+    } else {
+      // A campaign key: validated with the others by the spec below.
+      spec_args.push_back("--" + name + "=" + v);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "ecnprobe: bad value for --%s: '%s'\n", name.c_str(), v.c_str());
+      return false;
+    }
   }
-  try {
-    // Cross-field supervisor checks (max-timeout under base, hedging
-    // without backoff, budget below one attempt, ...).
-    options->sched.validate();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ecnprobe: %s\n", e.what());
+  const auto spec = scenario::CampaignSpec::from_args(spec_args);
+  if (!spec) {
+    std::fprintf(stderr, "ecnprobe: %s\n", spec.error().message.c_str());
     return false;
   }
+  options->spec = *spec;
   return true;
-}
-
-scenario::WorldParams params_for(const Options& options) {
-  auto params = scenario::WorldParams::paper().scaled(options.scale);
-  params.seed = options.seed;
-  return params;
-}
-
-/// Parses --telemetry into `params`; prints the parse error and returns
-/// false on a malformed spec.
-bool apply_telemetry(const Options& options, scenario::WorldParams* params) {
-  const auto config = obs::TelemetryConfig::parse(options.telemetry);
-  if (!config) {
-    std::fprintf(stderr, "ecnprobe: %s\n", config.error().message.c_str());
-    return false;
-  }
-  params->telemetry = *config;
-  return true;
-}
-
-/// Parses --timeseries into `params`; prints the parse error and returns
-/// false on a malformed spec.
-bool apply_timeseries(const Options& options, scenario::WorldParams* params) {
-  const auto config = obs::TimeSeriesConfig::parse(options.timeseries);
-  if (!config) {
-    std::fprintf(stderr, "ecnprobe: %s\n", config.error().message.c_str());
-    return false;
-  }
-  params->timeseries = *config;
-  return true;
-}
-
-/// The campaign plan both `campaign` and `trace-autopsy` use, so the trace
-/// indices the autopsy re-runs line up with the campaign's own. Shared
-/// with the ecnprobed daemon via CampaignPlan::for_scale, so a daemon
-/// campaign with the same spec executes identical traces.
-measure::CampaignPlan plan_for(const Options& options) {
-  return measure::CampaignPlan::for_scale(options.scale, options.traces);
 }
 
 /// Set by the SIGINT/SIGTERM handler when a checkpointed campaign should
@@ -348,7 +186,7 @@ volatile std::sig_atomic_t g_drain_signal = 0;
 void on_drain_signal(int signo) { g_drain_signal = signo; }
 
 int cmd_discover(const Options& options) {
-  scenario::World world(params_for(options));
+  scenario::World world(options.spec.resolve().params);
   const int rounds = options.rounds > 0
                          ? options.rounds
                          : 40 + world.params().server_count / 12;
@@ -361,21 +199,15 @@ int cmd_discover(const Options& options) {
 }
 
 int cmd_campaign(const Options& options) {
-  auto params = params_for(options);
-  const auto faults = chaos::FaultPlan::parse(options.faults);
-  if (!faults) {
-    std::fprintf(stderr, "ecnprobe: %s\n", faults.error().message.c_str());
-    return 2;
-  }
-  params.faults = *faults;
-  if (!apply_telemetry(options, &params)) return 2;
-  if (!apply_timeseries(options, &params)) return 2;
+  auto resolved = options.spec.resolve();
+  auto& params = resolved.params;
+  const auto& plan = resolved.plan;
+  const int workers = options.spec.workers;
   if (!options.record.empty()) params.flight_recorder_capacity = 1 << 16;
   if (options.profile) obs::Profiler::process().set_enabled(true);
-  const auto plan = plan_for(options);
   std::fprintf(stderr, "running %d traces x %d servers (%d worker%s, faults: %s)...\n",
-               plan.total_traces(), params.server_count, options.workers,
-               options.workers == 1 ? "" : "s", params.faults.name.c_str());
+               plan.total_traces(), params.server_count, workers, workers == 1 ? "" : "s",
+               params.faults.name.c_str());
 
   // Checkpoint journal: --resume requires the file, --checkpoint creates it.
   measure::CampaignJournal journal;
@@ -406,11 +238,9 @@ int cmd_campaign(const Options& options) {
 
   // The CSV and campaign metrics are byte-identical at any --workers;
   // it only changes wall-clock time.
-  measure::ProbeOptions probe;
-  probe.sched = options.sched;
   measure::ParallelCampaign campaign(
       scenario::world_shard_factory(params),
-      scenario::campaign_options(params, probe, options.workers, options.halt_after));
+      scenario::campaign_options(params, resolved.probe, workers, options.halt_after));
   if (journal_ptr != nullptr) campaign.set_journal(journal_ptr);
   // Live observability plane: a real HTTP listener rendering from the
   // executor's thread-safe snapshots. Strictly read-only -- nothing the
@@ -484,7 +314,7 @@ int cmd_campaign(const Options& options) {
   // several workers ran or the live plane was up, so a one-worker run's
   // metrics file stays comparable byte for byte.
   const auto runtime = campaign.runtime_metrics();
-  const bool have_runtime = options.workers > 1 || options.serve_obs >= 0;
+  const bool have_runtime = workers > 1 || options.serve_obs >= 0;
   if (journal_ptr != nullptr && g_drain_signal != 0) {
     // Drained on a signal: the journal holds every trace that started.
     // Skip the partial exports -- the resume run produces the real ones.
@@ -563,16 +393,10 @@ int cmd_trace_autopsy(const Options& options) {
     std::fprintf(stderr, "ecnprobe: trace-autopsy requires --trace N\n");
     return 2;
   }
-  auto params = params_for(options);
-  const auto faults = chaos::FaultPlan::parse(options.faults);
-  if (!faults) {
-    std::fprintf(stderr, "ecnprobe: %s\n", faults.error().message.c_str());
-    return 2;
-  }
-  params.faults = *faults;
-  if (!apply_telemetry(options, &params)) return 2;
+  auto resolved = options.spec.resolve();
+  auto& params = resolved.params;
+  const auto& plan = resolved.plan;
   params.flight_recorder_capacity = 1 << 16;
-  const auto plan = plan_for(options);
   const auto schedule = measure::expand_schedule(plan);
   if (static_cast<std::size_t>(options.trace) >= schedule.size()) {
     std::fprintf(stderr, "ecnprobe: --trace %d out of range (campaign has %zu traces)\n",
@@ -611,9 +435,7 @@ int cmd_trace_autopsy(const Options& options) {
     // The campaign's own supervisor defaults (and the breaker groups of
     // this world) so an autopsy of a supervised campaign replays the trace
     // bit for bit.
-    measure::ProbeOptions probe;
-    probe.sched = options.sched;
-    probe = scenario::campaign_options(params, probe).probe;
+    auto probe = scenario::campaign_options(params, resolved.probe).probe;
     if (probe.sched.breaker.enabled) probe.breaker_group = world.breaker_group_resolver();
     measure::TraceRunner runner(vantage, world.server_addresses(), probe);
     bool done = false;
@@ -682,7 +504,7 @@ int cmd_analyze(const Options& options) {
 }
 
 int cmd_traceroute(const Options& options) {
-  scenario::World world(params_for(options));
+  scenario::World world(options.spec.resolve().params);
   auto& vantage = world.vantage(options.vantage);
   const auto servers = world.server_addresses();
   const int n = std::min<int>(options.count, static_cast<int>(servers.size()));
@@ -713,20 +535,19 @@ int cmd_traceroute(const Options& options) {
 }
 
 int cmd_report(const Options& options) {
-  const auto params = params_for(options);
-  auto plan = measure::CampaignPlan::for_scale(options.scale);
+  const auto [params, plan, probe] = options.spec.resolve();
   std::fprintf(stderr, "running %d traces x %d servers...\n", plan.total_traces(),
                params.server_count);
   analysis::ReportInputs inputs;
-  inputs.traces = scenario::run_campaign(params, plan).traces;
+  inputs.traces = scenario::run_campaign(params, plan, probe).traces;
   std::fprintf(stderr, "running traceroutes...\n");
   scenario::World world(params);
   inputs.traceroutes = world.run_traceroutes(2);
   inputs.ip2as = &world.ip2as();
   inputs.geo = analysis::summarize_geo(world.server_addresses(), world.geodb());
   inputs.title = "ECN-with-UDP measurement report (scale " +
-                 std::to_string(options.scale) + ", seed " +
-                 std::to_string(options.seed) + ")";
+                 std::to_string(options.spec.scale) + ", seed " +
+                 std::to_string(options.spec.seed) + ")";
   const auto report = analysis::render_markdown_report(inputs);
   if (options.out.empty()) {
     std::fputs(report.c_str(), stdout);
@@ -744,7 +565,7 @@ int cmd_report(const Options& options) {
 }
 
 int cmd_pcap(const Options& options) {
-  scenario::World world(params_for(options));
+  scenario::World world(options.spec.resolve().params);
   auto& vantage = world.vantage(options.vantage);
   bool done = false;
   measure::probe_server(vantage, world.servers()[0].address, measure::ProbeOptions{},
@@ -776,34 +597,38 @@ int usage() {
   }
   std::fprintf(stderr,
                "usage: ecnprobe <command> [options]\n"
-               "  discover    enumerate the pool via DNS          [--scale --seed --rounds --vantage]\n"
-               "  campaign    run the measurement campaign -> CSV [--scale --seed --traces --workers --out --metrics-out]\n"
-               "              fault injection / checkpointing     [--faults SPEC --checkpoint FILE --resume FILE --halt-after N]\n"
-               "  analyze     figures/tables from a traces CSV    <traces.csv>\n"
-               "  traceroute  ECN traceroute listings             [--scale --seed --vantage --count]\n"
-               "  pcap        probe one server, dump pcap+dissection [--scale --seed --vantage --out]\n"
-               "  report      full campaign -> Markdown report      [--scale --seed --out]\n"
-               "  trace-autopsy  causal chain for one campaign trace  [--trace N --server ADDR --faults --resume FILE]\n"
+               "  discover       enumerate the pool via DNS          [--scale --seed --rounds --vantage]\n"
+               "  campaign       run the measurement campaign -> CSV [campaign keys] [--out --metrics-out]\n"
+               "                 checkpointing                       [--checkpoint FILE | --resume FILE] [--halt-after N]\n"
+               "  analyze        figures/tables from a traces CSV    <traces.csv>\n"
+               "  traceroute     ECN traceroute listings             [--scale --seed --vantage --count]\n"
+               "  pcap           probe one server, dump pcap+dissection [--scale --seed --vantage --out]\n"
+               "  report         full campaign -> Markdown report    [--scale --seed --out]\n"
+               "  trace-autopsy  causal chain for one campaign trace --trace N [--server ADDR --resume FILE]\n"
+               "                 [--scale --seed --traces --faults --telemetry --sched]\n"
+               "campaign keys (the same as ntp_pool_study's flags and an ecnprobed spec's keys):\n"
+               "  --scale F in (0, 1]  --seed N  --traces N in [0, 1048576] (0 = scaled layout)\n"
+               "  --workers N in [1, 256]: shards; output is byte-identical at any count\n"
+               "  --faults SPEC: none (default) or a profile: %s\n"
+               "    (tunable, e.g. 'wan-chaos,corrupt-prob=0.05,poison=7')\n"
+               "  --telemetry exact (default) |\n"
+               "    sketched[,eps=F,delta=F,alpha=F,sample-every=N,reservoir=N,budget-kb=N,seed=N]\n"
+               "    sketched mode bounds telemetry memory: count-min cause/hop/AS counters\n"
+               "    (overcount <= eps*N w.p. 1-delta), log-bucketed RTT (rel. err alpha),\n"
+               "    exact flight records for every Nth trace only\n"
+               "  --timeseries off (default) | WINDOW_MS | window-ms=N,alpha=F,max-windows=N\n"
+               "    deterministic sim-time series in the metrics JSON/Prometheus exports\n"
+               "  --sched paper (default) | backoff, then ,key=value overrides: max-attempts=N\n"
+               "    base-ms=D factor=D max-ms=D jitter=D budget-ms=D hedge-ms=D breaker-failures=N\n"
+               "    breaker-half-open=N pace-rate=D pace-burst=N pace-dest-gap-ms=D watchdog-ms=D seed=N\n"
+               "    e.g. 'backoff,base-ms=500,factor=2,jitter=0.1,breaker-failures=3'\n"
                "campaign recording: --record PREFIX writes PREFIX.pcapng + PREFIX.trace.json\n"
                "live plane (campaign): --serve-obs PORT serves GET /metrics /progress /events\n"
                "  (SSE) on 127.0.0.1 while the campaign runs (PORT 0 = ephemeral)\n"
-               "time series (campaign): --timeseries off (default) | WINDOW_MS |\n"
-               "  window-ms=N,alpha=F,max-windows=N -- deterministic sim-time series in\n"
-               "  the metrics JSON/Prometheus exports, byte-identical at any --workers\n"
                "self-profiler (campaign): --profile prints wall-clock stage timings; with\n"
                "  --record PREFIX also writes PREFIX.profile.json (chrome://tracing)\n"
                "stdout exports: --metrics-out - streams the metrics JSON to stdout\n"
-               "telemetry fidelity (campaign/trace-autopsy): --telemetry exact (default) |\n"
-               "  sketched[,eps=F,delta=F,alpha=F,sample-every=N,reservoir=N,budget-kb=N,seed=N]\n"
-               "  sketched mode bounds telemetry memory: count-min cause/hop/AS counters\n"
-               "  (overcount <= eps*N w.p. 1-delta), log-bucketed RTT (rel. err alpha),\n"
-               "  exact flight records for every Nth trace only\n"
-               "probe supervision (campaign/trace-autopsy):\n"
-               "  --retry-policy paper|backoff --retry-max N --retry-base-ms D --retry-factor D\n"
-               "  --retry-max-timeout-ms D --retry-jitter D --retry-budget-ms D --retry-hedge-ms D\n"
-               "  --breaker-failures N --breaker-half-open N\n"
-               "  --pace-rate D --pace-burst N --pace-dest-gap-ms D --watchdog-ms D\n"
-               "fault profiles: %s (tunable, e.g. 'wan-chaos,corrupt-prob=0.05,poison=7')\n",
+               "every flag also takes the --flag=VALUE spelling\n",
                profiles.c_str());
   return 2;
 }
@@ -811,16 +636,27 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<Command> commands = {
+      {"discover", cmd_discover, {"scale", "seed", "rounds", "vantage"}},
+      {"campaign",
+       cmd_campaign,
+       {"scale", "seed", "traces", "workers", "faults", "telemetry", "timeseries", "sched",
+        "out", "metrics-out", "checkpoint", "resume", "halt-after", "record", "serve-obs",
+        "profile"}},
+      {"analyze", cmd_analyze, {}},
+      {"traceroute", cmd_traceroute, {"scale", "seed", "vantage", "count"}},
+      {"pcap", cmd_pcap, {"scale", "seed", "vantage", "out"}},
+      {"report", cmd_report, {"scale", "seed", "out"}},
+      {"trace-autopsy",
+       cmd_trace_autopsy,
+       {"trace", "server", "resume", "scale", "seed", "traces", "faults", "telemetry",
+        "sched"}},
+  };
   if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const auto command = std::find_if(commands.begin(), commands.end(),
+                                    [&](const Command& c) { return c.name == argv[1]; });
+  if (command == commands.end()) return usage();
   Options options;
-  if (!parse(argc, argv, 2, &options)) return usage();
-  if (command == "discover") return cmd_discover(options);
-  if (command == "campaign") return cmd_campaign(options);
-  if (command == "analyze") return cmd_analyze(options);
-  if (command == "traceroute") return cmd_traceroute(options);
-  if (command == "pcap") return cmd_pcap(options);
-  if (command == "report") return cmd_report(options);
-  if (command == "trace-autopsy") return cmd_trace_autopsy(options);
-  return usage();
+  if (!parse(*command, argc, argv, &options)) return usage();
+  return command->run(options);
 }
