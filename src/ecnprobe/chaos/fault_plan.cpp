@@ -1,8 +1,5 @@
 #include "ecnprobe/chaos/fault_plan.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "ecnprobe/util/hash.hpp"
 #include "ecnprobe/util/strings.hpp"
 
@@ -11,30 +8,8 @@ namespace {
 
 util::Error bad(const std::string& what) { return util::make_error("fault-plan", what); }
 
-bool parse_double_strict(const std::string& tok, double* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int_strict(const std::string& tok, int* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size() || v < -(1l << 30) || v > (1l << 30)) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool profile(const std::string& name, FaultPlan* plan) {
+void profile(const std::string& name, FaultPlan* plan) {
   plan->name = name;
-  if (name == "none") return true;
   if (name == "wan-chaos") {
     // Misbehaving transit: corruption, duplication, and reordering on a
     // handful of inter-AS links.
@@ -43,7 +18,6 @@ bool profile(const std::string& name, FaultPlan* plan) {
     plan->duplicate_prob = 0.02;
     plan->reorder_prob = 0.30;
     plan->reorder_window_ms = 8.0;
-    return true;
   }
   if (name == "icmp-degraded") {
     // The traceroute experiment's worst day: routers that never send (or
@@ -53,7 +27,6 @@ bool profile(const std::string& name, FaultPlan* plan) {
     plan->icmp_blackhole_prob = 0.5;
     plan->quote_truncate_links = 4;
     plan->quote_truncate_prob = 0.6;
-    return true;
   }
   if (name == "flaky-servers") {
     // A fifth of the pool answers some requests with truncated or
@@ -62,23 +35,52 @@ bool profile(const std::string& name, FaultPlan* plan) {
     plan->flaky_server_fraction = 0.2;
     plan->short_reply_prob = 0.3;
     plan->malformed_reply_prob = 0.2;
-    return true;
   }
   if (name == "route-flap") {
     plan->route_flap_links = 3;
     plan->route_flap_down_ms = 40.0;
     plan->route_flap_period_ms = 250.0;
-    return true;
   }
   if (name == "blackhole-heavy") {
     // Over a third of the pool never answers anything: without circuit
     // breakers every dead server costs the full probe sequence in
     // timeouts, with them the supervisor routes around the corpses.
     plan->blackhole_server_fraction = 0.35;
-    return true;
   }
-  return false;
 }
+
+using util::store;
+
+// Link and router counts past the topology's own select them all.
+constexpr auto kCount = util::integer_in(0, 1 << 20);
+constexpr auto kProbability = util::number_in(0.0, 1.0);
+constexpr auto kMs = util::number_in(0.0, util::kMaxOptionMs);
+
+constexpr util::OptionKey<FaultPlan> kKeys[] = {
+    {"chaos-links", kCount, store<&FaultPlan::chaos_links>},
+    {"corrupt-prob", kProbability, store<&FaultPlan::corrupt_prob>},
+    {"duplicate-prob", kProbability, store<&FaultPlan::duplicate_prob>},
+    {"reorder-prob", kProbability, store<&FaultPlan::reorder_prob>},
+    {"reorder-window-ms", kMs, store<&FaultPlan::reorder_window_ms>},
+    {"icmp-blackhole-routers", kCount, store<&FaultPlan::icmp_blackhole_routers>},
+    {"icmp-blackhole-prob", kProbability, store<&FaultPlan::icmp_blackhole_prob>},
+    {"quote-truncate-links", kCount, store<&FaultPlan::quote_truncate_links>},
+    {"quote-truncate-prob", kProbability, store<&FaultPlan::quote_truncate_prob>},
+    {"route-flap-links", kCount, store<&FaultPlan::route_flap_links>},
+    {"route-flap-down-ms", kMs, store<&FaultPlan::route_flap_down_ms>},
+    {"route-flap-period-ms", kMs, store<&FaultPlan::route_flap_period_ms>},
+    {"flaky-server-fraction", kProbability, store<&FaultPlan::flaky_server_fraction>},
+    {"short-reply-prob", kProbability, store<&FaultPlan::short_reply_prob>},
+    {"malformed-reply-prob", kProbability, store<&FaultPlan::malformed_reply_prob>},
+    {"blackhole-server-fraction", kProbability,
+     store<&FaultPlan::blackhole_server_fraction>},
+    // Trace indices: below a campaign spec's largest trace count.
+    {"poison", util::integer_in(0, (1 << 20) - 1),
+     [](FaultPlan& p, util::OptionValue v) {
+       p.poison_traces.insert(static_cast<int>(v.integer));
+     }},
+    {"crash-after", util::integer_in(0, 1 << 20), store<&FaultPlan::crash_after_traces>},
+};
 
 }  // namespace
 
@@ -132,59 +134,12 @@ std::string FaultPlan::fingerprint() const {
 }
 
 util::Expected<FaultPlan> FaultPlan::parse(const std::string& spec) {
-  const auto parts = util::split(spec, ',');
-  if (parts.empty() || parts[0].empty()) return bad("empty fault spec");
-  FaultPlan plan;
-  if (!profile(std::string(util::trim(parts[0])), &plan)) {
-    std::string known;
-    for (const auto& n : profile_names()) known += (known.empty() ? "" : ", ") + n;
-    return bad("unknown fault profile '" + parts[0] + "' (known: " + known + ")");
-  }
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    const std::string part{util::trim(parts[i])};
-    const auto eq = part.find('=');
-    if (eq == std::string::npos) return bad("expected key=value, got '" + part + "'");
-    const std::string key = part.substr(0, eq);
-    const std::string value = part.substr(eq + 1);
-    double d = 0;
-    int n = 0;
-    if (key == "poison") {
-      if (!parse_int_strict(value, &n) || n < 0) return bad("bad poison index '" + value + "'");
-      plan.poison_traces.insert(n);
-    } else if (key == "crash-after") {
-      if (!parse_int_strict(value, &n) || n < 0) return bad("bad crash-after '" + value + "'");
-      plan.crash_after_traces = n;
-    } else if (key == "chaos-links") {
-      if (!parse_int_strict(value, &n) || n < 0) return bad("bad chaos-links '" + value + "'");
-      plan.chaos_links = n;
-    } else if (key == "icmp-blackhole-routers") {
-      if (!parse_int_strict(value, &n) || n < 0) return bad("bad value '" + value + "'");
-      plan.icmp_blackhole_routers = n;
-    } else if (key == "quote-truncate-links") {
-      if (!parse_int_strict(value, &n) || n < 0) return bad("bad value '" + value + "'");
-      plan.quote_truncate_links = n;
-    } else if (key == "route-flap-links") {
-      if (!parse_int_strict(value, &n) || n < 0) return bad("bad value '" + value + "'");
-      plan.route_flap_links = n;
-    } else {
-      if (!parse_double_strict(value, &d) || d < 0.0) {
-        return bad("bad value for '" + key + "': '" + value + "'");
-      }
-      if (key == "corrupt-prob") plan.corrupt_prob = d;
-      else if (key == "duplicate-prob") plan.duplicate_prob = d;
-      else if (key == "reorder-prob") plan.reorder_prob = d;
-      else if (key == "reorder-window-ms") plan.reorder_window_ms = d;
-      else if (key == "icmp-blackhole-prob") plan.icmp_blackhole_prob = d;
-      else if (key == "quote-truncate-prob") plan.quote_truncate_prob = d;
-      else if (key == "route-flap-down-ms") plan.route_flap_down_ms = d;
-      else if (key == "route-flap-period-ms") plan.route_flap_period_ms = d;
-      else if (key == "flaky-server-fraction") plan.flaky_server_fraction = d;
-      else if (key == "short-reply-prob") plan.short_reply_prob = d;
-      else if (key == "malformed-reply-prob") plan.malformed_reply_prob = d;
-      else if (key == "blackhole-server-fraction") plan.blackhole_server_fraction = d;
-      else return bad("unknown fault key '" + key + "'");
-    }
-  }
+  const auto list = util::split_options(spec, profile_names(), "poison");
+  if (!list) return bad(list.error().message);
+  FaultPlan base;
+  profile(std::string(list->head), &base);
+  auto plan = util::read_options(std::move(base), list->options, kKeys);
+  if (!plan) return bad(plan.error().message);
   return plan;
 }
 

@@ -64,11 +64,14 @@ int Trace::unreachable_udp_with_ect() const {
   return n;
 }
 
+const std::vector<std::string> kColumns = {
+    "vantage",    "batch",       "trace",             "server",      "udp_plain",
+    "udp_plain_tries", "udp_ect0", "udp_ect0_tries",  "tcp_conn",    "tcp_resp",
+    "tcp_status", "tcpecn_conn", "tcpecn_negotiated", "tcpecn_resp", "tcpecn_status"};
+
 void write_traces_csv(std::ostream& os, const std::vector<Trace>& traces) {
   util::CsvWriter csv(os);
-  csv.write_row({"vantage", "batch", "trace", "server", "udp_plain", "udp_plain_tries",
-                 "udp_ect0", "udp_ect0_tries", "tcp_conn", "tcp_resp", "tcp_status",
-                 "tcpecn_conn", "tcpecn_negotiated", "tcpecn_resp", "tcpecn_status"});
+  csv.write_row(kColumns);
   for (const auto& trace : traces) {
     for (const auto& s : trace.servers) {
       csv.write_row({trace.vantage, std::to_string(trace.batch),
@@ -102,29 +105,44 @@ util::Expected<std::vector<Trace>> read_traces_csv(std::istream& is) {
       return util::make_error("csv", util::strf("line %zu: expected 15 fields, got %zu",
                                                 line_no, cells.size()));
     }
+    // Counts and codes are whole non-negative integers, flags exactly 0 or 1.
+    std::size_t bad = 0;
+    const auto integer = [&](std::size_t col) {
+      const auto value = util::parse_integer<int>(cells[col]);
+      if ((!value || *value < 0) && bad == 0) bad = col;
+      return value.value_or(0);
+    };
+    const auto flag = [&](std::size_t col) {
+      if (cells[col] != "0" && cells[col] != "1" && bad == 0) bad = col;
+      return cells[col] == "1";
+    };
     const std::string& vantage = cells[0];
-    const int batch = std::atoi(cells[1].c_str());
-    const int index = std::atoi(cells[2].c_str());
+    const int batch = integer(1);
+    const int index = integer(2);
     if (current == nullptr || current->vantage != vantage || current->index != index ||
         current->batch != batch) {
       traces.push_back(Trace{vantage, batch, index, {}});
       current = &traces.back();
     }
     auto addr = wire::Ipv4Address::parse(cells[3]);
-    if (!addr) return util::make_error("csv", util::strf("line %zu: bad address", line_no));
+    if (!addr && bad == 0) bad = 3;
     ServerResult s;
-    s.server = *addr;
-    s.udp_plain.reachable = cells[4] == "1";
-    s.udp_plain.attempts = std::atoi(cells[5].c_str());
-    s.udp_ect0.reachable = cells[6] == "1";
-    s.udp_ect0.attempts = std::atoi(cells[7].c_str());
-    s.tcp_plain.connected = cells[8] == "1";
-    s.tcp_plain.got_response = cells[9] == "1";
-    s.tcp_plain.http_status = std::atoi(cells[10].c_str());
-    s.tcp_ecn.connected = cells[11] == "1";
-    s.tcp_ecn.ecn_negotiated = cells[12] == "1";
-    s.tcp_ecn.got_response = cells[13] == "1";
-    s.tcp_ecn.http_status = std::atoi(cells[14].c_str());
+    s.server = addr.value_or({});
+    s.udp_plain.reachable = flag(4);
+    s.udp_plain.attempts = integer(5);
+    s.udp_ect0.reachable = flag(6);
+    s.udp_ect0.attempts = integer(7);
+    s.tcp_plain.connected = flag(8);
+    s.tcp_plain.got_response = flag(9);
+    s.tcp_plain.http_status = integer(10);
+    s.tcp_ecn.connected = flag(11);
+    s.tcp_ecn.ecn_negotiated = flag(12);
+    s.tcp_ecn.got_response = flag(13);
+    s.tcp_ecn.http_status = integer(14);
+    if (bad != 0) {
+      return util::make_error("csv", util::strf("line %zu: bad %s '%s'", line_no,
+                                                kColumns[bad].c_str(), cells[bad].c_str()));
+    }
     current->servers.push_back(s);
   }
   return traces;

@@ -1,5 +1,6 @@
 #include "ecnprobe/obs/sketch.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,9 +12,16 @@ namespace ecnprobe::obs {
 namespace {
 
 constexpr double kEuler = 2.718281828459045;
-constexpr std::size_t kMaxCells = std::size_t{1} << 26;
+
+// Table dimensions in double, so a tiny epsilon cannot overflow a cast.
+double table_width(double epsilon) { return std::ceil(kEuler / epsilon); }
+double table_depth(double delta) { return std::max(1.0, std::ceil(std::log(1.0 / delta))); }
 
 }  // namespace
+
+bool CountMinSketch::fits(double epsilon, double delta) {
+  return table_width(epsilon) * table_depth(delta) <= static_cast<double>(kMaxCells);
+}
 
 CountMinSketch::CountMinSketch(double epsilon, double delta,
                                std::uint64_t seed)
@@ -24,12 +32,11 @@ CountMinSketch::CountMinSketch(double epsilon, double delta,
   if (!(delta > 0.0) || !(delta < 1.0)) {
     throw std::invalid_argument("CountMinSketch: delta must be in (0, 1)");
   }
-  width_ = static_cast<std::size_t>(std::ceil(kEuler / epsilon));
-  depth_ = static_cast<std::size_t>(std::ceil(std::log(1.0 / delta)));
-  if (depth_ == 0) depth_ = 1;
-  if (width_ == 0 || width_ > kMaxCells / depth_) {
+  if (!fits(epsilon, delta)) {
     throw std::invalid_argument("CountMinSketch: table would exceed cell cap");
   }
+  width_ = static_cast<std::size_t>(table_width(epsilon));
+  depth_ = static_cast<std::size_t>(table_depth(delta));
   row_basis_.reserve(depth_);
   for (std::size_t row = 0; row < depth_; ++row) {
     // Each row hashes with its own FNV basis so the rows are independent

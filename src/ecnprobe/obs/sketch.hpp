@@ -34,10 +34,16 @@ class CountMinSketch {
   // aggregates hold a sketch member unconditionally.
   CountMinSketch() = default;
 
+  static constexpr std::size_t kMaxCells = std::size_t{1} << 26;
+
   // width = ceil(e / epsilon), depth = ceil(ln(1 / delta)). Throws
   // std::invalid_argument when epsilon/delta leave (0, 1) or the
-  // resulting table would exceed ~64M cells.
+  // resulting table would exceed kMaxCells.
   CountMinSketch(double epsilon, double delta, std::uint64_t seed);
+
+  // True when epsilon and delta, both in (0, 1), give a table within
+  // kMaxCells: the constructor's cell-cap rule, for parsers to ask first.
+  static bool fits(double epsilon, double delta);
 
   bool active() const { return width_ != 0; }
 

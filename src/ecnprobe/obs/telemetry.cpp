@@ -1,8 +1,5 @@
 #include "ecnprobe/obs/telemetry.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "ecnprobe/util/strings.hpp"
 
 namespace ecnprobe::obs {
@@ -13,37 +10,22 @@ util::Error bad(const std::string& what) {
   return util::make_error("telemetry", what);
 }
 
-bool parse_double_strict(const std::string& tok, double* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size()) return false;
-  *out = v;
-  return true;
-}
+using util::store;
 
-bool parse_int_strict(const std::string& tok, int* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size() || v < -(1l << 30) ||
-      v > (1l << 30)) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
+constexpr auto kOpenUnit = util::number_in(0.0, 1.0, /*lo_open=*/true, /*hi_open=*/true);
+constexpr auto kCount = util::integer_in(0, 1 << 20);
 
-bool parse_u64_strict(const std::string& tok, std::uint64_t* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  *out = v;
-  return true;
-}
+constexpr util::OptionKey<TelemetryConfig> kKeys[] = {
+    {"eps", kOpenUnit, store<&TelemetryConfig::epsilon>},
+    {"epsilon", kOpenUnit, store<&TelemetryConfig::epsilon>},
+    {"delta", kOpenUnit, store<&TelemetryConfig::delta>},
+    {"alpha", util::number_in(0.0, 1.0, /*lo_open=*/true), store<&TelemetryConfig::alpha>},
+    {"sample-every", util::integer_in(1, 1 << 20), store<&TelemetryConfig::sample_every>},
+    {"reservoir", kCount, store<&TelemetryConfig::reservoir>},
+    {"budget-kb", kCount,
+     [](TelemetryConfig& c, util::OptionValue v) { c.budget_bytes = v.integer * 1024; }},
+    {"seed", util::integer_in(0, UINT64_MAX), store<&TelemetryConfig::seed>},
+};
 
 }  // namespace
 
@@ -68,72 +50,20 @@ std::string TelemetryConfig::summary() const {
 
 util::Expected<TelemetryConfig> TelemetryConfig::parse(
     const std::string& spec) {
-  const auto parts = util::split(spec, ',');
-  if (parts.empty() || parts[0].empty()) return bad("empty telemetry spec");
+  const auto list = util::split_options(spec, {"exact", "sketched"});
+  if (!list) return bad(list.error().message);
   TelemetryConfig config;
-  const std::string mode{util::trim(parts[0])};
-  if (mode == "exact") {
-    config.mode = TelemetryMode::Exact;
-  } else if (mode == "sketched") {
-    config.mode = TelemetryMode::Sketched;
-  } else {
-    return bad("unknown telemetry mode '" + mode +
-               "' (known: exact, sketched)");
-  }
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    const std::string part{util::trim(parts[i])};
-    const auto eq = part.find('=');
-    if (eq == std::string::npos) {
-      return bad("expected key=value, got '" + part + "'");
-    }
-    const std::string key = part.substr(0, eq);
-    const std::string value = part.substr(eq + 1);
-    double d = 0;
-    int n = 0;
-    if (key == "eps" || key == "epsilon") {
-      if (!parse_double_strict(value, &d) || d <= 0.0 || d >= 1.0) {
-        return bad("eps must be in (0, 1), got '" + value + "'");
-      }
-      config.epsilon = d;
-    } else if (key == "delta") {
-      if (!parse_double_strict(value, &d) || d <= 0.0 || d >= 1.0) {
-        return bad("delta must be in (0, 1), got '" + value + "'");
-      }
-      config.delta = d;
-    } else if (key == "alpha") {
-      if (!parse_double_strict(value, &d) || d <= 0.0 || d > 1.0) {
-        return bad("alpha must be in (0, 1], got '" + value + "'");
-      }
-      config.alpha = d;
-    } else if (key == "sample-every") {
-      if (!parse_int_strict(value, &n) || n < 1) {
-        return bad("sample-every must be >= 1, got '" + value + "'");
-      }
-      config.sample_every = n;
-    } else if (key == "reservoir") {
-      if (!parse_int_strict(value, &n) || n < 0) {
-        return bad("reservoir must be >= 0, got '" + value + "'");
-      }
-      config.reservoir = n;
-    } else if (key == "budget-kb") {
-      if (!parse_int_strict(value, &n) || n < 0) {
-        return bad("budget-kb must be >= 0, got '" + value + "'");
-      }
-      config.budget_bytes = static_cast<std::size_t>(n) * 1024;
-    } else if (key == "seed") {
-      std::uint64_t s = 0;
-      if (!parse_u64_strict(value, &s)) {
-        return bad("bad seed '" + value + "'");
-      }
-      config.seed = s;
-    } else {
-      return bad("unknown telemetry key '" + key + "'");
-    }
-  }
-  if (!config.sketched() && parts.size() > 1) {
+  if (list->head == "sketched") config.mode = TelemetryMode::Sketched;
+  if (!config.sketched() && !list->options.empty()) {
     return bad("exact mode takes no options");
   }
-  return config;
+  auto out = util::read_options(config, list->options, kKeys);
+  if (!out) return bad(out.error().message);
+  if (!CountMinSketch::fits(out->epsilon, out->delta)) {
+    return bad(util::strf("eps=%g with delta=%g needs more than the sketch's %zu cells",
+                          out->epsilon, out->delta, CountMinSketch::kMaxCells));
+  }
+  return out;
 }
 
 bool TelemetryDelta::empty() const {

@@ -1,7 +1,5 @@
 #include "ecnprobe/obs/timeseries.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "ecnprobe/obs/event_stream.hpp"
@@ -15,27 +13,16 @@ util::Error bad(const std::string& what) {
   return util::make_error("timeseries", what);
 }
 
-bool parse_double_strict(const std::string& tok, double* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int_strict(const std::string& tok, int* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size() || v < -(1l << 30) ||
-      v > (1l << 30)) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
+constexpr util::OptionKey<TimeSeriesConfig> kKeys[] = {
+    {"window-ms", util::integer_in(1, static_cast<std::uint64_t>(util::kMaxOptionMs)),
+     [](TimeSeriesConfig& c, util::OptionValue v) {
+       c.window_nanos = static_cast<std::int64_t>(v.integer) * 1'000'000;
+     }},
+    {"alpha", util::number_in(0.0, 1.0, /*lo_open=*/true),
+     util::store<&TimeSeriesConfig::alpha>},
+    {"max-windows", util::integer_in(1, 1 << 20),
+     util::store<&TimeSeriesConfig::max_windows>},
+};
 
 }  // namespace
 
@@ -49,46 +36,17 @@ std::string TimeSeriesConfig::summary() const {
 util::Expected<TimeSeriesConfig> TimeSeriesConfig::parse(
     const std::string& spec) {
   TimeSeriesConfig config;
-  const std::string trimmed{util::trim(spec)};
-  if (trimmed.empty()) return bad("empty timeseries spec");
+  const std::string_view trimmed = util::trim(spec);
   if (trimmed == "off") return config;
   config.enabled = true;
-  // A bare number is shorthand for the window width in sim-milliseconds.
-  int n = 0;
-  if (parse_int_strict(trimmed, &n)) {
-    if (n < 1) return bad("window width must be >= 1 ms");
-    config.window_nanos = static_cast<std::int64_t>(n) * 1'000'000;
-    return config;
-  }
-  for (const auto& raw : util::split(trimmed, ',')) {
-    const std::string part{util::trim(raw)};
-    const auto eq = part.find('=');
-    if (eq == std::string::npos) {
-      return bad("expected key=value, got '" + part + "'");
-    }
-    const std::string key = part.substr(0, eq);
-    const std::string value = part.substr(eq + 1);
-    double d = 0;
-    if (key == "window-ms") {
-      if (!parse_int_strict(value, &n) || n < 1) {
-        return bad("window-ms must be >= 1, got '" + value + "'");
-      }
-      config.window_nanos = static_cast<std::int64_t>(n) * 1'000'000;
-    } else if (key == "alpha") {
-      if (!parse_double_strict(value, &d) || d <= 0.0 || d > 1.0) {
-        return bad("alpha must be in (0, 1], got '" + value + "'");
-      }
-      config.alpha = d;
-    } else if (key == "max-windows") {
-      if (!parse_int_strict(value, &n) || n < 1) {
-        return bad("max-windows must be >= 1, got '" + value + "'");
-      }
-      config.max_windows = n;
-    } else {
-      return bad("unknown timeseries key '" + key + "'");
-    }
-  }
-  return config;
+  // A bare WINDOW_MS is shorthand for window-ms=WINDOW_MS.
+  const bool bare = trimmed.find_first_of(",=") == std::string_view::npos;
+  const std::string options = bare ? "window-ms=" + std::string(trimmed) : spec;
+  const auto list = util::split_options(options, /*heads=*/{});
+  if (!list) return bad(list.error().message);
+  auto out = util::read_options(config, list->options, kKeys);
+  if (!out) return bad(out.error().message);
+  return out;
 }
 
 bool TimeSeriesWindow::empty() const {

@@ -1,8 +1,6 @@
 #include "ecnprobe/sched/policy.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "ecnprobe/util/strings.hpp"
@@ -12,30 +10,38 @@ namespace {
 
 util::Error bad(const std::string& what) { return util::make_error("sched", what); }
 
-bool parse_double_strict(const std::string& tok, double* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size()) return false;
-  *out = v;
-  return true;
-}
+using util::store;
+using Config = SupervisorConfig;
 
-bool parse_int_strict(const std::string& tok, int* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size() || v < -(1l << 30) || v > (1l << 30)) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
+constexpr auto kMs = util::number_in(0.0, util::kMaxOptionMs);
+constexpr auto kPositiveMs = util::number_in(0.0, util::kMaxOptionMs, /*lo_open=*/true);
+constexpr auto kThreshold = util::integer_in(1, 1 << 20);
 
-util::SimDuration from_ms(double ms) {
-  return util::SimDuration::nanos(static_cast<std::int64_t>(ms * 1e6));
-}
+// A breaker-* or pace-* key also turns its subsystem on (see parse()).
+constexpr util::OptionKey<Config> kKeys[] = {
+    {"max-attempts", util::integer_in(1, 100),
+     store<&Config::retry, &RetryPolicy::max_attempts>},
+    {"base-ms", kPositiveMs, store<&Config::retry, &RetryPolicy::base_timeout>},
+    {"factor", util::number_in(1.0, 1000.0),
+     store<&Config::retry, &RetryPolicy::backoff_factor>},
+    {"max-ms", kPositiveMs, store<&Config::retry, &RetryPolicy::max_timeout>},
+    {"jitter", util::number_in(0.0, 1.0, /*lo_open=*/false, /*hi_open=*/true),
+     store<&Config::retry, &RetryPolicy::jitter>},
+    {"budget-ms", kMs, store<&Config::retry, &RetryPolicy::total_budget>},
+    {"hedge-ms", kMs, store<&Config::retry, &RetryPolicy::hedge_delay>},
+    {"breaker-failures", kThreshold,
+     store<&Config::breaker, &BreakerPolicy::failure_threshold>},
+    {"breaker-half-open", kThreshold,
+     store<&Config::breaker, &BreakerPolicy::half_open_after>},
+    // From one step per 11.6 sim-days to one per nanosecond.
+    {"pace-rate", util::number_in(1e-6, 1e9),
+     store<&Config::pacer, &PacerPolicy::rate_per_sec>},
+    // The bucket holds burst x interval nanoseconds: at most 1e3 x 1e15.
+    {"pace-burst", util::integer_in(1, 1000), store<&Config::pacer, &PacerPolicy::burst>},
+    {"pace-dest-gap-ms", kMs, store<&Config::pacer, &PacerPolicy::per_dest_gap>},
+    {"watchdog-ms", kPositiveMs, store<&Config::watchdog, &WatchdogPolicy::deadline>},
+    {"seed", util::integer_in(0, UINT64_MAX), store<&Config::seed>},
+};
 
 }  // namespace
 
@@ -111,85 +117,18 @@ void SupervisorConfig::validate() const {
 }
 
 util::Expected<SupervisorConfig> SupervisorConfig::parse(const std::string& spec) {
-  const auto parts = util::split(spec, ',');
-  if (parts.empty() || parts[0].empty()) return bad("empty supervisor spec");
-  SupervisorConfig config;
-  const std::string kind{util::trim(parts[0])};
-  if (kind == "paper") {
-    config.retry.kind = RetryPolicy::Kind::PaperFixed;
-  } else if (kind == "backoff") {
-    config.retry.kind = RetryPolicy::Kind::Backoff;
-  } else {
-    return bad("unknown retry policy '" + kind + "' (known: paper, backoff)");
-  }
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    const std::string part{util::trim(parts[i])};
-    const auto eq = part.find('=');
-    if (eq == std::string::npos) return bad("expected key=value, got '" + part + "'");
-    const std::string key = part.substr(0, eq);
-    const std::string value = part.substr(eq + 1);
-    double d = 0;
-    int n = 0;
-    const auto want_double = [&](double lo) {
-      return parse_double_strict(value, &d) && d >= lo;
-    };
-    const auto want_int = [&](int lo) { return parse_int_strict(value, &n) && n >= lo; };
-    if (key == "max-attempts") {
-      if (!want_int(1)) return bad("bad max-attempts '" + value + "'");
-      config.retry.max_attempts = n;
-    } else if (key == "base-ms") {
-      if (!want_double(0.0) || d <= 0.0) return bad("bad base-ms '" + value + "'");
-      config.retry.base_timeout = from_ms(d);
-    } else if (key == "factor") {
-      if (!want_double(1.0)) return bad("bad factor '" + value + "' (must be >= 1)");
-      config.retry.backoff_factor = d;
-    } else if (key == "max-ms") {
-      if (!want_double(0.0) || d <= 0.0) return bad("bad max-ms '" + value + "'");
-      config.retry.max_timeout = from_ms(d);
-    } else if (key == "jitter") {
-      if (!want_double(0.0) || d >= 1.0) {
-        return bad("bad jitter '" + value + "' (must be in [0, 1))");
-      }
-      config.retry.jitter = d;
-    } else if (key == "budget-ms") {
-      if (!want_double(0.0)) return bad("bad budget-ms '" + value + "'");
-      config.retry.total_budget = from_ms(d);
-    } else if (key == "hedge-ms") {
-      if (!want_double(0.0)) return bad("bad hedge-ms '" + value + "'");
-      config.retry.hedge_delay = from_ms(d);
-    } else if (key == "breaker-failures") {
-      if (!want_int(1)) return bad("bad breaker-failures '" + value + "'");
-      config.breaker.enabled = true;
-      config.breaker.failure_threshold = n;
-    } else if (key == "breaker-half-open") {
-      if (!want_int(1)) return bad("bad breaker-half-open '" + value + "'");
-      config.breaker.enabled = true;
-      config.breaker.half_open_after = n;
-    } else if (key == "pace-rate") {
-      if (!want_double(0.0) || d <= 0.0) return bad("bad pace-rate '" + value + "'");
-      config.pacer.enabled = true;
-      config.pacer.rate_per_sec = d;
-    } else if (key == "pace-burst") {
-      if (!want_int(1)) return bad("bad pace-burst '" + value + "'");
-      config.pacer.enabled = true;
-      config.pacer.burst = n;
-    } else if (key == "pace-dest-gap-ms") {
-      if (!want_double(0.0)) return bad("bad pace-dest-gap-ms '" + value + "'");
-      config.pacer.enabled = true;
-      config.pacer.per_dest_gap = from_ms(d);
-    } else if (key == "watchdog-ms") {
-      if (!want_double(0.0) || d <= 0.0) return bad("bad watchdog-ms '" + value + "'");
-      config.watchdog.deadline = from_ms(d);
-    } else if (key == "seed") {
-      const auto seed = util::parse_integer<std::uint64_t>(value);
-      if (!seed) return bad("bad seed '" + value + "'");
-      config.seed = *seed;
-    } else {
-      return bad("unknown supervisor key '" + key + "'");
-    }
+  const auto list = util::split_options(spec, {"paper", "backoff"});
+  if (!list) return bad(list.error().message);
+  SupervisorConfig base;
+  if (list->head == "backoff") base.retry.kind = RetryPolicy::Kind::Backoff;
+  auto config = util::read_options(base, list->options, kKeys);
+  if (!config) return bad(config.error().message);
+  for (const auto& option : list->options) {
+    if (option.key.starts_with("breaker-")) config->breaker.enabled = true;
+    if (option.key.starts_with("pace-")) config->pacer.enabled = true;
   }
   try {
-    config.validate();
+    config->validate();
   } catch (const std::invalid_argument& e) {
     return bad(e.what());
   }

@@ -1,5 +1,6 @@
 #include "ecnprobe/util/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdarg>
@@ -75,6 +76,80 @@ std::optional<double> parse_number(std::string_view s) {
     return std::nullopt;
   }
   return value;
+}
+
+Expected<OptionList> split_options(std::string_view spec,
+                                   const std::vector<std::string>& heads,
+                                   std::string_view repeatable) {
+  const auto refuse = [](const std::string& what) { return make_error("option", what); };
+  if (trim(spec).empty()) return refuse("empty spec");
+  OptionList list;
+  for (std::size_t start = 0; start <= spec.size();) {
+    const std::size_t comma = std::min(spec.find(',', start), spec.size());
+    const std::string_view part = trim(spec.substr(start, comma - start));
+    if (start == 0 && !heads.empty()) {
+      if (std::find(heads.begin(), heads.end(), part) == heads.end()) {
+        std::string known;
+        for (const auto& head : heads) known += (known.empty() ? "" : ", ") + head;
+        return refuse("unknown '" + std::string(part) + "' (known: " + known + ")");
+      }
+      list.head = part;
+    } else {
+      const std::size_t eq = part.find('=');
+      if (eq == std::string_view::npos) {
+        return refuse("expected key=value, got '" + std::string(part) + "'");
+      }
+      const Option option{trim(part.substr(0, eq)), trim(part.substr(eq + 1))};
+      if (option.key.empty()) return refuse("empty key in '" + std::string(part) + "'");
+      for (const Option& earlier : list.options) {
+        if (earlier.key == option.key && option.key != repeatable) {
+          return refuse("repeated key '" + std::string(option.key) + "'");
+        }
+      }
+      list.options.push_back(option);
+    }
+    start = comma + 1;
+  }
+  return list;
+}
+
+namespace {
+
+/// A range bound as the docs write it: "0.5", "1e9", "1e-6".
+std::string bound_text(double x) {
+  const std::string text = strf("%g", x);
+  const std::size_t e = text.find('e');
+  if (e == std::string::npos) return text;
+  return text.substr(0, e + 1) + (text[e + 1] == '-' ? "-" : "") +
+         text.substr(text.find_first_not_of("+-0", e + 1));
+}
+
+/// "an integer in [1, 100]", "a number in (0, 1e9]".
+std::string describe(const OptionRange& range) {
+  if (range.integer) {
+    return "an integer in [" + std::to_string(range.min) + ", " +
+           (range.max == UINT64_MAX ? "2^64)" : std::to_string(range.max) + "]");
+  }
+  return strf("a number in %c%s, %s%c", range.lo_open ? '(' : '[',
+              bound_text(range.lo).c_str(), bound_text(range.hi).c_str(),
+              range.hi_open ? ')' : ']');
+}
+
+}  // namespace
+
+Expected<OptionValue> read_option(const Option& option, const OptionRange& range) {
+  if (range.integer) {
+    const auto n = parse_integer<std::uint64_t>(option.value);
+    if (n && *n >= range.min && *n <= range.max) {
+      return OptionValue{*n, static_cast<double>(*n)};
+    }
+  } else if (const auto x = parse_number(option.value);
+             x && (range.lo_open ? *x > range.lo : *x >= range.lo) &&
+             (range.hi_open ? *x < range.hi : *x <= range.hi)) {
+    return OptionValue{0, *x + 0.0};  // -0 reads as 0: equal plans serialise equally
+  }
+  return make_error("option", std::string(option.key) + " must be " + describe(range) +
+                                  ", got '" + std::string(option.value) + "'");
 }
 
 std::string with_commas(std::int64_t n) {

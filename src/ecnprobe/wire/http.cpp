@@ -77,14 +77,14 @@ void HttpParser::try_parse() {
       complete_ = true;
       return;
     }
-    char* endp = nullptr;
-    const unsigned long long len = std::strtoull(it->second.c_str(), &endp, 10);
-    if (endp == it->second.c_str() || *endp != '\0') {
+    // RFC 9110: digits only, so no sign, no space and no hex.
+    const auto len = util::parse_integer<std::size_t>(it->second);
+    if (!len) {
       failed_ = true;
       error_ = "bad Content-Length";
       return;
     }
-    body_needed_ = static_cast<std::size_t>(len);
+    body_needed_ = *len;
   }
   if (head_done_ && !complete_) {
     if (buffer_.size() >= body_needed_) {
@@ -125,13 +125,12 @@ bool HttpParser::parse_head(std::string_view head) {
       return false;
     }
     response_.version = parts[0];
-    char* endp = nullptr;
-    const long status = std::strtol(parts[1].c_str(), &endp, 10);
-    if (endp == parts[1].c_str() || *endp != '\0' || status < 100 || status > 599) {
+    const auto status = util::parse_integer<int>(parts[1]);
+    if (!status || *status < 100 || *status > 599) {
       error_ = "bad status code";
       return false;
     }
-    response_.status = static_cast<int>(status);
+    response_.status = *status;
     response_.reason.clear();
     for (std::size_t i = 2; i < parts.size(); ++i) {
       if (i > 2) response_.reason += ' ';

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "ecnprobe/chaos/policies.hpp"
+#include "ecnprobe/wire/udp.hpp"
+
 namespace ecnprobe::chaos {
 namespace {
 
@@ -49,6 +55,47 @@ TEST(FaultPlan, MalformedSpecsRejected) {
   EXPECT_FALSE(FaultPlan::parse("none,corrupt-prob=-1")); // negative
   EXPECT_FALSE(FaultPlan::parse("none,poison=-2"));
   EXPECT_FALSE(FaultPlan::parse("none,poison=1.5"));
+  // Values are read whole and finite, within their key's range.
+  for (const char* spec :
+       {"none,reorder-window-ms=1000000001", "none,route-flap-period-ms=1e300",
+        "none,route-flap-down-ms=inf", "none,corrupt-prob=1.0000001",
+        "flaky-servers,short-reply-prob=1.5", "none,corrupt-prob=nan",
+        "none,corrupt-prob=0x1", "none,corrupt-prob=+0.5", "none,chaos-links=1048577",
+        "none,chaos-links=4.0", "none,poison=1048576", "none,crash-after=1048577",
+        "none,corrupt-prob=0.1,corrupt-prob=0.2", "none,=1", "none,,poison=1"}) {
+    EXPECT_FALSE(FaultPlan::parse(spec)) << spec;
+  }
+  EXPECT_EQ(FaultPlan::parse("wan-chaos,reorder-window-ms=inf").error().message,
+            "reorder-window-ms must be a number in [0, 1e9], got 'inf'");
+  EXPECT_EQ(FaultPlan::parse("wan-chaos,corrupt-prob=7").error().message,
+            "corrupt-prob must be a number in [0, 1], got '7'");
+}
+
+TEST(FaultPlan, LargestValuesParseAndBuildTheirPolicies) {
+  const auto edges = FaultPlan::parse(
+      "none,corrupt-prob=1,reorder-prob=1,reorder-window-ms=1e9,route-flap-links=1048576,"
+      "route-flap-down-ms=1e9,route-flap-period-ms=1000000000,poison=1048575,"
+      "crash-after=1048576");
+  ASSERT_TRUE(edges) << edges.error().message;
+  EXPECT_DOUBLE_EQ(edges->reorder_window_ms, 1e9);
+  EXPECT_TRUE(edges->poisons(1048575));
+  // The widest window builds its policies: a held-back packet waits less
+  // than 1e15 ns, and the flap schedule still places packets.
+  auto dgram = wire::make_udp_datagram(wire::Ipv4Address(10, 0, 0, 1),
+                                       wire::Ipv4Address(11, 0, 0, 2), 1000, 123,
+                                       std::vector<std::uint8_t>{1, 2}, wire::Ecn::Ect0);
+  util::Rng rng(1);
+  ReorderPolicy reorder(edges->reorder_prob, edges->reorder_window_ms);
+  reorder.on_epoch(7);
+  reorder.apply(dgram, rng);
+  const auto delay = reorder.take_extra_delay().count_nanos();
+  EXPECT_GE(delay, 0);
+  EXPECT_LT(delay, 1'000'000'000'000'000);
+  RouteFlapPolicy flap(edges->route_flap_down_ms, edges->route_flap_period_ms);
+  flap.on_epoch(7);
+  flap.apply(dgram, rng, util::SimTime::from_nanos(1));
+  flap.apply(dgram, rng, util::SimTime::from_nanos(3'000'000'000'000'000));
+  // One past each edge is refused (FaultPlan.MalformedSpecsRejected).
 }
 
 TEST(FaultPlan, FingerprintSeparatesPlans) {

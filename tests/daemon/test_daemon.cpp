@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "ecnprobe/daemon/spec.hpp"
 #include "ecnprobe/measure/results.hpp"
@@ -206,6 +207,24 @@ TEST(CampaignDaemonTest, InvalidSpecsRejectedWith400) {
                                 "{\"faults\":\"bogus\"}");
   EXPECT_EQ(bad.find("HTTP/1.1 400"), 0u) << bad;
 
+  // Option values that are not finite or leave their key's range are
+  // refused at POST, not admitted and then failed by the run.
+  const std::vector<std::string> out_of_range = {
+      R"({"telemetry":"sketched,eps=nan"})",
+      R"({"telemetry":"sketched,eps=1e-9"})",
+      R"({"telemetry":"sketched,seed=-1"})",
+      R"({"timeseries":"window-ms=1000,alpha=nan"})",
+      R"({"faults":"wan-chaos,corrupt-prob=nan"})",
+      R"({"faults":"wan-chaos,corrupt-prob=7"})",
+      R"({"faults":"wan-chaos,reorder-window-ms=inf"})",
+      R"({"sched":"paper,pace-rate=inf"})",
+      R"({"sched":"backoff,factor=inf"})",
+  };
+  for (const auto& spec : out_of_range) {
+    const auto reply = http_request(daemon.port(), "POST", "/campaigns", spec);
+    EXPECT_EQ(reply.find("HTTP/1.1 400"), 0u) << spec << ": " << reply;
+  }
+
   // A valid spec over the daemon's per-campaign trace budget is refused
   // at admission, before any resources are committed.
   const auto huge = http_request(daemon.port(), "POST", "/campaigns",
@@ -213,7 +232,7 @@ TEST(CampaignDaemonTest, InvalidSpecsRejectedWith400) {
   EXPECT_EQ(huge.find("HTTP/1.1 400"), 0u) << huge;
   EXPECT_NE(huge.find("budget"), std::string::npos) << huge;
 
-  EXPECT_EQ(daemon.stats().rejected_invalid, 2u);
+  EXPECT_EQ(daemon.stats().rejected_invalid, 2u + out_of_range.size());
   EXPECT_EQ(daemon.stats().admitted, 0u);
   EXPECT_TRUE(daemon.statuses().empty());
   daemon.drain();

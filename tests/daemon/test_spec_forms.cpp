@@ -71,13 +71,59 @@ const BadInput kBadInputs[] = {
     {"sched", "backoff,seed=-1", nullptr},
     {"sched", "backoff,warp=9", nullptr},
     {"sched", "backoff,base-ms", nullptr},
-    // The other sub-spec parsers.
+    {"sched", "paper,pace-rate=inf", nullptr},
+    {"sched", "backoff,factor=inf", nullptr},
+    {"sched", "backoff,base-ms=inf", nullptr},
+    {"sched", "paper,watchdog-ms=1e300", nullptr},
+    {"sched", "paper,watchdog-ms=1000000001", nullptr},
+    {"sched", "paper,pace-rate=1e-300", nullptr},
+    {"sched", "paper,pace-rate=50,pace-burst=1001", nullptr},
+    {"sched", "backoff,max-attempts=0x5", nullptr},
+    {"sched", "backoff,max-attempts=101", nullptr},
+    {"sched", "backoff,base-ms=+500", nullptr},
+    {"sched", "backoff,seed=+7", nullptr},
+    {"sched", "backoff,base-ms=500,base-ms=600", nullptr},
+    {"sched", "backoff,jitter=1.5", nullptr},
+    {"sched", "backoff,=5", nullptr},
+    {"sched", "backoff,", nullptr},
+    // Faults: each value whole, finite and in its key's range.
     {"faults", "lolwut", nullptr},
     {"faults", "none,corrupt-prob=x", nullptr},
+    {"faults", "wan-chaos,corrupt-prob=nan", nullptr},
+    {"faults", "wan-chaos,corrupt-prob=7", nullptr},
+    {"faults", "wan-chaos,reorder-window-ms=inf", nullptr},
+    {"faults", "route-flap,route-flap-period-ms=1e300", nullptr},
+    {"faults", "route-flap,route-flap-down-ms=1000000001", nullptr},
+    {"faults", "none,chaos-links=0x10", nullptr},
+    {"faults", "none,poison=+3", nullptr},
+    {"faults", "none,crash-after=-1", nullptr},
+    {"faults", "wan-chaos,corrupt-prob=0.1,corrupt-prob=0.2", nullptr},
+    {"faults", "flaky-servers,short-reply-prob=1.5", nullptr},
+    {"faults", "flaky-servers,flaky-server-fraction=1.01", nullptr},
+    // Telemetry, the sketch's cell cap included.
     {"telemetry", "nope", nullptr},
     {"telemetry", "sketched,eps=banana", nullptr},
+    {"telemetry", "sketched,eps=nan", nullptr},
+    {"telemetry", "sketched,eps=1e-9", nullptr},
+    {"telemetry", "sketched,seed=-1", nullptr},
+    {"telemetry", "sketched,delta=inf", nullptr},
+    {"telemetry", "sketched,alpha=1e300", nullptr},
+    {"telemetry", "sketched,seed=0x10", nullptr},
+    {"telemetry", "sketched,sample-every=+4", nullptr},
+    {"telemetry", "sketched,eps=0.01,eps=0.02", nullptr},
+    {"telemetry", "sketched,delta=1.5", nullptr},
+    {"telemetry", "exact,seed=7", nullptr},
+    // Time series, the bare WINDOW_MS form included.
     {"timeseries", "banana", nullptr},
     {"timeseries", "window-ms=0", nullptr},
+    {"timeseries", "window-ms=1000,alpha=nan", nullptr},
+    {"timeseries", "window-ms=inf", nullptr},
+    {"timeseries", "window-ms=1e300", nullptr},
+    {"timeseries", "1000000001", nullptr},
+    {"timeseries", "0x10", nullptr},
+    {"timeseries", "+250", nullptr},
+    {"timeseries", "window-ms=250,window-ms=500", nullptr},
+    {"timeseries", "alpha=1.5", nullptr},
     // Keys no front end knows.
     {"wokers", "4", "4"},
     {"falts", "none", nullptr},

@@ -4,13 +4,21 @@
 // valid spec, random byte strings, and nesting past the reader's 32-level
 // limit. The contract under test: each input yields either an error with
 // a message or a spec that validates -- its canonical rendering re-admits
-// to an equal spec -- and nothing crashes (the ASan job runs this too).
+// to an equal spec, and the telemetry aggregate, time-series histogram,
+// pacer and retry schedule it configures build -- and nothing crashes (the
+// ASan job runs this too).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ecnprobe/daemon/spec.hpp"
+#include "ecnprobe/obs/loghist.hpp"
+#include "ecnprobe/obs/telemetry.hpp"
+#include "ecnprobe/sched/pacer.hpp"
+#include "ecnprobe/sched/policy.hpp"
 #include "ecnprobe/util/json.hpp"
 
 namespace ecnprobe::daemon {
@@ -58,6 +66,19 @@ bool admit_or_refuse(const std::string& text) {
   if (again) {
     EXPECT_EQ(*again, *spec);
   }
+  // Admission implies runnable: what the options configure constructs.
+  const auto resolved = spec->resolve();
+  const auto& params = resolved.params;
+  if (params.telemetry.sketched()) {
+    EXPECT_NO_THROW(obs::TelemetryAggregate(params.telemetry.resolved(params.seed)))
+        << spec->to_json();
+  }
+  if (params.timeseries.enabled) {
+    EXPECT_NO_THROW(obs::LogHistogram(params.timeseries.alpha)) << spec->to_json();
+  }
+  EXPECT_NO_THROW(sched::Pacer(resolved.probe.sched.pacer)) << spec->to_json();
+  util::Rng rng(params.seed);
+  EXPECT_FALSE(sched::build_retry_schedule(resolved.probe.sched.retry, rng).empty());
   return true;
 }
 
@@ -88,6 +109,47 @@ TEST(SpecFuzz, RandomBitFlipsRefuseOrStillValidate) {
   // a key, or a sub-spec.
   EXPECT_GT(admitted, 0) << "no mutant reached the re-validation check";
   EXPECT_LT(admitted, 4000);
+}
+
+TEST(SpecFuzz, EveryOptionKeyAdmitsOnlyRunnableValues) {
+  // Each key of the four option languages, behind the head it needs.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> keys = {
+      {"faults",
+       {"none,chaos-links=", "none,corrupt-prob=", "none,duplicate-prob=",
+        "none,reorder-prob=", "none,reorder-window-ms=", "none,icmp-blackhole-routers=",
+        "none,icmp-blackhole-prob=", "none,quote-truncate-links=",
+        "none,quote-truncate-prob=", "none,route-flap-links=", "none,route-flap-down-ms=",
+        "none,route-flap-period-ms=", "none,flaky-server-fraction=",
+        "none,short-reply-prob=", "none,malformed-reply-prob=",
+        "none,blackhole-server-fraction=", "none,poison=", "none,crash-after="}},
+      {"telemetry",
+       {"sketched,eps=", "sketched,epsilon=", "sketched,delta=", "sketched,alpha=",
+        "sketched,sample-every=", "sketched,reservoir=", "sketched,budget-kb=",
+        "sketched,seed="}},
+      {"timeseries", {"", "window-ms=", "alpha=", "max-windows="}},
+      {"sched",
+       {"backoff,max-attempts=", "backoff,base-ms=", "backoff,factor=",
+        "backoff,max-ms=", "backoff,jitter=", "backoff,budget-ms=", "backoff,hedge-ms=",
+        "paper,breaker-failures=", "paper,breaker-half-open=", "paper,pace-rate=",
+        "paper,pace-rate=1e-6,pace-burst=", "paper,pace-rate=1e9,pace-dest-gap-ms=",
+        "paper,watchdog-ms=", "paper,seed="}},
+  };
+  const std::vector<std::string> values = {
+      "0",    "1",    "0.5",  "2",    "1e-9", "1000",       "1001",       "nan",
+      "inf",  "-inf", "-1",   "+1",   "0x10", "1e300",      "",           "1e9",
+      "1000000000",   "1000000001",   "1048576",    "18446744073709551615",
+      "18446744073709551616"};
+  int admitted = 0;
+  for (const auto& [key, prefixes] : keys) {
+    for (const auto& prefix : prefixes) {
+      for (const auto& value : values) {
+        if (admit_or_refuse("{\"" + key + "\":" + util::json_quote(prefix + value) + "}")) {
+          ++admitted;
+        }
+      }
+    }
+  }
+  EXPECT_GT(admitted, 0);
 }
 
 TEST(SpecFuzz, RandomBytesNeverCrashTheReader) {

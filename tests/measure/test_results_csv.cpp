@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ecnprobe/measure/results.hpp"
 
@@ -82,6 +84,43 @@ TEST(ResultsCsv, RejectsEmptyAndMalformed) {
   std::istringstream bad_addr(
       "h\nv,1,0,notanip,1,1,1,1,0,0,0,0,0,0,0\n");
   EXPECT_FALSE(read_traces_csv(bad_addr));
+}
+
+TEST(ResultsCsv, RefusesMalformedCellsNamingTheColumn) {
+  const std::vector<std::string> row = {"v", "1", "0", "11.0.0.1", "1", "1", "1", "1",
+                                        "1", "1", "302", "1", "1", "1", "302"};
+  const auto read_row = [](const std::vector<std::string>& cells) {
+    std::string line;
+    for (const auto& cell : cells) line += (line.empty() ? "" : ",") + cell;
+    std::istringstream is("header\n" + line + "\n");
+    return read_traces_csv(is);
+  };
+  ASSERT_TRUE(read_row(row));
+  // atoi read "banana" as 0 and "2x" as 2, and any flag but "1" as false.
+  const struct {
+    std::size_t column;
+    const char* cell;
+    const char* message;
+  } kBad[] = {
+      {1, "banana", "line 2: bad batch 'banana'"},
+      {2, "-1", "line 2: bad trace '-1'"},
+      {3, "notanip", "line 2: bad server 'notanip'"},
+      {4, "yes", "line 2: bad udp_plain 'yes'"},
+      {5, "2x", "line 2: bad udp_plain_tries '2x'"},
+      {7, "99999999999999999999", "line 2: bad udp_ect0_tries '99999999999999999999'"},
+      {9, "", "line 2: bad tcp_resp ''"},
+      {10, "+302", "line 2: bad tcp_status '+302'"},
+      {12, "2", "line 2: bad tcpecn_negotiated '2'"},
+      {13, "01", "line 2: bad tcpecn_resp '01'"},
+      {14, "0x12e", "line 2: bad tcpecn_status '0x12e'"},
+  };
+  for (const auto& bad : kBad) {
+    auto cells = row;
+    cells[bad.column] = bad.cell;
+    const auto loaded = read_row(cells);
+    ASSERT_FALSE(loaded) << bad.message;
+    EXPECT_EQ(loaded.error().message, bad.message);
+  }
 }
 
 TEST(ResultsCsv, SkipsBlankLines) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "ecnprobe/obs/codec.hpp"
@@ -48,6 +49,42 @@ TEST(TelemetryConfig, RejectsMalformedSpecs) {
   EXPECT_FALSE(TelemetryConfig::parse("sketched,eps=0"));
   EXPECT_FALSE(TelemetryConfig::parse("sketched,sample-every=-3"));
   EXPECT_FALSE(TelemetryConfig::parse("sketched,unknown=1"));
+  // Values are read whole and finite, within their key's range.
+  for (const char* spec :
+       {"sketched,eps=1", "sketched,eps=1e-300", "sketched,eps=nan", "sketched,delta=1",
+        "sketched,delta=inf", "sketched,alpha=0", "sketched,alpha=1.0000001",
+        "sketched,sample-every=0", "sketched,sample-every=1048577",
+        "sketched,reservoir=1048577", "sketched,budget-kb=1048577", "sketched,seed=-1",
+        "sketched,seed=18446744073709551616", "sketched,seed=0x10", "sketched,reservoir=+4",
+        "sketched,eps=0.01,eps=0.02", "exact,seed=7"}) {
+    EXPECT_FALSE(TelemetryConfig::parse(spec)) << spec;
+  }
+  EXPECT_EQ(TelemetryConfig::parse("sketched,eps=nan").error().message,
+            "eps must be a number in (0, 1), got 'nan'");
+  EXPECT_EQ(TelemetryConfig::parse("sketched,seed=-1").error().message,
+            "seed must be an integer in [0, 2^64), got '-1'");
+}
+
+TEST(TelemetryConfig, RangeEdgesParseAndBuildTheAggregate) {
+  // Every range edge that is admitted builds its aggregate.
+  const auto edges = TelemetryConfig::parse(
+      "sketched,eps=0.5,delta=0.99,alpha=1,sample-every=1048576,reservoir=1048576,"
+      "budget-kb=1048576,seed=18446744073709551615");
+  ASSERT_TRUE(edges) << edges.error().message;
+  EXPECT_EQ(edges->seed, UINT64_MAX);
+  EXPECT_EQ(edges->budget_bytes, std::size_t{1} << 30);
+  EXPECT_NO_THROW(TelemetryAggregate aggregate(edges->resolved(1)));
+  // eps and delta must also fit the sketch's cell cap, which parse() asks
+  // the sketch about instead of letting the aggregate throw mid-run.
+  const auto near_cap = TelemetryConfig::parse("sketched,eps=2.1e-7");
+  ASSERT_TRUE(near_cap) << near_cap.error().message;
+  EXPECT_TRUE(CountMinSketch::fits(near_cap->epsilon, near_cap->delta));
+  const auto over_cap = TelemetryConfig::parse("sketched,eps=2e-7");
+  ASSERT_FALSE(over_cap);
+  EXPECT_FALSE(CountMinSketch::fits(2e-7, 0.01));
+  EXPECT_THROW(CountMinSketch(2e-7, 0.01, 1), std::invalid_argument);
+  EXPECT_EQ(over_cap.error().message,
+            "eps=2e-07 with delta=0.01 needs more than the sketch's 67108864 cells");
 }
 
 TEST(TelemetryConfig, ResolvedInheritsCampaignSeed) {

@@ -41,6 +41,37 @@ TEST(TimeSeriesConfig, ParseGrammar) {
   EXPECT_FALSE(TimeSeriesConfig::parse("alpha=2"));
   EXPECT_FALSE(TimeSeriesConfig::parse("max-windows=x"));
   EXPECT_FALSE(TimeSeriesConfig::parse("unknown=1"));
+  // Values are read whole and finite, within their key's range.
+  for (const char* spec :
+       {"1000000001", "window-ms=1000000001", "window-ms=1e300", "window-ms=inf", "0x10",
+        "+250", "window-ms=250.5", "alpha=0", "alpha=nan", "alpha=1.5", "max-windows=0",
+        "max-windows=1048577", "window-ms=250,window-ms=500", "window-ms=250,", "=250"}) {
+    EXPECT_FALSE(TimeSeriesConfig::parse(spec)) << spec;
+  }
+  EXPECT_EQ(TimeSeriesConfig::parse("window-ms=1000,alpha=nan").error().message,
+            "alpha must be a number in (0, 1], got 'nan'");
+  EXPECT_EQ(TimeSeriesConfig::parse("banana").error().message,
+            "window-ms must be an integer in [1, 1000000000], got 'banana'");
+}
+
+TEST(TimeSeriesConfig, WidestWindowParsesAndRecords) {
+  // The widest window, 1e9 ms, is 1e15 ns: a recorder armed with it still
+  // places samples by integer division, and the finest alpha builds.
+  const auto edges =
+      TimeSeriesConfig::parse("window-ms=1000000000,alpha=1,max-windows=1048576");
+  ASSERT_TRUE(edges) << edges.error().message;
+  EXPECT_EQ(edges->window_nanos, 1'000'000'000'000'000);
+  EXPECT_EQ(edges->max_windows, 1 << 20);
+  EXPECT_NO_THROW(LogHistogram histogram(edges->alpha));
+  TimeSeriesRecorder recorder;
+  std::int64_t now = 0;
+  recorder.set_clock([&now] { return now; });
+  recorder.arm(*edges);
+  recorder.begin_trace(0);
+  now = 2'500'000'000'000'000;
+  recorder.on_probe("udp-plain", "ok");
+  EXPECT_EQ(recorder.collect_delta().windows.count(2), 1u);
+  ASSERT_TRUE(TimeSeriesConfig::parse("1000000000"));
 }
 
 TEST(TimeSeriesRecorder, DisabledRecorderStaysInert) {

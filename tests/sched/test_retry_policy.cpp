@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 
+#include "ecnprobe/sched/pacer.hpp"
 #include "ecnprobe/sched/policy.hpp"
 
 namespace ecnprobe::sched {
@@ -163,6 +164,37 @@ TEST(SupervisorConfig, ParseSerializeRoundTrip) {
   EXPECT_EQ(reparsed->serialize(), parsed->serialize());
 }
 
+TEST(SupervisorConfig, LargestValuesBuildTheirScheduleAndPacer) {
+  // Every *-ms key at its largest, 1e9 ms, with the widest backoff: the
+  // schedule is built in int64 nanoseconds and the config round-trips.
+  const auto edges = SupervisorConfig::parse(
+      "backoff,max-attempts=100,base-ms=1e9,factor=1000,max-ms=1000000000,jitter=0.999,"
+      "budget-ms=0,hedge-ms=1e9,breaker-failures=1048576,breaker-half-open=1048576,"
+      "pace-rate=1e-6,pace-burst=1000,pace-dest-gap-ms=1e9,watchdog-ms=1e9,"
+      "seed=18446744073709551615");
+  ASSERT_TRUE(edges) << edges.error().message;
+  EXPECT_EQ(edges->retry.base_timeout, SimDuration::seconds(1'000'000));
+  EXPECT_EQ(edges->watchdog.deadline, SimDuration::seconds(1'000'000));
+  util::Rng rng(edges->seed);
+  const auto schedule = build_retry_schedule(edges->retry, rng);
+  ASSERT_EQ(schedule.size(), 100u);
+  for (const auto t : schedule) {
+    EXPECT_GT(t.count_nanos(), 0);
+    EXPECT_LT(t.count_nanos(), 2'000'000'000'000'000);
+  }
+  // The slowest, deepest bucket holds 1e3 steps of 1e15 ns each; the
+  // widest per-destination gap holds a second send back by 1e15 ns.
+  Pacer pacer(edges->pacer);
+  const auto dest = wire::Ipv4Address(11, 0, 0, 1);
+  EXPECT_EQ(pacer.acquire(util::SimTime::zero(), dest).count_nanos(), 0);
+  EXPECT_EQ(pacer.acquire(util::SimTime::zero(), dest).count_nanos(),
+            1'000'000'000'000'000);
+  const auto reparsed = SupervisorConfig::parse(edges->serialize());
+  ASSERT_TRUE(reparsed) << reparsed.error().message;
+  EXPECT_EQ(reparsed->serialize(), edges->serialize());
+  // One past each edge is refused (SupervisorConfig.ParseRejectsGarbage).
+}
+
 TEST(SupervisorConfig, ParseRejectsGarbage) {
   EXPECT_FALSE(SupervisorConfig::parse(""));
   EXPECT_FALSE(SupervisorConfig::parse("bogus"));
@@ -172,6 +204,23 @@ TEST(SupervisorConfig, ParseRejectsGarbage) {
   EXPECT_FALSE(SupervisorConfig::parse("backoff,base-ms=nope"));
   EXPECT_FALSE(SupervisorConfig::parse("paper,hedge-ms=100"));  // needs backoff
   EXPECT_FALSE(SupervisorConfig::parse("backoff,pace-rate=0"));
+  // Values are read whole and finite, within their key's range.
+  for (const char* spec :
+       {"backoff,base-ms=1000000001", "backoff,max-ms=1e300", "backoff,budget-ms=inf",
+        "backoff,hedge-ms=1000000000.5", "paper,watchdog-ms=inf",
+        "paper,pace-dest-gap-ms=1000000001", "paper,pace-rate=9.9e-7",
+        "paper,pace-rate=1.0000001e9", "paper,pace-rate=inf",
+        "paper,pace-rate=1,pace-burst=1001",
+        "backoff,max-attempts=101", "backoff,factor=1000.5", "backoff,factor=inf",
+        "backoff,jitter=1", "paper,breaker-failures=1048577", "backoff,seed=-1",
+        "backoff,seed=18446744073709551616", "backoff,max-attempts=0x5",
+        "backoff,base-ms=+500", "backoff,base-ms=500,base-ms=600"}) {
+    EXPECT_FALSE(SupervisorConfig::parse(spec)) << spec;
+  }
+  EXPECT_EQ(SupervisorConfig::parse("paper,pace-rate=inf").error().message,
+            "pace-rate must be a number in [1e-6, 1e9], got 'inf'");
+  EXPECT_EQ(SupervisorConfig::parse("backoff,base-ms=1000000001").error().message,
+            "base-ms must be a number in (0, 1e9], got '1000000001'");
   EXPECT_TRUE(SupervisorConfig::parse("paper"));
   EXPECT_TRUE(SupervisorConfig::parse("backoff"));
 }

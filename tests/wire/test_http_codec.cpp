@@ -67,10 +67,10 @@ TEST(HttpParser, RejectsMalformedStatusLine) {
 }
 
 TEST(HttpParser, RejectsBadStatusCode) {
-  HttpParser a(HttpParser::Kind::Response);
-  EXPECT_FALSE(a.feed("HTTP/1.0 999999 Odd\r\n\r\n"));
-  HttpParser b(HttpParser::Kind::Response);
-  EXPECT_FALSE(b.feed("HTTP/1.0 xx OK\r\n\r\n"));
+  for (const std::string code : {"999999", "xx", "+200", "-200", "20x", "0x1f"}) {
+    HttpParser parser(HttpParser::Kind::Response);
+    EXPECT_FALSE(parser.feed("HTTP/1.0 " + code + " OK\r\n\r\n")) << code;
+  }
 }
 
 TEST(HttpParser, RejectsHeaderWithoutColon) {
@@ -79,8 +79,18 @@ TEST(HttpParser, RejectsHeaderWithoutColon) {
 }
 
 TEST(HttpParser, RejectsBadContentLength) {
-  HttpParser parser(HttpParser::Kind::Response);
-  EXPECT_FALSE(parser.feed("HTTP/1.0 200 OK\r\nContent-Length: abc\r\n\r\n"));
+  // RFC 9110 allows digits only: a signed length is malformed, not a huge
+  // body (strtoull read "-1" as 2^64-1 and "+5" as 5).
+  for (const std::string length :
+       {"abc", "+5", "-1", "0x10", "5 5", "5x", "18446744073709551616"}) {
+    HttpParser response(HttpParser::Kind::Response);
+    EXPECT_FALSE(response.feed("HTTP/1.0 200 OK\r\nContent-Length: " + length + "\r\n\r\n"))
+        << length;
+    HttpParser request(HttpParser::Kind::Request);
+    EXPECT_FALSE(request.feed("POST / HTTP/1.1\r\nContent-Length: " + length + "\r\n\r\n"))
+        << length;
+    EXPECT_EQ(request.error(), "bad Content-Length") << length;
+  }
 }
 
 TEST(HttpParser, MultiWordReasonPreserved) {

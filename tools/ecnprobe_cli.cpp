@@ -611,17 +611,16 @@ int usage() {
                "  --workers N in [1, 256]: shards; output is byte-identical at any count\n"
                "  --faults SPEC: none (default) or a profile: %s\n"
                "    (tunable, e.g. 'wan-chaos,corrupt-prob=0.05,poison=7')\n"
-               "  --telemetry exact (default) |\n"
-               "    sketched[,eps=F,delta=F,alpha=F,sample-every=N,reservoir=N,budget-kb=N,seed=N]\n"
+               "  --telemetry exact (default) | sketched[,key=value...]\n"
                "    sketched mode bounds telemetry memory: count-min cause/hop/AS counters\n"
                "    (overcount <= eps*N w.p. 1-delta), log-bucketed RTT (rel. err alpha),\n"
                "    exact flight records for every Nth trace only\n"
                "  --timeseries off (default) | WINDOW_MS | window-ms=N,alpha=F,max-windows=N\n"
                "    deterministic sim-time series in the metrics JSON/Prometheus exports\n"
-               "  --sched paper (default) | backoff, then ,key=value overrides: max-attempts=N\n"
-               "    base-ms=D factor=D max-ms=D jitter=D budget-ms=D hedge-ms=D breaker-failures=N\n"
-               "    breaker-half-open=N pace-rate=D pace-burst=N pace-dest-gap-ms=D watchdog-ms=D seed=N\n"
+               "  --sched paper (default) | backoff, then ,key=value overrides\n"
                "    e.g. 'backoff,base-ms=500,factor=2,jitter=0.1,breaker-failures=3'\n"
+               "  each key's type and range: docs/robustness.md (faults, sched) and\n"
+               "    docs/observability.md (telemetry, timeseries)\n"
                "campaign recording: --record PREFIX writes PREFIX.pcapng + PREFIX.trace.json\n"
                "live plane (campaign): --serve-obs PORT serves GET /metrics /progress /events\n"
                "  (SSE) on 127.0.0.1 while the campaign runs (PORT 0 = ephemeral)\n"

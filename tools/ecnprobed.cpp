@@ -17,7 +17,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "ecnprobe/daemon/daemon.hpp"
+#include "ecnprobe/util/strings.hpp"
 #include "ecnprobe/wire/http.hpp"
 
 namespace {
@@ -45,10 +45,9 @@ int usage() {
 }
 
 bool parse_int(const char* text, long min, long max, long* out) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < min || value > max) return false;
-  *out = value;
+  const auto value = ecnprobe::util::parse_integer<long>(text);
+  if (!value || *value < min || *value > max) return false;
+  *out = *value;
   return true;
 }
 
