@@ -6,28 +6,43 @@
 //   $ ./live_probe 129.215.42.240          # probe one NTP server
 //   $ ./live_probe pool-member-ip [port]
 //
+// The port is a whole number in [1, 65535]. A bad address or port exits 2
+// with the usage text before any socket is opened.
+//
 // Note: sends real packets. Aim it only at servers you are allowed to probe
 // (public NTP pool servers answer NTP by design).
 #include <cstdio>
-#include <cstdlib>
 
 #include "ecnprobe/live/live_probe.hpp"
 #include "ecnprobe/live/live_socket.hpp"
+#include "ecnprobe/util/strings.hpp"
+
+namespace {
+
+int usage() {
+  std::fprintf(stderr, "usage: live_probe <server-ipv4> [http-port]\n"
+                       "  http-port: 1 to 65535 (default 80)\n"
+                       "probes NTP reachability with not-ECT and ECT(0) marked UDP,\n"
+                       "then (with CAP_NET_RAW) TCP ECN negotiation.\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ecnprobe;
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <server-ipv4> [http-port]\n", argv[0]);
-    std::fprintf(stderr, "probes NTP reachability with not-ECT and ECT(0) marked UDP,\n"
-                         "then (with CAP_NET_RAW) TCP ECN negotiation.\n");
-    return 2;
-  }
+  if (argc < 2 || argc > 3) return usage();
   const auto server = wire::Ipv4Address::parse(argv[1]);
   if (!server) {
-    std::fprintf(stderr, "bad IPv4 address: %s\n", argv[1]);
-    return 2;
+    std::fprintf(stderr, "live_probe: bad IPv4 address '%s'\n", argv[1]);
+    return usage();
   }
-  const auto http_port = static_cast<std::uint16_t>(argc > 2 ? std::atoi(argv[2]) : 80);
+  const auto http_port =
+      argc == 3 ? util::parse_integer<std::uint16_t>(argv[2]) : std::optional<std::uint16_t>(80);
+  if (!http_port || *http_port == 0) {
+    std::fprintf(stderr, "live_probe: bad http-port '%s'\n", argv[2]);
+    return usage();
+  }
 
   std::printf("probing %s (paper methodology: 5 requests, 1s timeout each)\n\n",
               server->to_string().c_str());
@@ -53,7 +68,7 @@ int main(int argc, char** argv) {
     std::printf("skipped (needs CAP_NET_RAW for a crafted ECN-setup SYN)\n");
     return 0;
   }
-  const auto tcp = live::live_tcp_ecn_probe(*server, http_port);
+  const auto tcp = live::live_tcp_ecn_probe(*server, *http_port);
   if (!tcp.error.empty()) {
     std::printf("error (%s)\n", tcp.error.c_str());
   } else if (!tcp.syn_acked) {

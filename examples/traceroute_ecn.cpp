@@ -5,15 +5,33 @@
 //
 //   $ ./traceroute_ecn [n_targets]
 //
+// n_targets is a whole number in [1, 2^20]; anything else exits 2 with
+// the usage text.
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 
 #include "ecnprobe/scenario/world.hpp"
+#include "ecnprobe/util/strings.hpp"
+
+namespace {
+
+int usage() {
+  std::fprintf(stderr, "usage: traceroute_ecn [n_targets]\n"
+                       "  n_targets: servers to trace, 1 to 1048576 (default 8)\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ecnprobe;
-  const int n_targets = argc > 1 ? std::atoi(argv[1]) : 8;
+  if (argc > 2) return usage();
+  const auto n = argc == 2 ? util::parse_integer<int>(argv[1]) : std::optional<int>(8);
+  if (!n || *n < 1 || *n > (1 << 20)) {
+    std::fprintf(stderr, "traceroute_ecn: bad n_targets '%s'\n", argv[1]);
+    return usage();
+  }
+  const int n_targets = *n;
 
   auto params = scenario::WorldParams::paper().scaled(0.1);
   // Generous ICMP response rates so the listing reads like a full
@@ -33,7 +51,10 @@ int main(int argc, char** argv) {
   std::function<void()> next = [&]() {
     if (remaining-- <= 0) return;
     const auto target = servers[static_cast<std::size_t>(cursor)];
-    cursor += static_cast<int>(servers.size()) / n_targets + 1;
+    // Spread the targets over the pool; wrap, so more targets than
+    // 1 + servers/stride revisit servers instead of reading past the end.
+    cursor = (cursor + static_cast<int>(servers.size()) / n_targets + 1) %
+             static_cast<int>(servers.size());
     traceroute::TracerouteOptions options;
     options.probes_per_hop = 2;
     vantage.tracer().trace(target, options, [&, target](const traceroute::PathRecord& r) {

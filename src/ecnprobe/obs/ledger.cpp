@@ -157,6 +157,11 @@ LedgerSnapshot DropLedger::aggregate(std::size_t drop_from, std::size_t rewrite_
   return out;
 }
 
+void DropLedger::truncate(std::size_t drop_count, std::size_t rewrite_count) {
+  if (drop_count < drops_.size()) drops_.resize(drop_count);
+  if (rewrite_count < rewrites_.size()) rewrites_.resize(rewrite_count);
+}
+
 void DropLedger::clear() {
   trace_ = -1;
   drops_.clear();

@@ -137,6 +137,12 @@ public:
   /// executors use this to slice out one trace's worth of attribution.
   LedgerSnapshot aggregate(std::size_t drop_from = 0, std::size_t rewrite_from = 0) const;
 
+  /// Drops every row past the first `drop_count` drops and
+  /// `rewrite_count` rewrites, keeping the vectors' capacity for the rows
+  /// that follow. Mirror counters, series and sketches keep what they
+  /// counted when each row was recorded.
+  void truncate(std::size_t drop_count, std::size_t rewrite_count);
+
   void clear();
 
 private:

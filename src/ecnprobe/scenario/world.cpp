@@ -663,6 +663,10 @@ std::vector<measure::TracerouteObservation> World::run_traceroutes(
   // fixed label so the traceroute figures do not depend on whether (or how)
   // a campaign ran on this world first.
   net().begin_epoch(util::derive_seed(params_.seed, "traceroute-epoch"));
+  // Nothing aggregates this phase's ledger rows (its drops are counted as
+  // they are recorded), so each pass's rows go once the pass is done.
+  const std::size_t drops_before = obs_.ledger.drops().size();
+  const std::size_t rewrites_before = obs_.ledger.rewrites().size();
   std::vector<measure::TracerouteObservation> all;
   for (const auto& name : vantage_names_) {
     measure::TracerouteRunner runner(vantage(name), server_addresses(), options,
@@ -673,6 +677,7 @@ std::vector<measure::TracerouteObservation> World::run_traceroutes(
       done = true;
     });
     sim_.run();
+    obs_.ledger.truncate(drops_before, rewrites_before);
     if (!done) throw std::runtime_error("World::run_traceroutes: simulation stalled");
   }
   return all;

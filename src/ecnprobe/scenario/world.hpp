@@ -215,6 +215,14 @@ public:
   /// Begins its own epoch ("traceroute-epoch"), so the observations are a
   /// pure function of the world seed, independent of any campaign that ran
   /// on this world before.
+  ///
+  /// Ledger contract: the phase keeps no drop-ledger rows. Each vantage's
+  /// pass truncates the ledger back to its size when the phase began, so
+  /// rows recorded before the phase and every obs mark survive, and
+  /// collect_obs_delta().ledger reads as it did before the phase. The
+  /// phase's drops and rewrites still count where they are counted as
+  /// recorded: `ecn_drops_total`/`ecn_rewrites_total`, the time series
+  /// and the sketches.
   std::vector<measure::TracerouteObservation> run_traceroutes(
       int repetitions = 2, traceroute::TracerouteOptions options = {});
 

@@ -67,7 +67,7 @@ void Tracerouter::send_probe(const std::shared_ptr<Trace>& trace) {
   next_src_port_ = next_src_port_ >= 65500 ? 44000
                                            : static_cast<std::uint16_t>(next_src_port_ + 1);
   trace->probe_src_port = src_port;
-  pending_[src_port] = trace;
+  pending_.push_back(Pending{src_port, trace});
 
   // Classic traceroute: UDP to an unlikely high port, dst port varies with
   // TTL so replies are attributable even under reordering.
@@ -86,9 +86,9 @@ void Tracerouter::send_probe(const std::shared_ptr<Trace>& trace) {
                                               trace->options.ecn,
                                               static_cast<std::uint8_t>(trace->ttl)));
 
-  pending_[src_port] = trace;
   trace->timer = host_.network().sim().schedule(trace->options.timeout, [this, trace]() {
-    pending_.erase(trace->probe_src_port);
+    const auto expired = find_pending(trace->probe_src_port);
+    if (expired != pending_.end()) pending_.erase(expired);
     if (trace->done) return;
     if (trace->attempt < trace->options.probes_per_hop) {
       send_probe(trace);
@@ -108,6 +108,12 @@ void Tracerouter::send_probe(const std::shared_ptr<Trace>& trace) {
   });
 }
 
+std::vector<Tracerouter::Pending>::iterator Tracerouter::find_pending(
+    std::uint16_t src_port) {
+  return std::find_if(pending_.begin(), pending_.end(),
+                      [src_port](const Pending& p) { return p.src_port == src_port; });
+}
+
 void Tracerouter::on_icmp(const wire::Datagram& dgram) {
   const auto decoded = wire::decode_icmp_message(dgram.payload);
   if (!decoded || !decoded->checksum_ok || !decoded->message.is_error()) return;
@@ -121,9 +127,9 @@ void Tracerouter::on_icmp(const wire::Datagram& dgram) {
     // the probe.
     const auto src_port = static_cast<std::uint16_t>(
         (quotation->transport_prefix[0] << 8) | quotation->transport_prefix[1]);
-    const auto it = pending_.find(src_port);
+    const auto it = find_pending(src_port);
     if (it == pending_.end()) return;
-    trace = it->second;
+    trace = it->trace;
     if (quotation->inner_header.dst != trace->destination) return;
     pending_.erase(it);
   } else {
@@ -137,8 +143,8 @@ void Tracerouter::on_icmp(const wire::Datagram& dgram) {
         quotation->inner_header.src != host_.address()) {
       return;
     }
-    trace = pending_.begin()->second;
-    pending_.erase(pending_.begin());
+    trace = std::move(pending_.front().trace);
+    pending_.clear();
   }
   trace->timer.cancel();
   if (trace->done) return;

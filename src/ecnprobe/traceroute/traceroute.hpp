@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -73,10 +72,19 @@ private:
   void hop_done(const std::shared_ptr<Trace>& trace, HopRecord hop);
   void finish(const std::shared_ptr<Trace>& trace);
 
+  // One outstanding probe: the running trace it belongs to, and the UDP
+  // source port its ICMP quotation is matched by.
+  struct Pending {
+    std::uint16_t src_port = 0;
+    std::shared_ptr<Trace> trace;
+  };
+  std::vector<Pending>::iterator find_pending(std::uint16_t src_port);
+
   netsim::Host& host_;
   std::uint16_t next_src_port_ = 44000;
-  // Outstanding probes keyed by UDP source port.
-  std::map<std::uint16_t, std::shared_ptr<Trace>> pending_;
+  // At most one probe per running trace, so a flat vector searched by port
+  // stays tiny and, once grown, allocates nothing per probe.
+  std::vector<Pending> pending_;
 };
 
 }  // namespace ecnprobe::traceroute

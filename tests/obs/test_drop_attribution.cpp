@@ -175,5 +175,31 @@ TEST(DropAttribution, AggregateSlicesAndAutopsyTotalsReconcile) {
   EXPECT_NE(autopsy.find("total"), std::string::npos);
 }
 
+TEST(DropAttribution, TruncateKeepsEarlierRowsCapacityAndCounters) {
+  Observability obs;
+  obs.ledger.record_drop(Layer::Router, DropCause::TtlExpired, "r1");
+  obs.ledger.record_rewrite(Layer::Policy, RewriteCause::Bleached, "r1");
+  obs.ledger.record_drop(Layer::Router, DropCause::TtlExpired, "r2");
+  obs.ledger.record_drop(Layer::Host, DropCause::NoSocket, "h1");
+  obs.ledger.record_rewrite(Layer::Policy, RewriteCause::Bleached, "r2");
+  const auto capacity = obs.ledger.drops().capacity();
+
+  obs.ledger.truncate(1, 5);  // past the end: rewrites stay as they are
+  ASSERT_EQ(obs.ledger.drops().size(), 1u);
+  EXPECT_EQ(obs.ledger.drops()[0].node, "r1");
+  EXPECT_EQ(obs.ledger.drops().capacity(), capacity);
+  EXPECT_EQ(obs.ledger.rewrites().size(), 2u);
+  obs.ledger.truncate(1, 1);
+  ASSERT_EQ(obs.ledger.rewrites().size(), 1u);
+  EXPECT_EQ(obs.ledger.rewrites()[0].node, "r1");
+
+  // The mirror counters counted every row when it was recorded.
+  const auto snap = obs.registry.snapshot();
+  const LabelSet ttl{{"cause", "ttl-expired"}, {"layer", "router"}};
+  EXPECT_EQ(snap.families.at("ecn_drops_total").samples.at(ttl).counter, 2u);
+  const LabelSet bleach{{"cause", "bleached"}, {"layer", "policy"}};
+  EXPECT_EQ(snap.families.at("ecn_rewrites_total").samples.at(bleach).counter, 2u);
+}
+
 }  // namespace
 }  // namespace ecnprobe::obs

@@ -171,6 +171,45 @@ TEST(Traceroute, TruncatedQuotesToleratedAsEcnUnknown) {
   EXPECT_GE(truncated, 3);
 }
 
+TEST(Traceroute, ConcurrentTracesMatchByPortAndDropAmbiguousTruncatedQuotes) {
+  // Two traces in flight from one host: a full quote is matched to its
+  // probe by the quoted UDP source port...
+  Chain clean(4);
+  Tracerouter clean_tracer(*clean.host_a);
+  std::vector<PathRecord> records;
+  for (int i = 0; i < 2; ++i) {
+    clean_tracer.trace(clean.host_b->address(), fast_options(),
+                       [&](const PathRecord& r) { records.push_back(r); });
+  }
+  clean.sim.run();
+  ASSERT_EQ(records.size(), 2u);
+  for (const auto& record : records) {
+    ASSERT_EQ(record.responding_hops(), 4);  // as a lone trace sees it
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(record.hops[i].responder, clean.net.node(clean.routers[i]).address());
+    }
+  }
+
+  // ...but a quote cut before the ports could belong to either probe, so
+  // it is dropped and the hop reads as silent.
+  Chain chain(4);
+  auto truncate = std::make_shared<ecnprobe::chaos::QuoteTruncatePolicy>(1.0);
+  truncate->on_epoch(7);
+  chain.net.add_egress_policy(chain.routers[0], 0, truncate);
+  Tracerouter tracer(*chain.host_a);
+  records.clear();
+  for (int i = 0; i < 2; ++i) {
+    tracer.trace(chain.host_b->address(), fast_options(),
+                 [&](const PathRecord& r) { records.push_back(r); });
+  }
+  chain.sim.run();
+  ASSERT_EQ(records.size(), 2u);
+  for (const auto& record : records) {
+    ASSERT_GE(record.hops.size(), 4u);
+    for (std::size_t i = 1; i < 4; ++i) EXPECT_FALSE(record.hops[i].responded) << i;
+  }
+}
+
 TEST(Traceroute, SometimesStripObservedAcrossRepetitions) {
   Chain chain(3);
   chain.net.add_egress_policy(chain.routers[0], 1,

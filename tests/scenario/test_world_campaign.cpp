@@ -155,6 +155,78 @@ TEST_F(CampaignTest, TraceroutesDetectBleachersButNoCe) {
   EXPECT_EQ(analysis.ce_marks_seen, 0u);  // matches the paper: no CE observed
 }
 
+// The traceroute phase keeps no drop-ledger rows: each vantage's pass
+// truncates the ledger back to where the phase began. Its drops still count
+// in the registry as they are recorded.
+std::uint64_t registry_count(World& world, const std::string& family,
+                             const obs::LabelSet& labels) {
+  const auto snap = world.obs().registry.snapshot();
+  const auto f = snap.families.find(family);
+  if (f == snap.families.end()) return 0;
+  const auto sample = f->second.samples.find(labels);
+  return sample == f->second.samples.end() ? 0 : sample->second.counter;
+}
+
+const obs::LabelSet kTtlExpired{{"cause", "ttl-expired"}, {"layer", "router"}};
+const obs::LabelSet kBleached{{"cause", "bleached"}, {"layer", "policy"}};
+
+std::vector<measure::TracerouteObservation> run_short_traceroutes(World& world) {
+  traceroute::TracerouteOptions options;
+  options.timeout = util::SimDuration::millis(300);
+  return world.run_traceroutes(1, options);
+}
+
+/// One campaign trace on `world` itself, so the ledger holds rows and the
+/// obs marks sit past zero before a traceroute phase.
+void run_one_campaign_trace(World& world) {
+  world.begin_trace_epoch("UGla wired", 1, 0);
+  measure::TraceRunner runner(world.vantage("UGla wired"), world.server_addresses(),
+                              measure::ProbeOptions{});
+  bool done = false;
+  runner.run(1, 0, [&](measure::Trace) { done = true; });
+  world.sim().run();
+  ASSERT_TRUE(done);
+}
+
+TEST(TraceroutePhase, LeavesTheLedgerRowCountsAsTheyWere) {
+  World world{campaign_params()};
+  const auto drops = world.obs().ledger.drops().size();
+  const auto rewrites = world.obs().ledger.rewrites().size();
+  const auto bleached = registry_count(world, "ecn_rewrites_total", kBleached);
+  EXPECT_EQ(run_short_traceroutes(world).size(), 13u * 30u);
+  EXPECT_EQ(world.obs().ledger.drops().size(), drops);
+  EXPECT_EQ(world.obs().ledger.rewrites().size(), rewrites);
+  // The phase did rewrite marks: the equal count above is a truncation.
+  EXPECT_GT(registry_count(world, "ecn_rewrites_total", kBleached), bleached);
+}
+
+TEST(TraceroutePhase, LeavesTheTraceObsDeltaAsItWas) {
+  World world{campaign_params()};
+  run_one_campaign_trace(world);
+  const auto rows = world.obs().ledger.drops();
+  const auto before = world.collect_obs_delta().ledger;
+  ASSERT_GT(before.total_drops(), 0u);
+  run_short_traceroutes(world);
+  const auto after = world.collect_obs_delta().ledger;
+  EXPECT_EQ(after.drops, before.drops);
+  EXPECT_EQ(after.rewrites, before.rewrites);
+  // The trace's own rows survive the phase, row for row.
+  ASSERT_EQ(world.obs().ledger.drops().size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(world.obs().ledger.drops()[i].node, rows[i].node);
+    EXPECT_EQ(world.obs().ledger.drops()[i].cause, rows[i].cause);
+  }
+}
+
+TEST(TraceroutePhase, StillCountsItsDropsInTheRegistry) {
+  World world{campaign_params()};
+  run_one_campaign_trace(world);
+  const auto expired = registry_count(world, "ecn_drops_total", kTtlExpired);
+  run_short_traceroutes(world);
+  // Every probe below the path length expires at a router.
+  EXPECT_GT(registry_count(world, "ecn_drops_total", kTtlExpired), expired + 13u * 30u);
+}
+
 TEST_F(CampaignTest, CsvRoundTripOfRealCampaign) {
   std::ostringstream os;
   measure::write_traces_csv(os, traces);
