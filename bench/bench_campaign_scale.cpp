@@ -5,8 +5,9 @@
 // gigabytes. This bench instead attaches a single *prefix responder* node
 // that answers for every synthetic server address (O(1) memory in the
 // server count), behind a real Router so the hot path is the production
-// one: datagram build, wire-cache encode, link transmission, TTL decrement
-// with RFC 1624 checksum patching, and calendar-queue event dispatch.
+// one: datagram build, link transmission, TTL decrement, and
+// calendar-queue event dispatch. On-the-wire bytes are read from each
+// datagram's IP total length; nothing on this path serialises a packet.
 //
 //   bench_campaign_scale [--preset=2.5k,25k,250k | --preset=all | --preset=1m]
 //                        [--bench-json=PATH]
@@ -47,7 +48,7 @@ public:
         dgram.ip.dst, dgram.ip.src, udp->header.dst_port, udp->header.src_port,
         std::vector<std::uint8_t>(udp->payload.begin(), udp->payload.end()),
         dgram.ip.ecn);
-    bytes_sent += reply.wire_view().size();
+    bytes_sent += reply.ip.total_length;
     network().transmit(id(), ingress_if, std::move(reply));
   }
 
@@ -70,7 +71,7 @@ public:
   void send_probe(wire::Ipv4Address target) {
     wire::Datagram probe = wire::make_udp_datagram(
         address(), target, 40'000, 123, payload_, wire::Ecn::Ect0);
-    bytes_sent += probe.wire_view().size();
+    bytes_sent += probe.ip.total_length;
     network().transmit(id(), 0, std::move(probe));
   }
 

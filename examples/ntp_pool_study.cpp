@@ -147,7 +147,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::string error;
-    if (!journal.open(checkpoint, scenario::journal_meta(params, plan), &error)) {
+    const auto meta = scenario::journal_meta(params, plan, resolved.probe);
+    if (!journal.open(checkpoint, meta, &error)) {
       std::fprintf(stderr, "ntp_pool_study: %s\n", error.c_str());
       return 1;
     }

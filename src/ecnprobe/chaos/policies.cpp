@@ -13,7 +13,6 @@ PolicyAction CorruptionPolicy::do_apply(wire::Datagram& dgram, util::Rng& /*rng*
                                         util::SimTime /*now*/) {
   if (!dgram.payload.empty() && rng_.bernoulli(prob_)) {
     const std::size_t idx = rng_.next_below(dgram.payload.size());
-    dgram.touch_payload();  // invalidate any cached serialisation first
     dgram.payload[idx] ^= 0x5A;
   }
   return PolicyAction::Pass;
@@ -60,7 +59,6 @@ PolicyAction QuoteTruncatePolicy::do_apply(wire::Datagram& dgram, util::Rng& /*r
   const std::size_t keep =
       wire::IcmpMessage::kHeaderSize + static_cast<std::size_t>(rng_.next_below(12));
   if (msg.body.size() > keep) msg.body.resize(keep);
-  dgram.touch_payload();  // invalidate any cached serialisation first
   dgram.payload = msg.encode();  // re-checksummed: degraded, not corrupt
   dgram.ip.total_length =
       static_cast<std::uint16_t>(wire::Ipv4Header::kSize + dgram.payload.size());

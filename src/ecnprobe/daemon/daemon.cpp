@@ -318,7 +318,8 @@ void CampaignDaemon::run_campaign(const std::shared_ptr<Campaign>& campaign) {
   std::string journal_error;
   const std::string journal_path =
       options_.state_dir + "/" + campaign->id + ".journal";
-  if (!journal.open(journal_path, scenario::journal_meta(params, plan), &journal_error)) {
+  const auto meta = scenario::journal_meta(params, plan, resolved.probe);
+  if (!journal.open(journal_path, meta, &journal_error)) {
     fail("journal: " + journal_error);
     return;
   }

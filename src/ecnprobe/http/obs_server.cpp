@@ -214,6 +214,7 @@ bool ObsHttpServer::read_request(int fd, wire::HttpParser& parser) {
       pre_head_bytes += static_cast<std::size_t>(n);
     }
     if (!parser.feed(std::string_view(buf, static_cast<std::size_t>(n)))) {
+      rejected_malformed_.fetch_add(1, std::memory_order_relaxed);
       send_all(fd, http_response(400, "Bad Request", "text/plain",
                                  parser.error() + "\n"));
       return false;
@@ -287,6 +288,7 @@ ObsHttpServer::Stats ObsHttpServer::stats() const {
   stats.rejected_timeout = rejected_timeout_.load(std::memory_order_relaxed);
   stats.rejected_oversized =
       rejected_oversized_.load(std::memory_order_relaxed);
+  stats.rejected_malformed = rejected_malformed_.load(std::memory_order_relaxed);
   return stats;
 }
 

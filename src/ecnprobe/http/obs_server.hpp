@@ -91,6 +91,7 @@ class ObsHttpServer {
     std::uint64_t bytes_sent = 0;
     std::uint64_t rejected_timeout = 0;   ///< 408s (read deadline)
     std::uint64_t rejected_oversized = 0; ///< 431s + 413s (size caps)
+    std::uint64_t rejected_malformed = 0; ///< 400s (unparseable requests)
   };
 
   ObsHttpServer(Options options, Providers providers);
@@ -137,6 +138,7 @@ class ObsHttpServer {
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> rejected_timeout_{0};
   std::atomic<std::uint64_t> rejected_oversized_{0};
+  std::atomic<std::uint64_t> rejected_malformed_{0};
 };
 
 }  // namespace ecnprobe::http

@@ -146,12 +146,24 @@ bool decode_trace(const std::string& text, Trace* out) {
   return cur.next == cur.toks.size();
 }
 
-std::string header_line(const JournalMeta& meta) {
-  return util::strf("ecnprobe-journal v1 plan=%s faults=%s seed=%llu traces=%d servers=%d",
-                    obs::escape_token(meta.plan).c_str(),
-                    obs::escape_token(meta.faults).c_str(),
-                    static_cast<unsigned long long>(meta.seed), meta.total_traces,
-                    meta.server_count);
+std::string header_line(const JournalMeta& meta, int version) {
+  std::string line =
+      util::strf("ecnprobe-journal v%d plan=%s faults=%s seed=%llu traces=%d servers=%d",
+                 version, obs::escape_token(meta.plan).c_str(),
+                 obs::escape_token(meta.faults).c_str(),
+                 static_cast<unsigned long long>(meta.seed), meta.total_traces,
+                 meta.server_count);
+  if (version >= 2) {
+    line += " sched=" + obs::escape_token(meta.sched) +
+            " telemetry=" + obs::escape_token(meta.telemetry) +
+            " timeseries=" + obs::escape_token(meta.timeseries);
+  }
+  return line;
+}
+
+/// The header version a (possibly torn) first line was written with.
+int header_version(std::string_view line) {
+  return line.starts_with("ecnprobe-journal v1 ") ? 1 : 2;
 }
 
 std::string record_line(int index, const Trace& trace, const obs::ObsSnapshot& delta) {
@@ -177,9 +189,9 @@ std::string plan_fingerprint(const CampaignPlan& plan) {
 bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
                            std::string* error) {
   meta_ = meta;
+  version_ = 2;
   path_ = path;
   entries_.clear();
-  const std::string expected_header = header_line(meta);
 
   // Sweep any temp file a crash mid-rotate() left behind. The rename in
   // rotate() is the commit point: until it happens the real journal is
@@ -202,6 +214,8 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
       ++line_no;
       if (line.empty()) continue;
       if (line_no == 1) {
+        version_ = header_version(line);
+        const std::string expected_header = header_line(meta, version_);
         if (line != expected_header) {
           if (error != nullptr) {
             *error = "journal " + path + " belongs to a different campaign\n  have: " +
@@ -254,10 +268,11 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
       // Nothing committed: a zero-length file, or a header torn by a crash
       // before its newline -- treat as fresh. Anything else is not this
       // journal.
-      if (expected_header.compare(0, text.size(), text) != 0) {
+      const std::string torn_header = header_line(meta, header_version(text));
+      if (torn_header.compare(0, text.size(), text) != 0) {
         if (error != nullptr) {
           *error = "journal " + path + " belongs to a different campaign\n  have: " + text +
-                   "\n  want: " + expected_header;
+                   "\n  want: " + torn_header;
         }
         return false;
       }
@@ -266,7 +281,7 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
         if (error != nullptr) *error = "cannot write journal " + path;
         return false;
       }
-      out_ << expected_header << '\n' << std::flush;
+      out_ << header_line(meta, version_) << '\n' << std::flush;
       return true;
     }
     if (committed < text.size()) {
@@ -292,7 +307,7 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
     if (error != nullptr) *error = "cannot create journal " + path;
     return false;
   }
-  out_ << expected_header << '\n' << std::flush;
+  out_ << header_line(meta, version_) << '\n' << std::flush;
   return true;
 }
 
@@ -316,7 +331,7 @@ bool CampaignJournal::rotate(std::string* error) {
       if (error != nullptr) *error = "cannot create rotation temp " + tmp;
       return false;
     }
-    tmp_out << header_line(meta_) << '\n';
+    tmp_out << header_line(meta_, version_) << '\n';
     for (const auto& [index, entry] : entries_) {
       tmp_out << record_line(index, entry.trace, entry.delta) << '\n';
     }

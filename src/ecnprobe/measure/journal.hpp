@@ -8,7 +8,8 @@
 //
 // File format (one record per line, space-separated tokens):
 //
-//   ecnprobe-journal v1 plan=<fp> faults=<fp> seed=<u64> traces=<n> servers=<n>
+//   ecnprobe-journal v2 plan=<fp> faults=<fp> seed=<u64> traces=<n> servers=<n>
+//                       sched=<spec> telemetry=<spec> timeseries=<spec>
 //   T <index> <checksum> <payload>
 //
 // The payload encodes the trace (losslessly, RTTs as raw IEEE bits) and
@@ -20,7 +21,10 @@
 // line (a kill inside append()) was never committed, so open() truncates
 // it away and the trace simply runs again.
 // The header pins what the journal is a journal *of*: resuming under a
-// different plan, fault profile, seed, or server count is refused.
+// different plan, fault profile, seed, server count, probe discipline,
+// telemetry mode or time series is refused. A v1 header (no sched,
+// telemetry or timeseries field) still opens, is checked on the fields it
+// has, and stays v1.
 //
 // Thread safety: none. ParallelCampaign serializes append() calls under
 // its own mutex.
@@ -45,6 +49,11 @@ struct JournalMeta {
   std::uint64_t seed = 0;
   int total_traces = 0;
   int server_count = 0;
+  // Canonical specs, bound by v2 headers: two campaigns with equal fields
+  // probe and record alike.
+  std::string sched;       ///< sched::SupervisorConfig::serialize()
+  std::string telemetry;   ///< resolved obs::TelemetryConfig
+  std::string timeseries;  ///< obs::TimeSeriesConfig
 
   bool operator==(const JournalMeta&) const = default;
 };
@@ -93,6 +102,7 @@ public:
 
 private:
   JournalMeta meta_;
+  int version_ = 2;  ///< header version on disk; rotate() keeps it
   std::string path_;
   std::map<int, Entry> entries_;
   std::ofstream out_;

@@ -6,7 +6,6 @@
 
 #include "ecnprobe/obs/event_stream.hpp"
 #include "ecnprobe/obs/profiler.hpp"
-#include "ecnprobe/util/arena.hpp"
 #include "ecnprobe/util/strings.hpp"
 #include "ecnprobe/util/thread_pool.hpp"
 
@@ -18,6 +17,10 @@ struct ParallelCampaign::Worker {
   std::vector<wire::Ipv4Address> servers;
   obs::Counter* busy_micros = nullptr;
   obs::Counter* traces = nullptr;
+  /// The one capture buffer this worker lends to each trace's vantage:
+  /// adopted at trace start, taken back at commit or quarantine, so its
+  /// capacity carries from trace to trace instead of regrowing.
+  std::vector<netsim::CapturedPacket> capture;
 };
 
 ParallelCampaign::ParallelCampaign(ShardFactory factory, Options options)
@@ -83,6 +86,11 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
   in_flight->add(1);
   const auto vit = worker.vantages.find(planned.vantage);
   Vantage* vantage = vit == worker.vantages.end() ? nullptr : vit->second;
+  bool lent = false;  // the vantage holds worker.capture
+  const auto take_back_capture = [&] {
+    if (lent) worker.capture = vantage->capture().release();
+    lent = false;
+  };
   try {
     {
       obs::Profiler::Scope plan_scope("plan");
@@ -95,7 +103,8 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     if (vantage == nullptr) {
       throw std::invalid_argument("ParallelCampaign: unknown vantage " + planned.vantage);
     }
-    vantage->capture().clear();
+    vantage->capture().adopt(std::move(worker.capture));
+    lent = true;
     ProbeOptions probe = options_.probe;
     if (probe.sched.breaker.enabled) {
       // Group resolution must consult this worker's own world clone; a
@@ -115,11 +124,6 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
       profiler.gauge_max("sim_queue_depth_high_water",
                          static_cast<std::int64_t>(
                              worker.shard->sim().events_high_water()));
-      const auto& pool = util::BufferPool::this_thread();
-      profiler.gauge_max("buffer_pool_outstanding_high_water",
-                         static_cast<std::int64_t>(pool.outstanding_high_water()));
-      profiler.gauge_max("buffer_pool_free_high_water",
-                         static_cast<std::int64_t>(pool.free_count()));
     }
     if (!result) throw std::runtime_error("ParallelCampaign: trace stalled");
     // The delta is collected after full quiescence, so straggler events
@@ -129,9 +133,9 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     delta.obs = worker.shard->collect_trace_metrics();
     delta.events = worker.shard->collect_trace_events();
     // The capture holds this trace's packets only: shards may read it while
-    // collecting, and releasing it here bounds a worker's memory to the
-    // trace it runs instead of every vantage's latest trace.
-    vantage->capture().clear();
+    // collecting, and taking the buffer back here bounds a worker's memory
+    // to the trace it runs instead of every vantage's latest trace.
+    take_back_capture();
     if (journal_ != nullptr) {
       // Write-ahead: the trace is durable before it counts as complete.
       obs::Profiler::Scope journal_scope("journal");
@@ -169,7 +173,7 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     PendingDelta delta;
     delta.obs = worker.shard->collect_trace_metrics();
     delta.events = worker.shard->collect_trace_events();
-    if (vantage != nullptr) vantage->capture().clear();
+    take_back_capture();
     commit_delta(index, std::move(delta));
     runtime_.counter("campaign_failed_total", {{"vantage", planned.vantage}},
                      "traces that threw, per vantage")->inc();

@@ -56,9 +56,10 @@ public:
   /// shard's metrics registry and drop ledger accumulated since the last
   /// begin_trace(). Called after sim().run() returned, i.e. from a fully
   /// quiescent world, so straggler events are included. The running
-  /// vantage's capture still holds the trace's packets here; the executor
-  /// clears it once both collect calls returned. Shards that don't track
-  /// metrics return an empty snapshot.
+  /// vantage's capture still holds the trace's packets here, in a buffer
+  /// the executor lent it at trace start and takes back once both collect
+  /// calls returned. Shards that don't track metrics return an empty
+  /// snapshot.
   virtual obs::ObsSnapshot collect_trace_metrics() { return {}; }
 
   /// Flight-recorder events for the trace that just finished -- everything

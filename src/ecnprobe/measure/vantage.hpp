@@ -32,9 +32,10 @@ public:
   traceroute::Tracerouter& tracer();
 
   /// The always-on capture (tcpdump analogue). In a campaign it holds the
-  /// running trace's packets only: the executor reads it nowhere, shards
-  /// may inspect it in CampaignShard::collect_trace_metrics(), and it is
-  /// cleared, storage and all, as the trace commits.
+  /// running trace's packets only, in its worker's one capture buffer: the
+  /// executor reads it nowhere, shards may inspect it in
+  /// CampaignShard::collect_trace_metrics(), and the buffer, storage and
+  /// all, goes back to the worker as the trace commits.
   netsim::PacketCapture& capture() { return capture_; }
 
 private:

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "ecnprobe/netsim/sim.hpp"
@@ -33,10 +34,20 @@ public:
 
   const std::vector<CapturedPacket>& packets() const { return packets_; }
   /// Drops every recorded packet and gives the storage back (capacity 0),
-  /// so a capture only ever holds the packets of the session it records:
-  /// the campaign executor clears a vantage's capture as each trace
-  /// commits.
+  /// so a capture only ever holds the packets of the session it records.
   void clear() { std::vector<CapturedPacket>().swap(packets_); }
+
+  /// Records into `storage` from now on, cleared but with its capacity
+  /// kept; the storage held before is freed.
+  void adopt(std::vector<CapturedPacket> storage) {
+    storage.clear();
+    packets_ = std::move(storage);
+  }
+  /// Hands the storage out, packets and capacity, leaving the capture
+  /// empty with capacity 0. The campaign executor lends one buffer per
+  /// worker to each trace's vantage through adopt() and takes it back here
+  /// as the trace commits, so no vantage holds storage between traces.
+  std::vector<CapturedPacket> release() { return std::exchange(packets_, {}); }
 
   /// Convenience filters mirroring common tcpdump expressions.
   static Filter proto_filter(wire::IpProto proto);

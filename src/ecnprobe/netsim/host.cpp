@@ -48,7 +48,7 @@ void Host::send_datagram(wire::Datagram dgram) {
   const auto pending =
       recorder != nullptr && recorder->armed() ? recorder->take_pending() : std::nullopt;
   if (net_ == nullptr || net_->interface_count(id()) == 0) return;
-  dgram.set_identification(net_->next_ip_id());
+  dgram.ip.identification = net_->next_ip_id();
   if (pending) {
     dgram.flight = pending->flight;
     if (!pending->is_reply) {
@@ -60,7 +60,7 @@ void Host::send_datagram(wire::Datagram dgram) {
           util::strf("dst=%s ecn=%s proto=%s", dgram.ip.dst.to_string().c_str(),
                      std::string(wire::to_string(dgram.ip.ecn)).c_str(),
                      std::string(wire::to_string(dgram.ip.protocol)).c_str()),
-          dgram.wire_view());
+          dgram.encode());
     }
   }
   ++stats_.sent;
@@ -94,7 +94,7 @@ void Host::on_receive(wire::Datagram dgram, int /*ingress_if*/) {
                     util::strf("src=%s ecn=%s proto=%s", dgram.ip.src.to_string().c_str(),
                                std::string(wire::to_string(dgram.ip.ecn)).c_str(),
                                std::string(wire::to_string(dgram.ip.protocol)).c_str()),
-                    dgram.wire_view());
+                    dgram.encode());
   }
 
   if (dgram.ip.protocol == wire::IpProto::Udp) {

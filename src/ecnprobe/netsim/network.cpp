@@ -41,20 +41,20 @@ obs::RewriteCause rewrite_cause_for(wire::Ecn after) {
 /// recorder is armed AND the datagram carries a flight stamp, so the
 /// common case costs one bool test.
 void record_flight_drop(obs::FlightRecorder& rec, Simulator& sim, const Node& node,
-                        obs::Layer layer, wire::Datagram& dgram, std::string detail) {
+                        obs::Layer layer, const wire::Datagram& dgram, std::string detail) {
   if (!rec.armed() || dgram.flight == 0) return;
   rec.record(dgram.flight, obs::SpanEvent::PolicyDrop, sim.now(), layer, node.name(),
-             node.address().value(), std::move(detail), dgram.wire_view());
+             node.address().value(), std::move(detail), dgram.encode());
 }
 
 void record_flight_rewrite(obs::FlightRecorder& rec, Simulator& sim, const Node& node,
-                           wire::Datagram& dgram, wire::Ecn before) {
+                           const wire::Datagram& dgram, wire::Ecn before) {
   if (!rec.armed() || dgram.flight == 0) return;
   rec.record(dgram.flight, obs::SpanEvent::EcnRewritten, sim.now(), obs::Layer::Policy,
              node.name(), node.address().value(),
              util::strf("%s->%s", std::string(wire::to_string(before)).c_str(),
                         std::string(wire::to_string(dgram.ip.ecn)).c_str()),
-             dgram.wire_view());
+             dgram.encode());
 }
 }  // namespace
 

@@ -24,7 +24,7 @@ std::string EcnBleachPolicy::name() const {
 
 PolicyAction EcnBleachPolicy::do_apply(wire::Datagram& dgram, util::Rng& rng, util::SimTime /*now*/) {
   if (wire::is_ect(dgram.ip.ecn) && rng.bernoulli(prob_)) {
-    dgram.set_ecn(wire::Ecn::NotEct);
+    dgram.ip.ecn = wire::Ecn::NotEct;
   }
   return PolicyAction::Pass;
 }
@@ -74,7 +74,7 @@ PolicyAction CongestionPolicy::do_apply(wire::Datagram& dgram, util::Rng& rng, u
     if (overload_drop_prob_ > 0.0 && rng.bernoulli(overload_drop_prob_)) {
       return PolicyAction::Drop;
     }
-    if (rng.bernoulli(mark_prob_)) dgram.set_ecn(wire::Ecn::Ce);
+    if (rng.bernoulli(mark_prob_)) dgram.ip.ecn = wire::Ecn::Ce;
     return PolicyAction::Pass;
   }
   return rng.bernoulli(drop_prob_) ? PolicyAction::Drop : PolicyAction::Pass;
@@ -136,7 +136,7 @@ PolicyAction BottleneckAqmPolicy::do_apply(wire::Datagram& dgram, util::Rng& rng
                          : 1.0;
     if (rng.bernoulli(p)) {
       if (params_.ecn_enabled && wire::is_ect(dgram.ip.ecn)) {
-        dgram.set_ecn(wire::Ecn::Ce);  // signal instead of dropping
+        dgram.ip.ecn = wire::Ecn::Ce;  // signal instead of dropping
         ++queue_stats_.ce_marked;
       } else {
         ++queue_stats_.dropped_early;

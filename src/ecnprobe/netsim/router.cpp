@@ -22,7 +22,7 @@ void Router::on_receive(wire::Datagram dgram, int /*ingress_if*/) {
     if (recorder.armed() && dgram.flight != 0) {
       recorder.record(dgram.flight, obs::SpanEvent::PolicyDrop, net_->sim().now(),
                       obs::Layer::Router, name(), address().value(), "ttl-expired",
-                      dgram.wire_view());
+                      dgram.encode());
     }
     if (rng_.bernoulli(params_.icmp_response_prob)) {
       // Quote the datagram exactly as received -- including any ECN mark an
@@ -33,7 +33,7 @@ void Router::on_receive(wire::Datagram dgram, int /*ingress_if*/) {
     }
     return;
   }
-  dgram.set_ttl(static_cast<std::uint8_t>(dgram.ip.ttl - 1));
+  --dgram.ip.ttl;
 
   const int egress = net_->route(id(), dgram.ip.dst);
   if (egress == kNoInterface) {
@@ -42,7 +42,7 @@ void Router::on_receive(wire::Datagram dgram, int /*ingress_if*/) {
     if (recorder.armed() && dgram.flight != 0) {
       recorder.record(dgram.flight, obs::SpanEvent::PolicyDrop, net_->sim().now(),
                       obs::Layer::Router, name(), address().value(), "unroutable",
-                      dgram.wire_view());
+                      dgram.encode());
     }
     if (rng_.bernoulli(params_.icmp_response_prob)) {
       wire::Datagram icmp =
@@ -56,20 +56,20 @@ void Router::on_receive(wire::Datagram dgram, int /*ingress_if*/) {
   if (recorder.armed() && dgram.flight != 0) {
     recorder.record(dgram.flight, obs::SpanEvent::HopForward, net_->sim().now(),
                     obs::Layer::Router, name(), address().value(),
-                    util::strf("ttl=%d", dgram.ip.ttl), dgram.wire_view());
+                    util::strf("ttl=%d", dgram.ip.ttl), dgram.encode());
   }
   net_->transmit(id(), egress, std::move(dgram));
 }
 
 void Router::send_icmp(wire::Datagram&& icmp, const char* kind) {
-  icmp.set_identification(net_->next_ip_id());
+  icmp.ip.identification = net_->next_ip_id();
   const int egress = net_->route(id(), icmp.ip.dst);
   if (egress == kNoInterface) return;
   ++stats_.icmp_sent;
   auto& recorder = net_->obs().recorder;
   if (recorder.armed() && icmp.flight != 0) {
     recorder.record(icmp.flight, obs::SpanEvent::IcmpGenerated, net_->sim().now(),
-                    obs::Layer::Router, name(), address().value(), kind, icmp.wire_view());
+                    obs::Layer::Router, name(), address().value(), kind, icmp.encode());
   }
   net_->transmit(id(), egress, std::move(icmp));
 }

@@ -97,13 +97,6 @@ void FlightRecorder::record(std::uint32_t flight, SpanEvent type, util::SimTime 
   push(std::move(event));
 }
 
-void FlightRecorder::record(std::uint32_t flight, SpanEvent type, util::SimTime time,
-                            Layer layer, std::string_view node, std::uint32_t node_addr,
-                            std::string detail, std::span<const std::uint8_t> wire) {
-  record(flight, type, time, layer, node, node_addr, std::move(detail),
-         std::vector<std::uint8_t>(wire.begin(), wire.end()));
-}
-
 void FlightRecorder::record_here(SpanEvent type, util::SimTime time, Layer layer,
                                  std::string_view node, std::uint32_t node_addr,
                                  std::string detail) {

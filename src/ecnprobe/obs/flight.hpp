@@ -23,7 +23,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -150,13 +149,6 @@ public:
   void record(std::uint32_t flight, SpanEvent type, util::SimTime time, Layer layer,
               std::string_view node, std::uint32_t node_addr, std::string detail,
               std::vector<std::uint8_t> wire = {});
-
-  /// Span overload for datapath taps feeding Datagram::wire_view(): the
-  /// datagram serialises once into its pooled cache and every tap copies
-  /// from it, instead of each tap running a full encode.
-  void record(std::uint32_t flight, SpanEvent type, util::SimTime time, Layer layer,
-              std::string_view node, std::uint32_t node_addr, std::string detail,
-              std::span<const std::uint8_t> wire);
 
   /// Records an event keyed by the current context -- for probe-level
   /// outcomes (timeouts) that have no packet to hang the event on.

@@ -743,13 +743,29 @@ measure::ParallelCampaign::Options campaign_options(const WorldParams& params,
 }
 
 measure::JournalMeta journal_meta(const WorldParams& params,
-                                  const measure::CampaignPlan& plan) {
+                                  const measure::CampaignPlan& plan,
+                                  const measure::ProbeOptions& probe) {
+  const auto options = campaign_options(params, probe);
   measure::JournalMeta meta;
   meta.plan = measure::plan_fingerprint(plan);
   meta.faults = params.faults.fingerprint();
   meta.seed = params.seed;
   meta.total_traces = plan.total_traces();
   meta.server_count = params.server_count;
+  meta.sched = options.probe.sched.serialize();
+  const auto& t = options.telemetry;
+  meta.telemetry =
+      !t.sketched() ? "exact"
+                    : util::strf("sketched,eps=%.17g,delta=%.17g,alpha=%.17g,sample-every=%d,"
+                                 "reservoir=%d,budget-bytes=%zu,seed=%llu",
+                                 t.epsilon, t.delta, t.alpha, t.sample_every, t.reservoir,
+                                 t.budget_bytes, static_cast<unsigned long long>(t.seed));
+  const auto& ts = params.timeseries;
+  meta.timeseries =
+      !ts.enabled ? "off"
+                  : util::strf("window-ns=%lld,alpha=%.17g,max-windows=%d",
+                               static_cast<long long>(ts.window_nanos), ts.alpha,
+                               ts.max_windows);
   return meta;
 }
 

@@ -340,10 +340,13 @@ measure::ParallelCampaign::Options campaign_options(const WorldParams& params,
                                                     int workers = 1, int halt_after = 0);
 
 /// Journal metadata binding a checkpoint to the campaign it came from:
-/// a journal opened with a different (params, plan) is refused, so a
-/// resume can only ever replay traces of the same campaign.
+/// a journal opened with a different (params, plan, probe discipline) is
+/// refused, so a resume can only ever replay traces of the same campaign.
+/// The sched, telemetry and time-series fields are canonical and resolved
+/// as campaign_options resolves them, so equivalent specs bind alike.
 measure::JournalMeta journal_meta(const WorldParams& params,
-                                  const measure::CampaignPlan& plan);
+                                  const measure::CampaignPlan& plan,
+                                  const measure::ProbeOptions& probe);
 
 /// Everything one campaign run produces, merged in plan order.
 struct CampaignRun {

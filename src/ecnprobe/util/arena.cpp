@@ -88,9 +88,4 @@ void Arena::unpoison_range(std::byte* p, std::size_t n) {
 #endif
 }
 
-BufferPool& BufferPool::this_thread() {
-  thread_local BufferPool pool;
-  return pool;
-}
-
 }  // namespace ecnprobe::util

@@ -1,16 +1,14 @@
-// Arena and slab allocation for the simulation hot path. A campaign probes
-// millions of servers through the same handful of per-packet structures;
-// allocating those from the general heap costs a malloc/free pair per
-// packet and scatters them across memory. The types here trade that for
-// bump-pointer arenas and recycled buffers that reach a steady state after
-// the first trace: `reset()` retains every block an arena ever grew to, so
-// once warm the per-probe path performs no heap allocations at all.
+// Arena allocation for the simulation hot path. A campaign probes millions
+// of servers through the same handful of per-trace structures; allocating
+// those from the general heap costs a malloc/free pair per node and
+// scatters them across memory. An Arena trades that for bump-pointer
+// blocks that reach a steady state after the first trace: `reset()`
+// retains every block it ever grew to, so once warm its clients perform no
+// heap allocations at all.
 //
-// Thread model: none of these types are thread-safe, matching the rest of
-// the simulation (one world, one arena family, one thread). Parallel
-// campaign workers each own their world's arenas; the thread-local
-// BufferPool is per-thread by construction. A TSan-covered test pins the
-// per-worker isolation.
+// Thread model: not thread-safe, matching the rest of the simulation (one
+// world, one arena family, one thread). Parallel campaign workers each own
+// their world's arenas; a TSan-covered test pins the per-worker isolation.
 //
 // Safety: `Arena::reset()` poisons the retained blocks -- with real ASan
 // poisoning when compiled under AddressSanitizer (a use-after-reset then
@@ -23,7 +21,6 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -138,115 +135,6 @@ private:
   template <typename U>
   friend class ArenaAllocator;
   Arena* arena_;
-};
-
-/// Slab recycler for byte buffers: `acquire()` hands out a vector with its
-/// previous capacity intact, `release()` takes it back. After warm-up every
-/// acquire is a pop from the free list -- no heap traffic. Deliberately a
-/// plain free list of std::vector so borrowed buffers are ordinary vectors
-/// usable by every existing codec.
-class BufferPool {
-public:
-  BufferPool() = default;
-  BufferPool(const BufferPool&) = delete;
-  BufferPool& operator=(const BufferPool&) = delete;
-
-  std::vector<std::uint8_t> acquire() {
-    ++acquires_;
-    ++outstanding_;
-    if (outstanding_ > outstanding_high_water_) {
-      outstanding_high_water_ = outstanding_;
-    }
-    if (free_.empty()) return {};
-    ++hits_;
-    std::vector<std::uint8_t> out = std::move(free_.back());
-    free_.pop_back();
-    out.clear();
-    return out;
-  }
-
-  void release(std::vector<std::uint8_t>&& buf) {
-    if (outstanding_ > 0) --outstanding_;
-    if (buf.capacity() == 0 || free_.size() >= kMaxFreeList) return;
-    free_.push_back(std::move(buf));
-  }
-
-  /// The pool serving this thread's packet-buffer traffic. Thread-local so
-  /// parallel campaign workers never contend or share buffers.
-  static BufferPool& this_thread();
-
-  std::size_t free_count() const { return free_.size(); }
-  std::uint64_t acquires() const { return acquires_; }
-  std::uint64_t hits() const { return hits_; }  ///< acquires served without malloc
-  /// Buffers currently on loan, and the most ever on loan at once (the
-  /// self-profiler's buffer pressure gauge).
-  std::size_t outstanding() const { return outstanding_; }
-  std::size_t outstanding_high_water() const { return outstanding_high_water_; }
-
-private:
-  static constexpr std::size_t kMaxFreeList = 256;
-  std::vector<std::vector<std::uint8_t>> free_;
-  std::uint64_t acquires_ = 0;
-  std::uint64_t hits_ = 0;
-  std::size_t outstanding_ = 0;
-  std::size_t outstanding_high_water_ = 0;
-};
-
-/// A byte buffer borrowed from the thread-local BufferPool for its whole
-/// lifetime: acquired lazily on first mutable access, returned on
-/// destruction. Copying deliberately yields an *empty* buffer -- users of
-/// this type treat it as a cache whose contents can be recomputed -- which
-/// keeps copies cheap and makes stale-cache-after-copy impossible.
-class PooledBuffer {
-public:
-  PooledBuffer() = default;
-  ~PooledBuffer() { release(); }
-  PooledBuffer(const PooledBuffer&) {}  // a copy starts empty (cache semantics)
-  PooledBuffer& operator=(const PooledBuffer&) {
-    clear();
-    return *this;
-  }
-  PooledBuffer(PooledBuffer&& other) noexcept
-      : buf_(std::move(other.buf_)), engaged_(other.engaged_) {
-    other.engaged_ = false;
-  }
-  PooledBuffer& operator=(PooledBuffer&& other) noexcept {
-    if (this != &other) {
-      release();
-      buf_ = std::move(other.buf_);
-      engaged_ = other.engaged_;
-      other.engaged_ = false;
-    }
-    return *this;
-  }
-
-  bool empty() const { return !engaged_ || buf_.empty(); }
-
-  /// The live buffer, acquiring from the pool on first use.
-  std::vector<std::uint8_t>& mut() {
-    if (!engaged_) {
-      buf_ = BufferPool::this_thread().acquire();
-      engaged_ = true;
-    }
-    return buf_;
-  }
-
-  std::span<const std::uint8_t> view() const { return buf_; }
-
-  /// Drops the contents and returns the storage to the pool.
-  void clear() { release(); }
-
-private:
-  void release() {
-    if (engaged_) {
-      BufferPool::this_thread().release(std::move(buf_));
-      buf_ = {};
-      engaged_ = false;
-    }
-  }
-
-  std::vector<std::uint8_t> buf_;
-  bool engaged_ = false;
 };
 
 }  // namespace ecnprobe::util

@@ -19,7 +19,7 @@ namespace ecnprobe::util {
 class UniqueFunction {
 public:
   /// Inline closure budget: fits `[this, to, ingress_if, d = Datagram]`
-  /// delivery lambdas (a Datagram is ~100 bytes) without heap fallback.
+  /// delivery lambdas (a Datagram is 56 bytes) without heap fallback.
   static constexpr std::size_t kInlineSize = 152;
 
   UniqueFunction() = default;

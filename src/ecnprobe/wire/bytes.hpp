@@ -90,11 +90,6 @@ class ByteWriter {
 public:
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
-  /// Writes into an adopted buffer (cleared, capacity kept) so pooled
-  /// buffers can be refilled without a fresh allocation.
-  explicit ByteWriter(std::vector<std::uint8_t>&& adopt) : buf_(std::move(adopt)) {
-    buf_.clear();
-  }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) {

@@ -22,9 +22,9 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data);
 
 /// RFC 1624 incremental update: the checksum after one 16-bit word of the
 /// covered data changes from `old_word` to `new_word`, given the checksum
-/// `check` computed before the change. Routers rewriting TTL or the ECN
-/// codepoint patch the stored header checksum with this instead of
-/// re-summing the whole header.
+/// `check` computed before the change: a rewrite of one stored header word
+/// (TTL, the ECN codepoint) patches the stored checksum with this instead
+/// of re-summing the whole header.
 ///
 /// Uses the corrected HC' = ~(~HC + ~m + m') form. For IPv4 headers this is
 /// bit-exact with a full recompute: the version/IHL byte 0x45 forces the

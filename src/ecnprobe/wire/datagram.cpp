@@ -2,76 +2,18 @@
 
 #include "ecnprobe/util/strings.hpp"
 #include "ecnprobe/wire/bytes.hpp"
-#include "ecnprobe/wire/checksum.hpp"
 #include "ecnprobe/wire/tcp.hpp"
 #include "ecnprobe/wire/udp.hpp"
 
 namespace ecnprobe::wire {
 
 std::vector<std::uint8_t> Datagram::encode() const {
-  if (wire_cached()) {
-    const auto cached = wire_.view();
-    return {cached.begin(), cached.end()};
-  }
   Ipv4Header h = ip;
   h.total_length = static_cast<std::uint16_t>(Ipv4Header::kSize + payload.size());
   ByteWriter out(h.total_length);
   h.encode(out);
   out.bytes(payload);
   return out.take();
-}
-
-std::span<const std::uint8_t> Datagram::wire_view() {
-  if (!wire_cached()) {
-    Ipv4Header h = ip;
-    h.total_length = static_cast<std::uint16_t>(Ipv4Header::kSize + payload.size());
-    // Serialise into the pooled buffer's storage: move it through a
-    // ByteWriter and back, so a warm buffer is refilled allocation-free.
-    ByteWriter out(std::move(wire_.mut()));
-    h.encode(out);
-    out.bytes(payload);
-    wire_.mut() = out.take();
-  }
-  return wire_.view();
-}
-
-void Datagram::patch_wire_u16(std::size_t offset, std::uint16_t new_word) {
-  auto& b = wire_.mut();
-  const auto old_word = static_cast<std::uint16_t>((b[offset] << 8) | b[offset + 1]);
-  if (old_word == new_word) return;
-  b[offset] = static_cast<std::uint8_t>(new_word >> 8);
-  b[offset + 1] = static_cast<std::uint8_t>(new_word);
-  const auto old_check = static_cast<std::uint16_t>((b[10] << 8) | b[11]);
-  const std::uint16_t new_check = checksum_update(old_check, old_word, new_word);
-  b[10] = static_cast<std::uint8_t>(new_check >> 8);
-  b[11] = static_cast<std::uint8_t>(new_check);
-}
-
-void Datagram::set_ttl(std::uint8_t ttl) {
-  ip.ttl = ttl;
-  if (wire_cached()) {
-    patch_wire_u16(8, static_cast<std::uint16_t>(
-                          (ttl << 8) | static_cast<std::uint8_t>(ip.protocol)));
-  }
-}
-
-void Datagram::set_ecn(Ecn ecn) {
-  ip.ecn = ecn;
-  if (wire_cached()) {
-    patch_wire_u16(0, static_cast<std::uint16_t>((0x45u << 8) | ip.tos_octet()));
-  }
-}
-
-void Datagram::set_dscp(std::uint8_t dscp) {
-  ip.dscp = dscp;
-  if (wire_cached()) {
-    patch_wire_u16(0, static_cast<std::uint16_t>((0x45u << 8) | ip.tos_octet()));
-  }
-}
-
-void Datagram::set_identification(std::uint16_t id) {
-  ip.identification = id;
-  if (wire_cached()) patch_wire_u16(4, id);
 }
 
 util::Expected<Datagram> Datagram::decode(std::span<const std::uint8_t> bytes) {

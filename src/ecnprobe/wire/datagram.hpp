@@ -1,19 +1,12 @@
 // A Datagram is the unit that traverses the simulated network: a decoded
 // IPv4 header plus the raw transport-segment bytes. Keeping the header
-// decoded lets routers and middleboxes inspect/modify TTL and ECN cheaply;
-// `encode()` produces the bit-accurate wire bytes whenever they are needed
-// (packet capture, ICMP quotations, the live driver).
-//
-// Hot-path wire cache: the flight recorder serialises every datagram at
-// every recorded hop. `wire_view()` serialises once into a pooled buffer
-// and the datapath mutators (`set_ttl`/`set_ecn`/`set_dscp`/
-// `set_identification`) patch the cached bytes in place, updating the IP
-// header checksum incrementally per RFC 1624 instead of re-summing the
-// header. The cache is primed ONLY by wire_view() -- plain field writes
-// (tests, scenario setup) stay safe because nothing is cached yet -- and
-// copying a Datagram drops the cache, so a stale copy cannot exist. Code
-// that mutates `payload` on a possibly-cached datagram calls
-// touch_payload() first.
+// decoded lets routers and middleboxes inspect/modify TTL and ECN as plain
+// field writes; `encode()` produces the bit-accurate wire bytes whenever
+// they are needed (flight-recorder taps, ICMP quotations, pcap export, the
+// live driver), with the header checksum summed once there. A Datagram
+// carries no serialisation of its own: packet captures keep one record
+// per packet, so the record is only the header, the payload and the
+// flight id (56 bytes).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "ecnprobe/util/arena.hpp"
 #include "ecnprobe/util/expected.hpp"
 #include "ecnprobe/wire/icmp.hpp"
 #include "ecnprobe/wire/ipv4.hpp"
@@ -36,38 +28,14 @@ struct Datagram {
   /// serialised by encode(), left 0 by decode(). 0 means "not tracked".
   std::uint32_t flight = 0;
 
-  /// Full wire serialisation (header checksum recomputed; served from the
-  /// wire cache when one is primed).
+  /// Full wire serialisation (lengths filled in, header checksum summed).
   std::vector<std::uint8_t> encode() const;
-
-  /// The wire bytes of this datagram, serialised at most once: the first
-  /// call fills a pooled buffer, later calls (and datapath mutators) keep
-  /// it current. The span is invalidated by any mutation or by destruction.
-  std::span<const std::uint8_t> wire_view();
-
-  // -- datapath mutators: keep the wire cache and checksum in sync ----------
-  void set_ttl(std::uint8_t ttl);
-  void set_ecn(Ecn ecn);
-  void set_dscp(std::uint8_t dscp);
-  void set_identification(std::uint16_t id);
-  /// Call before mutating `payload` (or total_length) directly: drops the
-  /// cached wire bytes so the next wire_view() re-serialises.
-  void touch_payload() { wire_.clear(); }
-
-  /// Whether a cached serialisation is live (test/bench introspection).
-  bool wire_cached() const { return !wire_.empty(); }
 
   /// Parses wire bytes back into a Datagram. Fails on truncation or a bad
   /// IP checksum.
   static util::Expected<Datagram> decode(std::span<const std::uint8_t> bytes);
 
   std::string summary() const;
-
-private:
-  /// RFC 1624 patch of one 16-bit header word in the cached bytes.
-  void patch_wire_u16(std::size_t offset, std::uint16_t new_word);
-
-  util::PooledBuffer wire_;  ///< cached serialisation; copies start cold
 };
 
 /// Builds a UDP datagram with the given ECN mark; fills in lengths and all

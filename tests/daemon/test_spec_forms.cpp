@@ -207,7 +207,8 @@ TEST(CampaignSpecForms, ValidSpecWrittenBothWaysResolvesIdentically) {
   EXPECT_EQ(a.probe.sched.serialize(), b.probe.sched.serialize());
   EXPECT_EQ(a.probe.sched.retry.base_timeout.count_nanos(), 600'000'000);
   EXPECT_EQ(a.probe.sched.watchdog.deadline.count_nanos(), 20'000'000'000);
-  EXPECT_EQ(scenario::journal_meta(a.params, a.plan), scenario::journal_meta(b.params, b.plan));
+  EXPECT_EQ(scenario::journal_meta(a.params, a.plan, a.probe),
+            scenario::journal_meta(b.params, b.plan, b.probe));
 }
 
 }  // namespace

@@ -152,6 +152,7 @@ class FuzzedServer {
     const auto stats = server_.stats();
     EXPECT_EQ(stats.rejected_timeout, count(408));
     EXPECT_EQ(stats.rejected_oversized, count(413) + count(431));
+    EXPECT_EQ(stats.rejected_malformed, count(400));
     EXPECT_EQ(stats.requests, count(200) + count(404) + count(405));
     EXPECT_EQ(stats.sessions, connections_);
     EXPECT_EQ(count(kNoReply), 0u);

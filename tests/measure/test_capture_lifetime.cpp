@@ -1,7 +1,10 @@
 // Capture lifetime under the campaign executor: a vantage's capture holds
 // the running trace's packets while the shard collects that trace, and
 // nothing -- not even capacity -- once the trace commits. Without this a
-// worker keeps every vantage's latest trace for the whole campaign.
+// worker keeps every vantage's latest trace for the whole campaign. The
+// storage is the worker's one capture buffer, lent to each trace's vantage
+// and taken back at commit, so a trace records into the capacity the
+// previous one grew instead of regrowing it packet by packet.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -163,6 +166,98 @@ TEST(CaptureLifetime, HeldWhileCollectingAndReleasedAtCommitWithTwoWorkers) {
 TEST(CaptureLifetime, QuarantinedTraceReleasesItsCapture) {
   expect_trace_scoped_capture(1, 2);
   expect_trace_scoped_capture(2, 3);
+}
+
+/// What one trace's capture storage looked like, packet by packet.
+struct BufferUse {
+  std::size_t capacity_at_first_packet = 0;
+  std::size_t capacity_at_collect = 0;
+  std::size_t packets = 0;
+  bool reallocated = false;  ///< storage moved after the first packet
+};
+
+/// WorldShard decorator that watches the running vantage's capture storage
+/// through a second capture on the same host: Host records into its
+/// captures in order, so this one's filter runs right after the vantage's
+/// capture stored each packet. The filter records nothing itself.
+class BufferWatchShard final : public CampaignShard {
+public:
+  BufferWatchShard(const scenario::WorldParams& params, std::vector<BufferUse>& uses)
+      : inner_(params), uses_(uses), vantages_(inner_.vantages()) {}
+  ~BufferWatchShard() override {
+    if (watched_ != nullptr) watched_->host().remove_capture(&watch_);
+  }
+  BufferWatchShard(const BufferWatchShard&) = delete;
+  BufferWatchShard& operator=(const BufferWatchShard&) = delete;
+
+  netsim::Simulator& sim() override { return inner_.sim(); }
+  std::map<std::string, Vantage*> vantages() override { return vantages_; }
+  std::vector<wire::Ipv4Address> servers() override { return inner_.servers(); }
+
+  void begin_trace(const std::string& vantage, int batch, int index) override {
+    inner_.begin_trace(vantage, batch, index);
+    Vantage* running = vantages_.at(vantage);
+    if (running != watched_) {
+      if (watched_ != nullptr) watched_->host().remove_capture(&watch_);
+      running->host().add_capture(&watch_);
+      watched_ = running;
+    }
+    uses_.emplace_back();
+    data_ = nullptr;
+  }
+
+  obs::ObsSnapshot collect_trace_metrics() override {
+    const auto& packets = watched_->capture().packets();
+    uses_.back().capacity_at_collect = packets.capacity();
+    uses_.back().packets = packets.size();
+    return inner_.collect_trace_metrics();
+  }
+  std::vector<obs::FlightEvent> collect_trace_events() override {
+    return inner_.collect_trace_events();
+  }
+
+private:
+  bool observe() {
+    const auto& packets = watched_->capture().packets();
+    BufferUse& use = uses_.back();
+    if (data_ == nullptr) {
+      use.capacity_at_first_packet = packets.capacity();
+      data_ = packets.data();
+    } else if (packets.data() != data_) {
+      use.reallocated = true;
+    }
+    return false;
+  }
+
+  scenario::WorldShard inner_;
+  std::vector<BufferUse>& uses_;
+  std::map<std::string, Vantage*> vantages_;
+  netsim::PacketCapture watch_{[this](const wire::Datagram&) { return observe(); }};
+  Vantage* watched_ = nullptr;
+  const netsim::CapturedPacket* data_ = nullptr;
+};
+
+TEST(CaptureLifetime, OneWorkerHandsTheCaptureBufferFromTraceToTrace) {
+  const auto params = lifetime_params();
+  CampaignPlan plan;
+  plan.entries.push_back({"Perkins home", 1, 2});  // two traces, one vantage
+  std::vector<BufferUse> uses;
+  ParallelCampaign campaign(
+      [&](int) -> std::unique_ptr<CampaignShard> {
+        return std::make_unique<BufferWatchShard>(params, uses);
+      },
+      scenario::campaign_options(params, {}, 1));
+  const auto traces = campaign.run(plan);
+  ASSERT_EQ(traces.size(), 2u);
+  ASSERT_EQ(uses.size(), 2u);
+  const BufferUse& first = uses[0];
+  const BufferUse& second = uses[1];
+  ASSERT_GT(first.packets, 0u);
+  // The second trace fits in what the first grew, so it needs no growth.
+  ASSERT_LE(second.packets, first.capacity_at_collect);
+  EXPECT_EQ(second.capacity_at_first_packet, first.capacity_at_collect);
+  EXPECT_EQ(second.capacity_at_collect, first.capacity_at_collect);
+  EXPECT_FALSE(second.reallocated);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -26,6 +27,9 @@ JournalMeta sample_meta() {
   meta.seed = 42;
   meta.total_traces = 10;
   meta.server_count = 5;
+  meta.sched = "paper,max-attempts=5,seed=0";
+  meta.telemetry = "exact";
+  meta.timeseries = "off";
   return meta;
 }
 
@@ -162,7 +166,10 @@ TEST(CampaignJournal, RefusesJournalOfDifferentCampaign) {
                       +[](JournalMeta* m) { m->plan = "zzz"; },
                       +[](JournalMeta* m) { m->faults = "wan-chaos#0"; },
                       +[](JournalMeta* m) { m->total_traces = 11; },
-                      +[](JournalMeta* m) { m->server_count = 6; }}) {
+                      +[](JournalMeta* m) { m->server_count = 6; },
+                      +[](JournalMeta* m) { m->sched = "backoff,max-attempts=5,seed=42"; },
+                      +[](JournalMeta* m) { m->telemetry = "sketched,eps=0.001"; },
+                      +[](JournalMeta* m) { m->timeseries = "window-ns=1000000000"; }}) {
     auto meta = sample_meta();
     mutate(&meta);
     CampaignJournal other;
@@ -172,6 +179,52 @@ TEST(CampaignJournal, RefusesJournalOfDifferentCampaign) {
   // The unmutated meta still opens.
   CampaignJournal same;
   EXPECT_TRUE(same.open(file.path, sample_meta(), &error)) << error;
+}
+
+TEST(CampaignJournal, V1JournalStillOpensReplaysAndStaysV1) {
+  // A journal written before the header bound the probe discipline: the
+  // same records under a v1 header, which names five fields only.
+  TempFile file("journal_v1");
+  std::string error;
+  std::string records;
+  {
+    CampaignJournal journal;
+    ASSERT_TRUE(journal.open(file.path, sample_meta(), &error)) << error;
+    ASSERT_TRUE(journal.append(sample_trace(2), sample_delta()));
+    ASSERT_TRUE(journal.append(sample_trace(5), sample_delta()));
+  }
+  {
+    std::ifstream in(file.path);
+    std::string header;
+    std::getline(in, header);
+    EXPECT_EQ(header.rfind("ecnprobe-journal v2 ", 0), 0u) << header;
+    records.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string v1_header =
+      "ecnprobe-journal v1 plan=abc123 faults=none#0011223344556677 seed=42 traces=10 "
+      "servers=5";
+  {
+    std::ofstream out(file.path, std::ios::trunc);
+    out << v1_header << '\n' << records;
+  }
+
+  auto other_seed = sample_meta();
+  other_seed.seed = 43;
+  CampaignJournal refused;
+  EXPECT_FALSE(refused.open(file.path, other_seed, &error));
+  EXPECT_NE(error.find("different campaign"), std::string::npos) << error;
+
+  CampaignJournal journal;
+  ASSERT_TRUE(journal.open(file.path, sample_meta(), &error)) << error;
+  ASSERT_EQ(journal.entries().size(), 2u);
+  EXPECT_TRUE(journal.has(2));
+  EXPECT_TRUE(journal.has(5));
+  EXPECT_TRUE(journal.append(sample_trace(7), sample_delta()));
+  ASSERT_TRUE(journal.rotate(&error)) << error;
+  std::ifstream in(file.path);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header, v1_header);
 }
 
 TEST(CampaignJournal, EmptyFileTreatedAsFresh) {

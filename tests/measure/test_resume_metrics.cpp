@@ -46,7 +46,7 @@ CampaignPlan resume_plan() {
 TEST(ResumeMetrics, SequentialResumeMatchesUninterruptedRun) {
   const auto params = resume_params();
   const auto plan = resume_plan();
-  const auto meta = scenario::journal_meta(params, plan);
+  const auto meta = scenario::journal_meta(params, plan, {});
 
   const auto reference = scenario::run_campaign(params, plan).metrics;
   const auto reference_json = obs::to_json(reference);
@@ -73,7 +73,7 @@ TEST(ResumeMetrics, SequentialResumeMatchesUninterruptedRun) {
 TEST(ResumeMetrics, ParallelResumeMatchesUninterruptedRun) {
   const auto params = resume_params();
   const auto plan = resume_plan();
-  const auto meta = scenario::journal_meta(params, plan);
+  const auto meta = scenario::journal_meta(params, plan, {});
 
   ParallelCampaign::Options exec;
   exec.workers = 4;

@@ -71,7 +71,7 @@ TEST(WorldChaos, FaultedCampaignByteIdenticalAcrossWorkers) {
 TEST(WorldChaos, SequentialResumeAfterCrashByteIdentical) {
   const auto params = chaos_params();
   const auto plan = plan_of(10);  // 30 traces
-  const auto meta = journal_meta(params, plan);
+  const auto meta = journal_meta(params, plan, {});
 
   const auto baseline = run_campaign(params, plan);
   const auto baseline_csv = campaign_csv(baseline.traces);
@@ -102,7 +102,7 @@ TEST(WorldChaos, SequentialResumeAfterCrashByteIdentical) {
 TEST(WorldChaos, ParallelResumeAfterCrashByteIdentical) {
   const auto params = chaos_params();
   const auto plan = plan_of(10);  // 30 traces
-  const auto meta = journal_meta(params, plan);
+  const auto meta = journal_meta(params, plan, {});
   const int workers = 4;
 
   const auto baseline = run_campaign(params, plan, {}, workers);

@@ -1,7 +1,7 @@
-// Arena / buffer-pool allocator tests: steady-state zero-heap behaviour,
-// reset retention, poisoning of rewound generations, and the thread
-// isolation the parallel campaign workers rely on (TSan covers this file in
-// CI via the util test binary).
+// Arena allocator tests: steady-state zero-heap behaviour, reset retention,
+// poisoning of rewound generations, and the thread isolation the parallel
+// campaign workers rely on (TSan covers this file in CI via the util test
+// binary).
 #include "ecnprobe/util/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -107,53 +107,10 @@ TEST(ArenaAllocator, BacksAStdMapThroughResetCycles) {
   EXPECT_EQ(arena.heap_allocations(), warm);
 }
 
-TEST(BufferPool, RecyclesCapacityAndCountsHits) {
-  BufferPool pool;
-  auto first = pool.acquire();
-  EXPECT_EQ(pool.hits(), 0u);
-  first.resize(2000);
-  const auto* data = first.data();
-  pool.release(std::move(first));
-  auto second = pool.acquire();
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_TRUE(second.empty());
-  EXPECT_GE(second.capacity(), 2000u);
-  EXPECT_EQ(second.data(), data);  // same storage, recycled
-}
-
-TEST(BufferPool, DropsZeroCapacityReleases) {
-  BufferPool pool;
-  pool.release({});
-  EXPECT_EQ(pool.free_count(), 0u);
-}
-
-TEST(PooledBuffer, CopyStartsColdMoveTransfers) {
-  PooledBuffer original;
-  original.mut() = {1, 2, 3};
-  PooledBuffer copy(original);           // cache semantics: copies start empty
-  EXPECT_TRUE(copy.empty());
-  EXPECT_FALSE(original.empty());
-  PooledBuffer moved(std::move(original));
-  ASSERT_EQ(moved.view().size(), 3u);
-  EXPECT_EQ(moved.view()[2], 3);
-  EXPECT_TRUE(original.empty());  // NOLINT(bugprone-use-after-move): asserting the moved-from state
-}
-
-TEST(PooledBuffer, ReturnsStorageToThreadPoolOnDestruction) {
-  const std::uint64_t before = BufferPool::this_thread().acquires();
-  {
-    PooledBuffer buf;
-    buf.mut().resize(512);
-  }
-  EXPECT_EQ(BufferPool::this_thread().acquires(), before + 1);
-  EXPECT_GE(BufferPool::this_thread().free_count(), 1u);
-}
-
 TEST(Arena, PerWorkerArenasAreIndependentAcrossThreads) {
   // The parallel campaign gives each worker its own world and hence its own
-  // arenas and thread-local pools. Hammering private arenas plus the
-  // per-thread BufferPool from many threads must be race-free (TSan-checked
-  // in CI) and fully deterministic per thread.
+  // arenas. Hammering private arenas from many threads must be race-free
+  // (TSan-checked in CI) and fully deterministic per thread.
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   std::vector<std::size_t> sums(kThreads, 0);
@@ -167,8 +124,6 @@ TEST(Arena, PerWorkerArenasAreIndependentAcrossThreads) {
           p[0] = static_cast<std::uint8_t>(t);
           sums[static_cast<std::size_t>(t)] += p[0];
         }
-        PooledBuffer buf;  // touches the thread-local pool
-        buf.mut().assign(128, static_cast<std::uint8_t>(t));
       }
     });
   }

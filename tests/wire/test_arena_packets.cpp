@@ -1,29 +1,32 @@
-// Pooled-buffer packet tests: datagrams whose wire bytes live in recycled
-// pool storage must round-trip the wire codecs identically to plain
-// heap-encoded ones, and the pool must actually recycle.
+// Packet-record tests: a Datagram holds only its decoded header, its
+// payload and its flight id, so its wire bytes are whatever encode() makes
+// of those fields at the moment it is called -- a copy, a decode or a
+// later field write can never see stale bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "ecnprobe/util/arena.hpp"
 #include "ecnprobe/wire/datagram.hpp"
 #include "ecnprobe/wire/tcp.hpp"
 
 namespace ecnprobe::wire {
 namespace {
 
-std::vector<std::uint8_t> bytes_of(std::span<const std::uint8_t> s) {
-  return {s.begin(), s.end()};
-}
-
 TEST(ArenaPackets, CachedWireViewEqualsFreshEncode) {
+  // What a flight tap records is encode() at the tap: the same bytes every
+  // time, and the same bytes as the datagram rebuilt from its fields.
   const std::vector<std::uint8_t> payload{0xde, 0xad, 0xbe, 0xef};
-  Datagram udp = make_udp_datagram(Ipv4Address(192, 0, 2, 1), Ipv4Address(198, 51, 100, 7),
-                                   40000, 123, payload, Ecn::Ect0, 17);
-  const auto fresh = udp.encode();  // before any cache exists
-  EXPECT_EQ(bytes_of(udp.wire_view()), fresh);
-  EXPECT_EQ(udp.encode(), fresh);  // cached encode equals pre-cache encode
+  const Datagram udp = make_udp_datagram(Ipv4Address(192, 0, 2, 1),
+                                         Ipv4Address(198, 51, 100, 7), 40000, 123, payload,
+                                         Ecn::Ect0, 17);
+  const auto wire = udp.encode();
+  EXPECT_EQ(udp.encode(), wire);
+  Datagram rebuilt;
+  rebuilt.ip = udp.ip;
+  rebuilt.payload = udp.payload;
+  EXPECT_EQ(rebuilt.encode(), wire);
+  EXPECT_EQ(wire.size(), udp.ip.total_length);
 }
 
 TEST(ArenaPackets, PooledRoundTripPreservesEveryField) {
@@ -40,7 +43,7 @@ TEST(ArenaPackets, PooledRoundTripPreservesEveryField) {
                                      tcp, {}, Ecn::NotEct);
   dgram.ip.identification = 0x4242;
 
-  const auto wire = bytes_of(dgram.wire_view());
+  const auto wire = dgram.encode();
   const auto decoded = Datagram::decode(wire);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->ip.src, dgram.ip.src);
@@ -53,35 +56,20 @@ TEST(ArenaPackets, PooledRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded->encode(), wire);
 }
 
-TEST(ArenaPackets, PoolRecyclesWireCacheStorage) {
-  auto& pool = util::BufferPool::this_thread();
-  const std::vector<std::uint8_t> payload(64, 0x55);
-  {
-    Datagram warm = make_udp_datagram(Ipv4Address(1, 2, 3, 4), Ipv4Address(5, 6, 7, 8), 9,
-                                      10, payload, Ecn::Ect0);
-    (void)warm.wire_view();
-  }  // cache buffer returns to the pool here
-  const std::uint64_t hits_before = pool.hits();
-  Datagram next = make_udp_datagram(Ipv4Address(1, 2, 3, 4), Ipv4Address(5, 6, 7, 8), 9,
-                                    10, payload, Ecn::Ect0);
-  (void)next.wire_view();
-  EXPECT_GT(pool.hits(), hits_before) << "wire cache should reuse pooled storage";
-}
-
 TEST(ArenaPackets, CopiedDatagramReencodesAfterDirectMutation) {
-  // The safety property behind copy-drops-cache: mutate a *copy* directly
-  // (no mutators) and its encode must reflect the change, because the copy
-  // never inherited the original's cached bytes.
-  Datagram original = make_udp_datagram(Ipv4Address(9, 9, 9, 9), Ipv4Address(8, 8, 8, 8),
-                                        1, 2, std::vector<std::uint8_t>{1}, Ecn::Ect0);
-  (void)original.wire_view();
+  // A copy is an independent record: a field write to it shows in its own
+  // encode() and never in the original's.
+  const Datagram original = make_udp_datagram(Ipv4Address(9, 9, 9, 9),
+                                              Ipv4Address(8, 8, 8, 8), 1, 2,
+                                              std::vector<std::uint8_t>{1}, Ecn::Ect0);
+  const auto original_wire = original.encode();
   Datagram copy = original;
   copy.ip.ttl = 1;
   const auto decoded = Datagram::decode(copy.encode());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->ip.ttl, 1);
-  // And the original's cache still reflects the *original* TTL.
-  const auto original_decoded = Datagram::decode(bytes_of(original.wire_view()));
+  EXPECT_EQ(original.encode(), original_wire);
+  const auto original_decoded = Datagram::decode(original_wire);
   ASSERT_TRUE(original_decoded.has_value());
   EXPECT_EQ(original_decoded->ip.ttl, Ipv4Header::kDefaultTtl);
 }

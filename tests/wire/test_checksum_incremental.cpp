@@ -1,8 +1,10 @@
-// Property pin for the RFC 1624 incremental checksum: for IPv4 headers, a
-// word-level patch of the stored checksum must be bit-identical to a full
-// header recompute, across 10k randomized TTL/DSCP/ECN/identification
-// rewrites -- including the +0/-0 corner RFC 1624 warns about, which the
-// 0x45 version byte provably excludes for real headers.
+// Property pins for the IPv4 header checksum. The RFC 1624 incremental
+// update must be bit-identical to a full header recompute, across 10k
+// randomized TTL/DSCP/ECN/identification rewrites -- including the +0/-0
+// corner RFC 1624 warns about, which the 0x45 version byte provably
+// excludes for real headers. And a Datagram, whose header fields the
+// datapath rewrites in place, must encode exactly like one built fresh
+// from the final fields, with a checksum that verifies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,48 +89,10 @@ TEST(ChecksumIncremental, ChainedPatchesStayExact) {
   EXPECT_EQ(internet_checksum(header), 0);
 }
 
-TEST(DatagramMutators, PatchedWireCacheMatchesFullReencode) {
-  util::Rng rng(42);
-  for (int round = 0; round < 2'000; ++round) {
-    const std::vector<std::uint8_t> payload(16 + rng.next_below(64),
-                                            static_cast<std::uint8_t>(round));
-    Datagram dgram = make_udp_datagram(Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 9, 9),
-                                       4242, 123, payload,
-                                       rng.next_below(2) != 0 ? Ecn::Ect0 : Ecn::NotEct);
-    (void)dgram.wire_view();  // prime the cache, then mutate through it
-    ASSERT_TRUE(dgram.wire_cached());
-
-    for (int step = 0; step < 4; ++step) {
-      switch (rng.next_below(4)) {
-        case 0: dgram.set_ttl(static_cast<std::uint8_t>(rng.next_below(256))); break;
-        case 1: dgram.set_ecn(static_cast<Ecn>(rng.next_below(4))); break;
-        case 2: dgram.set_dscp(static_cast<std::uint8_t>(rng.next_below(64))); break;
-        default:
-          dgram.set_identification(static_cast<std::uint16_t>(rng.next_below(65536)));
-      }
-    }
-
-    // A copy drops the cache, so its encode() is an honest full re-encode.
-    const Datagram fresh = dgram;
-    ASSERT_FALSE(fresh.wire_cached());
-    const auto patched = dgram.encode();
-    const auto reencoded = fresh.encode();
-    ASSERT_EQ(patched, reencoded) << "round=" << round;
-
-    // And the patched bytes still parse with a valid IP checksum.
-    const auto decoded = Datagram::decode(patched);
-    ASSERT_TRUE(decoded.has_value()) << (decoded ? "" : decoded.error().message);
-    EXPECT_EQ(decoded->ip.ttl, dgram.ip.ttl);
-    EXPECT_EQ(decoded->ip.ecn, dgram.ip.ecn);
-    EXPECT_EQ(decoded->ip.dscp, dgram.ip.dscp);
-    EXPECT_EQ(decoded->ip.identification, dgram.ip.identification);
-  }
-}
-
-TEST(DatagramMutators, CachedRewritesSumThreeWordsNotTheHeader) {
-  // The cost count BENCH_wire.json guards exactly: a full header sum is ten
-  // words, an RFC 1624 patch three, and a TTL or ECN rewrite through the
-  // wire cache is one patch -- never a re-sum of the header.
+TEST(ChecksumIncremental, CountsThreeWordsPerPatchAndTenPerHeaderSum) {
+  // The cost count BENCH_wire.json guards exactly: an RFC 1624 patch sums
+  // three words, a full header sum ten. A datagram's TTL or ECN rewrite is
+  // a field write that sums none; encode() sums the header once.
   const std::vector<std::uint8_t> header(Ipv4Header::kSize, 0x45);
   std::uint64_t before = checksum_words_summed();
   (void)internet_checksum(header);
@@ -138,40 +102,112 @@ TEST(DatagramMutators, CachedRewritesSumThreeWordsNotTheHeader) {
   EXPECT_EQ(checksum_words_summed() - before, 3u);
 
   Datagram dgram = make_udp_datagram(Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 9, 9),
-                                     4242, 123, std::vector<std::uint8_t>(48, 1),
+                                     4242, 123, std::vector<std::uint8_t>(20, 1),
                                      Ecn::Ect0);
-  (void)dgram.wire_view();
   before = checksum_words_summed();
-  dgram.set_ttl(17);
-  dgram.set_ecn(Ecn::NotEct);
-  EXPECT_EQ(checksum_words_summed() - before, 6u);
-  dgram.set_ttl(17);  // unchanged word: nothing to patch
-  EXPECT_EQ(checksum_words_summed() - before, 6u);
+  dgram.ip.ttl = 17;
+  dgram.ip.ecn = Ecn::NotEct;
+  EXPECT_EQ(checksum_words_summed() - before, 0u);
+  (void)dgram.encode();
+  EXPECT_EQ(checksum_words_summed() - before, 10u);
+}
+
+// The name dates from when a Datagram cached its wire bytes and patched
+// them per rewrite; the property holds without the cache: after random
+// TTL/ECN/DSCP/id writes and payload edits, encode() equals a freshly
+// built datagram's bytes and decodes with a good checksum.
+TEST(DatagramMutators, PatchedWireCacheMatchesFullReencode) {
+  const Ipv4Address src(10, 0, 0, 1);
+  const Ipv4Address dst(10, 0, 9, 9);
+  util::Rng rng(42);
+  for (int round = 0; round < 2'000; ++round) {
+    const std::vector<std::uint8_t> data(16 + rng.next_below(64),
+                                         static_cast<std::uint8_t>(round));
+    Datagram dgram = make_udp_datagram(src, dst, 4242, 123, data,
+                                       rng.next_below(2) != 0 ? Ecn::Ect0 : Ecn::NotEct);
+    // The fields a fresh build must be given, tracked beside the writes.
+    std::uint8_t ttl = dgram.ip.ttl;
+    Ecn ecn = dgram.ip.ecn;
+    std::uint8_t dscp = 0;
+    std::uint16_t id = 0;
+    std::vector<std::uint8_t> segment = dgram.payload;
+    for (int step = 0; step < 6; ++step) {
+      switch (rng.next_below(5)) {
+        case 0: dgram.ip.ttl = ttl = static_cast<std::uint8_t>(rng.next_below(256)); break;
+        case 1: dgram.ip.ecn = ecn = static_cast<Ecn>(rng.next_below(4)); break;
+        case 2: dgram.ip.dscp = dscp = static_cast<std::uint8_t>(rng.next_below(64)); break;
+        case 3:
+          dgram.ip.identification = id = static_cast<std::uint16_t>(rng.next_below(65536));
+          break;
+        default:
+          // A payload edit (a chaos policy's corruption or truncation): the
+          // stored total_length goes stale, and encode() must not care.
+          if (rng.next_below(2) != 0) {
+            const auto at = static_cast<std::size_t>(rng.next_below(segment.size()));
+            segment[at] = dgram.payload[at] = static_cast<std::uint8_t>(rng.next_below(256));
+          } else {
+            segment.pop_back();
+            dgram.payload.pop_back();
+          }
+      }
+    }
+
+    Datagram fresh;
+    fresh.ip.src = src;
+    fresh.ip.dst = dst;
+    fresh.ip.protocol = IpProto::Udp;
+    fresh.ip.ttl = ttl;
+    fresh.ip.ecn = ecn;
+    fresh.ip.dscp = dscp;
+    fresh.ip.identification = id;
+    fresh.payload = segment;
+    const auto wire = dgram.encode();
+    ASSERT_EQ(wire, fresh.encode()) << "round=" << round;
+
+    const auto decoded = Datagram::decode(wire);  // refuses a bad IP checksum
+    ASSERT_TRUE(decoded.has_value()) << (decoded ? "" : decoded.error().message);
+    EXPECT_EQ(decoded->ip.total_length, Ipv4Header::kSize + segment.size());
+    EXPECT_EQ(decoded->ip.ttl, ttl);
+    EXPECT_EQ(decoded->ip.ecn, ecn);
+    EXPECT_EQ(decoded->ip.dscp, dscp);
+    EXPECT_EQ(decoded->ip.identification, id);
+    EXPECT_EQ(decoded->payload, segment);
+  }
 }
 
 TEST(DatagramMutators, TouchPayloadInvalidatesCache) {
+  // Payload edits after an earlier encode, with total_length left stale:
+  // each encode() serialises the payload as it is now.
   const std::vector<std::uint8_t> payload{1, 2, 3, 4};
   Datagram dgram = make_udp_datagram(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), 1,
                                      2, payload, Ecn::Ect0);
-  (void)dgram.wire_view();
-  ASSERT_TRUE(dgram.wire_cached());
-  dgram.touch_payload();
-  EXPECT_FALSE(dgram.wire_cached());
+  const auto before = dgram.encode();
+  EXPECT_EQ(before.size(), Ipv4Header::kSize + dgram.payload.size());
+
   dgram.payload.push_back(9);
-  dgram.ip.total_length = static_cast<std::uint16_t>(Ipv4Header::kSize + dgram.payload.size());
-  const auto wire = dgram.wire_view();
+  auto wire = dgram.encode();
   EXPECT_EQ(wire.size(), Ipv4Header::kSize + dgram.payload.size());
   EXPECT_EQ(wire.back(), 9);
+
+  dgram.payload.front() ^= 0xff;
+  dgram.payload.pop_back();
+  wire = dgram.encode();
+  const auto decoded = Datagram::decode(wire);
+  ASSERT_TRUE(decoded.has_value()) << (decoded ? "" : decoded.error().message);
+  EXPECT_EQ(decoded->ip.total_length, Ipv4Header::kSize + dgram.payload.size());
+  EXPECT_EQ(decoded->payload, dgram.payload);
+  EXPECT_NE(wire, before);
 }
 
 TEST(DatagramMutators, PlainFieldWritesStaySafeWhenUncached) {
-  // Tests and scenario builders mutate header fields directly; as long as
-  // no cache was primed, encode() must reflect every such write.
+  // The datapath, tests and scenario builders all mutate header fields
+  // directly: encode() must reflect every such write, even after an
+  // earlier encode of the same datagram.
   Datagram dgram = make_udp_datagram(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), 1,
                                      2, std::vector<std::uint8_t>{5}, Ecn::NotEct);
+  (void)dgram.encode();
   dgram.ip.ttl = 3;
   dgram.ip.ecn = Ecn::Ce;
-  ASSERT_FALSE(dgram.wire_cached());
   const auto decoded = Datagram::decode(dgram.encode());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->ip.ttl, 3);

@@ -219,7 +219,8 @@ int cmd_campaign(const Options& options) {
       return 1;
     }
     std::string error;
-    if (!journal.open(options.checkpoint, scenario::journal_meta(params, plan), &error)) {
+    const auto meta = scenario::journal_meta(params, plan, resolved.probe);
+    if (!journal.open(options.checkpoint, meta, &error)) {
       std::fprintf(stderr, "ecnprobe: %s\n", error.c_str());
       return 1;
     }
@@ -413,7 +414,8 @@ int cmd_trace_autopsy(const Options& options) {
     }
     measure::CampaignJournal journal;
     std::string error;
-    if (!journal.open(options.checkpoint, scenario::journal_meta(params, plan), &error)) {
+    const auto meta = scenario::journal_meta(params, plan, resolved.probe);
+    if (!journal.open(options.checkpoint, meta, &error)) {
       std::fprintf(stderr, "ecnprobe: %s\n", error.c_str());
       return 1;
     }
