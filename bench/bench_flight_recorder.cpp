@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   const auto events = scenario::run_campaign(params, plan).flights;
   const double armed_s = watch.seconds();
   std::printf("  recorder armed:    %6.2f s, %zu events (%.0f events/s)\n", armed_s,
-              events.size(), events.size() / (armed_s > 0 ? armed_s : 1));
+              events.size(),
+              static_cast<double>(events.size()) / (armed_s > 0 ? armed_s : 1));
   std::printf("  recording overhead: %+.1f%%\n",
               disarmed_s > 0 ? (armed_s / disarmed_s - 1.0) * 100.0 : 0.0);
 
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     bench::Stopwatch export_watch;
     const auto json = obs::to_chrome_trace_json(events);
     std::printf("  trace-json export: %6.3f s, %.1f MB\n", export_watch.seconds(),
-                json.size() / 1e6);
+                static_cast<double>(json.size()) / 1e6);
   }
   return 0;
 }

@@ -13,6 +13,7 @@
 
 #include "bench_common.hpp"
 #include "ecnprobe/netsim/capture.hpp"
+#include "ecnprobe/obs/flight.hpp"
 #include "ecnprobe/util/rng.hpp"
 #include "ecnprobe/wire/bytes.hpp"
 #include "ecnprobe/wire/checksum.hpp"
@@ -245,15 +246,19 @@ int run_bench_json(const std::string& path) {
   json.add_exact("checksum_words_per_rewrite", words_per_rewrite, "count");
   json.add("probe_encode_cold_ns", encode_cold_ns, "ns");
   json.add("udp_probe_wire_bytes", probe_wire_bytes, "bytes", /*guarded=*/true);
-  // Every captured packet is one record: a record that grows back fails CI.
+  // Every captured packet and every flight event is one record: a record
+  // that grows back fails CI.
   json.add_exact("datagram_bytes", static_cast<double>(sizeof(wire::Datagram)), "bytes");
   json.add_exact("captured_packet_bytes", static_cast<double>(sizeof(netsim::CapturedPacket)),
                  "bytes");
+  json.add_exact("flight_event_bytes", static_cast<double>(sizeof(obs::FlightEvent)),
+                 "bytes");
   std::printf("checksum rewrite: full %.1fns, incremental %.1fns (%.1fx), %.2f words "
               "summed per patch; probe encode %.0fns; records: datagram %zuB, "
-              "captured packet %zuB\n",
+              "captured packet %zuB, flight event %zuB\n",
               full_ns, incr_ns, incr_ns > 0.0 ? full_ns / incr_ns : 0.0, words_per_rewrite,
-              encode_cold_ns, sizeof(wire::Datagram), sizeof(netsim::CapturedPacket));
+              encode_cold_ns, sizeof(wire::Datagram), sizeof(netsim::CapturedPacket),
+              sizeof(obs::FlightEvent));
   return json.write(path) ? 0 : 1;
 }
 

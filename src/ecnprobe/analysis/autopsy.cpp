@@ -50,8 +50,8 @@ std::string render_trace_autopsy(const std::vector<obs::FlightEvent>& events,
     if (!chain.have_first_send &&
         (event.type == obs::SpanEvent::ProbeSent ||
          event.type == obs::SpanEvent::Retransmit) &&
-        !event.wire.empty()) {
-      if (const auto dgram = wire::Datagram::decode(event.wire)) {
+        event.wire_size() != 0) {
+      if (const auto dgram = wire::Datagram::decode(event.wire())) {
         chain.dst = dgram->ip.dst;
         chain.sent_ecn = dgram->ip.ecn;
         chain.have_first_send = true;
@@ -89,16 +89,18 @@ std::string render_trace_autopsy(const std::vector<obs::FlightEvent>& events,
     std::string last_node_as;  ///< AS of the previous packet sighting
     std::string verdict;
     for (const auto* event : chain.events) {
+      const std::string node(event->node.view());
+      const std::string detail(event->detail.view());
       const std::string node_as = as_of(ip2as, event->node_addr);
       os << "  " << format_time(event->time) << "  seq " << event->key.seq << "  "
-         << to_string(event->type) << " @ " << event->node;
+         << to_string(event->type) << " @ " << node;
       if (!node_as.empty()) os << " (" << node_as << ")";
       os << " [" << to_string(event->layer) << "]";
-      if (!event->detail.empty()) os << "  " << event->detail;
+      if (!detail.empty()) os << "  " << detail;
 
       switch (event->type) {
         case obs::SpanEvent::EcnRewritten: {
-          std::string hop = event->node;
+          std::string hop = node;
           if (!last_node_as.empty() && !node_as.empty() && last_node_as != node_as) {
             hop += " (AS boundary " + last_node_as + " -> " + node_as + ")";
             os << "  <-- AS boundary " << last_node_as << " -> " << node_as;
@@ -106,21 +108,21 @@ std::string render_trace_autopsy(const std::vector<obs::FlightEvent>& events,
             hop += " (" + node_as + ")";
           }
           bleach_hops.insert(hop);
-          verdict = "ECN rewritten at " + hop + " (" + event->detail + ")";
+          verdict = "ECN rewritten at " + hop + " (" + detail + ")";
           break;
         }
         case obs::SpanEvent::PolicyDrop:
-          ++drop_causes[event->detail];
-          verdict = "dropped at " + event->node +
-                    (node_as.empty() ? "" : " (" + node_as + ")") + ": " + event->detail;
+          ++drop_causes[detail];
+          verdict = "dropped at " + node + (node_as.empty() ? "" : " (" + node_as + ")") +
+                    ": " + detail;
           break;
         case obs::SpanEvent::Timeout:
           ++timeouts;
-          if (verdict.empty()) verdict = "timed out (" + event->detail + ")";
+          if (verdict.empty()) verdict = "timed out (" + detail + ")";
           break;
         case obs::SpanEvent::ReplyReceived:
           ++replies;
-          verdict = "reply received, " + event->detail;
+          verdict = "reply received, " + detail;
           break;
         default:
           break;

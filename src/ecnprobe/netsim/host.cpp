@@ -45,17 +45,18 @@ void Host::send_datagram(wire::Datagram dgram) {
   // staged a send which never reaches the wire must not leak its pending
   // state into the next unrelated send.
   auto* recorder = net_ != nullptr ? &net_->obs().recorder : nullptr;
-  const auto pending =
-      recorder != nullptr && recorder->armed() ? recorder->take_pending() : std::nullopt;
+  const auto pending = recorder != nullptr && recorder->armed()
+                           ? recorder->take_pending()
+                           : obs::FlightRecorder::PendingSend{};
   if (net_ == nullptr || net_->interface_count(id()) == 0) return;
   dgram.ip.identification = net_->next_ip_id();
-  if (pending) {
-    dgram.flight = pending->flight;
-    if (!pending->is_reply) {
-      recorder->set_flight_origin(pending->flight, id());
+  if (pending.flight != 0) {
+    dgram.flight = pending.flight;
+    if (!pending.is_reply) {
+      recorder->set_flight_origin(pending.flight, id());
       recorder->record(
           dgram.flight,
-          pending->retransmit ? obs::SpanEvent::Retransmit : obs::SpanEvent::ProbeSent,
+          pending.retransmit ? obs::SpanEvent::Retransmit : obs::SpanEvent::ProbeSent,
           net_->sim().now(), obs::Layer::Host, name(), address().value(),
           util::strf("dst=%s ecn=%s proto=%s", dgram.ip.dst.to_string().c_str(),
                      std::string(wire::to_string(dgram.ip.ecn)).c_str(),

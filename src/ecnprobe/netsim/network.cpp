@@ -41,10 +41,11 @@ obs::RewriteCause rewrite_cause_for(wire::Ecn after) {
 /// recorder is armed AND the datagram carries a flight stamp, so the
 /// common case costs one bool test.
 void record_flight_drop(obs::FlightRecorder& rec, Simulator& sim, const Node& node,
-                        obs::Layer layer, const wire::Datagram& dgram, std::string detail) {
+                        obs::Layer layer, const wire::Datagram& dgram,
+                        std::string_view detail) {
   if (!rec.armed() || dgram.flight == 0) return;
   rec.record(dgram.flight, obs::SpanEvent::PolicyDrop, sim.now(), layer, node.name(),
-             node.address().value(), std::move(detail), dgram.encode());
+             node.address().value(), detail, dgram.encode());
 }
 
 void record_flight_rewrite(obs::FlightRecorder& rec, Simulator& sim, const Node& node,
@@ -154,7 +155,7 @@ void Network::transmit(NodeId from, int egress_if, wire::Datagram dgram) {
       obs_->ledger.record_drop(obs::Layer::Policy, policy->drop_cause(),
                                nodes_[from]->name());
       record_flight_drop(obs_->recorder, sim_, *nodes_[from], obs::Layer::Policy, dgram,
-                         std::string(to_string(policy->drop_cause())));
+                         to_string(policy->drop_cause()));
       return;
     }
     if (dgram.ip.ecn != before) {
@@ -196,7 +197,7 @@ void Network::transmit(NodeId from, int egress_if, wire::Datagram dgram) {
           obs_->ledger.record_drop(obs::Layer::Policy, policy->drop_cause(),
                                    nodes_[to]->name());
           record_flight_drop(obs_->recorder, sim_, *nodes_[to], obs::Layer::Policy, d,
-                             std::string(to_string(policy->drop_cause())));
+                             to_string(policy->drop_cause()));
           return;
         }
         if (d.ip.ecn != before) {

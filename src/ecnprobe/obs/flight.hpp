@@ -7,6 +7,13 @@
 // {trace, probe, seq} with the sim-clock timestamp and the full wire bytes
 // at that point in the path.
 //
+// An event holds no bytes of its own. Its node name and detail are texts
+// the recorder interns once and every event naming them shares. Its wire
+// bytes are a packet image shared along the flight's path plus the three
+// IPv4 fields a hop changes (TOS, TTL, header checksum): a probe crossing
+// fifteen routers is one image and fifteen 4-byte patches, not fifteen
+// encode() copies. Exporters render the bytes back exactly as recorded.
+//
 // Single-threaded by design, like the ledger: one recorder per world, one
 // world per thread. Parallel campaign workers each record into their own
 // world's recorder; per-trace slices are collected at the trace's
@@ -19,12 +26,16 @@
 // cannot perturb simulation outcomes.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ecnprobe/obs/layer.hpp"
@@ -59,18 +70,78 @@ struct SpanKey {
   bool operator==(const SpanKey&) const = default;
 };
 
-/// One recorded span event. Plain data; deterministic given the world seed.
+/// An immutable byte string shared by reference count: copies share one
+/// heap block. The count is atomic because a worker's events are merged
+/// and freed on another thread while its recorder still hands out the
+/// same blocks. Any bytes, embedded NULs included; empty holds no block.
+class SharedBytes {
+public:
+  SharedBytes() = default;
+  explicit SharedBytes(std::string_view bytes);
+  SharedBytes(const SharedBytes& other) noexcept : rep_(other.rep_) {
+    if (rep_ != nullptr) ++rep_->refs;
+  }
+  SharedBytes(SharedBytes&& other) noexcept : rep_(other.rep_) { other.rep_ = nullptr; }
+  SharedBytes& operator=(SharedBytes other) noexcept {
+    std::swap(rep_, other.rep_);
+    return *this;
+  }
+  ~SharedBytes();
+
+  std::string_view view() const {
+    return rep_ == nullptr ? std::string_view()
+                           : std::string_view(reinterpret_cast<const char*>(rep_ + 1),
+                                              rep_->size);
+  }
+  std::size_t size() const { return rep_ == nullptr ? 0 : rep_->size; }
+  bool empty() const { return rep_ == nullptr; }
+
+  /// True when both hold the same block (not merely equal bytes).
+  bool shares_with(const SharedBytes& other) const { return rep_ == other.rep_; }
+
+  /// Content equality: what the bytes are, not where they live.
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    return a.view() == b.view();
+  }
+
+private:
+  struct Rep {  // the bytes follow the header in the same allocation
+    std::atomic<std::size_t> refs{1};
+    std::size_t size = 0;
+  };
+  Rep* rep_ = nullptr;
+};
+
+/// One recorded span event. Deterministic given the world seed; copying
+/// one copies three pointers.
 struct FlightEvent {
+  /// IPv4 header offsets a hop rewrites: TOS (ECN), TTL, header checksum.
+  /// Events along one path share an image that differs only there.
+  static constexpr std::array<std::size_t, 4> kOwnOffsets{1, 8, 10, 11};
+
   SpanKey key;
   SpanEvent type = SpanEvent::ProbeSent;
-  util::SimTime time;
   Layer layer = Layer::Measure;
-  std::string node;                ///< emitting node name
-  std::uint32_t node_addr = 0;     ///< emitting node address (0 if none)
-  std::string detail;              ///< cause / codepoints / outcome text
-  std::vector<std::uint8_t> wire;  ///< full wire bytes (empty for timeouts)
+  util::SimTime time;
+  std::uint32_t node_addr = 0;  ///< emitting node address (0 if none)
+  /// This event's bytes at kOwnOffsets, written over `image` when the wire
+  /// bytes are rendered; unused when the image is shorter than 12 bytes.
+  std::array<std::uint8_t, 4> own_bytes{};
+  SharedBytes node;    ///< emitting node name
+  SharedBytes detail;  ///< cause / codepoints / outcome text
+  SharedBytes image;   ///< the packet, shared along its path (empty for timeouts)
 
-  bool operator==(const FlightEvent&) const = default;
+  /// The wire bytes as recorded: `image` with `own_bytes` written over it.
+  std::vector<std::uint8_t> wire() const;
+  /// Appends the same bytes to `out`.
+  void append_wire(std::string& out) const;
+  std::size_t wire_size() const { return image.size(); }
+  /// Makes `bytes` the event's wire bytes, in an image of its own.
+  void set_wire(std::span<const std::uint8_t> bytes);
+
+  /// Compares what the event renders -- texts and wire bytes by content --
+  /// so equal recordings compare equal whichever blocks they share.
+  bool operator==(const FlightEvent& other) const;
 };
 
 class FlightRecorder {
@@ -129,12 +200,13 @@ public:
   void stage_reply(std::uint32_t flight);
 
   struct PendingSend {
-    std::uint32_t flight = 0;
+    std::uint32_t flight = 0;  ///< 0: nothing staged
     bool retransmit = false;
     bool is_reply = false;
   };
-  /// Consumes the staged send, if any. Called by Host::send_datagram.
-  std::optional<PendingSend> take_pending();
+  /// Consumes the staged send (flight 0 if none). Called by
+  /// Host::send_datagram.
+  PendingSend take_pending();
 
   /// Marks `node` as the flight's origin; ReplyReceived fires only when a
   /// stamped packet arrives back *there* (not at the probed server).
@@ -146,24 +218,30 @@ public:
   /// Records an event against a stamped packet; resolves the span key from
   /// the flight table. No-op when disarmed, unstamped (flight 0), or the
   /// flight is unknown (a straggler from before the last trace boundary).
+  /// `node` and `detail` are interned. `wire` shares the flight's last
+  /// image when it differs from it only at FlightEvent::kOwnOffsets;
+  /// otherwise it becomes the flight's new image (an ICMP quote, a
+  /// corrupted payload, a reply, anything shorter than 12 bytes).
   void record(std::uint32_t flight, SpanEvent type, util::SimTime time, Layer layer,
-              std::string_view node, std::uint32_t node_addr, std::string detail,
+              std::string_view node, std::uint32_t node_addr, std::string_view detail,
               std::vector<std::uint8_t> wire = {});
 
   /// Records an event keyed by the current context -- for probe-level
   /// outcomes (timeouts) that have no packet to hang the event on.
   void record_here(SpanEvent type, util::SimTime time, Layer layer,
-                   std::string_view node, std::uint32_t node_addr, std::string detail);
+                   std::string_view node, std::uint32_t node_addr, std::string_view detail);
 
   // -- per-trace slicing ----------------------------------------------------
 
-  /// Monotonic position in the event stream (survives ring eviction).
-  /// World::mark_obs_baseline stores it; collect_since slices from it.
+  /// Monotonic position in the event stream (survives ring eviction and
+  /// draining). World::mark_obs_baseline stores it; take_since slices
+  /// from it.
   std::size_t cursor() const { return base_ + ring_.size(); }
 
-  /// Events recorded since `mark`, oldest first. Events evicted by ring
-  /// overflow are gone; dropped_events() says how many, ever.
-  std::vector<FlightEvent> collect_since(std::size_t mark) const;
+  /// Moves out the events recorded since `mark`, oldest first, and empties
+  /// the ring: what came before `mark` was already taken. Events evicted
+  /// by ring overflow are gone; dropped_events() says how many, ever.
+  std::vector<FlightEvent> take_since(std::size_t mark);
 
   /// Events evicted by ring overflow since arm().
   std::uint64_t dropped_events() const { return dropped_; }
@@ -175,6 +253,7 @@ private:
   struct FlightEntry {
     SpanKey key;
     std::uint32_t origin_node = 0xffffffff;
+    SharedBytes image;  ///< the flight's last recorded packet image
   };
   /// Flight-table nodes come from an arena rewound at each trace boundary:
   /// a campaign of a million traces churns the table constantly, and the
@@ -183,6 +262,12 @@ private:
       std::map<std::uint32_t, FlightEntry, std::less<std::uint32_t>,
                util::ArenaAllocator<std::pair<const std::uint32_t, FlightEntry>>>;
 
+  /// An event stamped with `key` and interned texts, no wire bytes yet.
+  FlightEvent make_event(const SpanKey& key, SpanEvent type, util::SimTime time,
+                         Layer layer, std::string_view node, std::uint32_t node_addr,
+                         std::string_view detail);
+  /// The recorder's one shared copy of `text` (looked up before inserting).
+  SharedBytes intern(std::string_view text);
   void push(FlightEvent event);
 
   bool armed_ = false;       ///< enabled_ && !suppressed_: the hot-path test
@@ -197,7 +282,9 @@ private:
   util::Arena flight_arena_;  ///< declared before flights_: backs its nodes
   FlightMap flights_{
       util::ArenaAllocator<std::pair<const std::uint32_t, FlightEntry>>(flight_arena_)};
-  std::optional<PendingSend> pending_;
+  PendingSend pending_;
+  /// Node names and details, each held once; keys view their own values.
+  std::unordered_map<std::string_view, SharedBytes> texts_;
   std::deque<FlightEvent> ring_;
   std::size_t base_ = 0;  ///< global index of ring_.front()
   std::uint64_t dropped_ = 0;

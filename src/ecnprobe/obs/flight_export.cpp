@@ -109,7 +109,8 @@ void append_section_header(std::string& out) {
   put_u32(out, 28);
 }
 
-/// One Enhanced Packet Block: header, padded wire bytes, an opt_comment
+/// One Enhanced Packet Block: header, padded wire bytes (the event's image
+/// with its own TOS, TTL and checksum bytes written over it), an opt_comment
 /// naming the span key, event type, emitting node, layer and detail, then
 /// end-of-options and the trailing length.
 void append_packet_block(std::string& out, const FlightEvent& event) {
@@ -120,10 +121,10 @@ void append_packet_block(std::string& out, const FlightEvent& event) {
   put_u32(out, 0);  // interface id
   put_u32(out, static_cast<std::uint32_t>(ns >> 32));
   put_u32(out, static_cast<std::uint32_t>(ns & 0xffffffff));
-  put_u32(out, static_cast<std::uint32_t>(event.wire.size()));  // captured
-  put_u32(out, static_cast<std::uint32_t>(event.wire.size()));  // original
+  put_u32(out, static_cast<std::uint32_t>(event.wire_size()));  // captured
+  put_u32(out, static_cast<std::uint32_t>(event.wire_size()));  // original
   const std::size_t wire_start = out.size();
-  out.append(reinterpret_cast<const char*>(event.wire.data()), event.wire.size());
+  event.append_wire(out);
   pad_from(out, wire_start);
 
   const std::size_t option = out.size();
@@ -141,9 +142,9 @@ void append_packet_block(std::string& out, const FlightEvent& event) {
   out += " layer=";
   out += to_string(event.layer);
   out += " node=";
-  out += until_nul(event.node);
+  out += until_nul(event.node.view());
   out += " detail=";
-  out += until_nul(event.detail);
+  out += until_nul(event.detail.view());
   put_u16_at(out, option + 2, static_cast<std::uint16_t>(out.size() - comment));
   pad_from(out, comment);
   put_u16(out, kOptEndOfOpt);
@@ -190,9 +191,10 @@ std::size_t chrome_event_size(const FlightEvent& event) {
          decimal_width(ns / 1000) + fraction_width(ns % 1000) +
          decimal_width(std::int64_t{event.key.trace}) +
          decimal_width(std::int64_t{event.key.probe}) +
-         decimal_width(std::int64_t{event.key.seq}) + util::json_escaped_size(event.node) +
-         util::json_escaped_size(event.detail) +
-         decimal_width(std::uint64_t{event.wire.size()});
+         decimal_width(std::int64_t{event.key.seq}) +
+         util::json_escaped_size(event.node.view()) +
+         util::json_escaped_size(event.detail.view()) +
+         decimal_width(std::uint64_t{event.wire_size()});
 }
 
 void append_chrome_event(std::string& out, const FlightEvent& event) {
@@ -214,11 +216,11 @@ void append_chrome_event(std::string& out, const FlightEvent& event) {
   out += kSeq;
   append_int(out, event.key.seq);
   out += kNode;
-  util::json_escape_append(out, event.node);
+  util::json_escape_append(out, event.node.view());
   out += kDetail;
-  util::json_escape_append(out, event.detail);
+  util::json_escape_append(out, event.detail.view());
   out += kWireBytes;
-  append_int(out, event.wire.size());
+  append_int(out, event.wire_size());
   out += kEventEnd;
 }
 
@@ -237,7 +239,7 @@ std::size_t write_pcapng(std::ostream& os, const std::vector<FlightEvent>& event
 
   std::size_t written = 0;
   for (const auto& event : events) {
-    if (event.wire.empty()) continue;  // timeouts have no packet
+    if (event.wire_size() == 0) continue;  // timeouts have no packet
     block.clear();
     append_packet_block(block, event);
     os.write(block.data(), static_cast<std::streamsize>(block.size()));

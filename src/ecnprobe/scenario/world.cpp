@@ -640,8 +640,8 @@ void World::mark_obs_baseline() {
   obs_flight_mark_ = obs_.recorder.cursor();
 }
 
-std::vector<obs::FlightEvent> World::collect_flight_slice() const {
-  return obs_.recorder.collect_since(obs_flight_mark_);
+std::vector<obs::FlightEvent> World::take_flight_slice() {
+  return obs_.recorder.take_since(obs_flight_mark_);
 }
 
 obs::ObsSnapshot World::collect_obs_delta() const {

@@ -206,10 +206,11 @@ public:
   /// mark_obs_baseline() -- one trace's worth when bracketed by epochs.
   obs::ObsSnapshot collect_obs_delta() const;
 
-  /// Flight-recorder events since the last mark_obs_baseline() -- one
-  /// trace's worth when bracketed by epochs. Empty unless
-  /// params.flight_recorder_capacity armed the recorder.
-  std::vector<obs::FlightEvent> collect_flight_slice() const;
+  /// Moves out the flight-recorder events since the last
+  /// mark_obs_baseline() -- one trace's worth when bracketed by epochs --
+  /// and empties the ring. Empty unless params.flight_recorder_capacity
+  /// armed the recorder.
+  std::vector<obs::FlightEvent> take_flight_slice();
 
   /// Runs `repetitions` ECN traceroutes from each vantage to every server.
   /// Begins its own epoch ("traceroute-epoch"), so the observations are a
@@ -306,7 +307,7 @@ public:
     return world_.collect_obs_delta();
   }
   std::vector<obs::FlightEvent> collect_trace_events() override {
-    return world_.collect_flight_slice();
+    return world_.take_flight_slice();
   }
   void quarantine_trace(const std::string& vantage, int batch, int index) override {
     (void)batch;

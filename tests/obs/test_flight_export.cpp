@@ -1,11 +1,13 @@
 // The flight exporters render in place (one buffer per pcapng block, an
 // exact-size Chrome trace, a streamed trace file). Their bytes must equal
 // the printf-style rendering they replaced, kept below as the reference:
-// every field through util::strf, one stream write per pcapng field.
+// every field through util::strf, one stream write per pcapng field, and
+// the wire bytes as FlightEvent::wire() renders them.
 #include "ecnprobe/obs/flight_export.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -66,23 +68,25 @@ std::string reference_pcapng(const std::vector<FlightEvent>& events) {
   ref_u16(os, 0);
   ref_u32(os, 28);
   for (const auto& event : events) {
-    if (event.wire.empty()) continue;
+    const std::vector<std::uint8_t> wire = event.wire();
+    if (wire.empty()) continue;
+    const std::string node(event.node.view());
+    const std::string detail(event.detail.view());
     const std::string comment = util::strf(
         "trace=%d probe=%d seq=%d event=%s layer=%s node=%s detail=%s", event.key.trace,
         event.key.probe, event.key.seq, std::string(to_string(event.type)).c_str(),
-        std::string(to_string(event.layer)).c_str(), event.node.c_str(),
-        event.detail.c_str());
+        std::string(to_string(event.layer)).c_str(), node.c_str(), detail.c_str());
     const std::size_t block_len =
-        32 + ref_pad(event.wire.size()) + 4 + ref_pad(comment.size()) + 4;
+        32 + ref_pad(wire.size()) + 4 + ref_pad(comment.size()) + 4;
     const auto ns = static_cast<std::uint64_t>(event.time.count_nanos());
     ref_u32(os, 6);
     ref_u32(os, static_cast<std::uint32_t>(block_len));
     ref_u32(os, 0);
     ref_u32(os, static_cast<std::uint32_t>(ns >> 32));
     ref_u32(os, static_cast<std::uint32_t>(ns & 0xffffffff));
-    ref_u32(os, static_cast<std::uint32_t>(event.wire.size()));
-    ref_u32(os, static_cast<std::uint32_t>(event.wire.size()));
-    ref_padded(os, event.wire.data(), event.wire.size());
+    ref_u32(os, static_cast<std::uint32_t>(wire.size()));
+    ref_u32(os, static_cast<std::uint32_t>(wire.size()));
+    ref_padded(os, wire.data(), wire.size());
     ref_u16(os, 1);
     ref_u16(os, static_cast<std::uint16_t>(comment.size()));
     ref_padded(os, comment.data(), comment.size());
@@ -107,8 +111,8 @@ std::string reference_chrome(const std::vector<FlightEvent>& events) {
         std::string(to_string(event.type)).c_str(),
         std::string(to_string(event.layer)).c_str(), ns / 1000, ns % 1000,
         event.key.trace, event.key.probe, event.key.seq,
-        util::json_escape(event.node).c_str(), util::json_escape(event.detail).c_str(),
-        event.wire.size());
+        util::json_escape(event.node.view()).c_str(),
+        util::json_escape(event.detail.view()).c_str(), event.wire().size());
   }
   return out + "]}\n";
 }
@@ -122,12 +126,23 @@ FlightEvent make_event(SpanKey key, SpanEvent type, std::int64_t ns, Layer layer
   event.type = type;
   event.time = SimTime::from_nanos(ns);
   event.layer = layer;
-  event.node = std::move(node);
-  event.detail = std::move(detail);
+  event.node = SharedBytes(node);
+  event.detail = SharedBytes(detail);
+  std::vector<std::uint8_t> wire;
   for (std::size_t i = 0; i < wire_bytes; ++i) {
-    event.wire.push_back(static_cast<std::uint8_t>(0x45 + i * 7));
+    wire.push_back(static_cast<std::uint8_t>(0x45 + i * 7));
   }
+  event.set_wire(wire);
   return event;
+}
+
+/// The same packet one hop on: `event`'s image, shared, under TOS, TTL and
+/// checksum bytes of its own.
+FlightEvent next_hop(const FlightEvent& event, std::array<std::uint8_t, 4> own_bytes) {
+  FlightEvent hop = event;
+  hop.type = SpanEvent::HopForward;
+  hop.own_bytes = own_bytes;
+  return hop;
 }
 
 /// Escapes, control and high bytes, NULs, negative keys, timestamps at
@@ -136,6 +151,14 @@ std::vector<FlightEvent> edge_events() {
   std::vector<FlightEvent> events;
   events.push_back(make_event({0, 0, 0}, SpanEvent::ProbeSent, 0, Layer::Host, "vp",
                               "plain", 20));
+  events.push_back(next_hop(events.back(), {0x02, 0x3f, 0xbe, 0xef}));
+  events.push_back(next_hop(events.back(), {0xff, 0x00, 0x00, 0x00}));
+  events.push_back(make_event({0, 0, 1}, SpanEvent::ProbeSent, 3, Layer::Host, "vp",
+                              "twelve", 12));
+  events.push_back(next_hop(events.back(), {0x01, 0x02, 0x03, 0x04}));
+  events.push_back(make_event({0, 0, 2}, SpanEvent::ProbeSent, 4, Layer::Host, "vp",
+                              "eleven", 11));
+  events.back().own_bytes = {0x01, 0x02, 0x03, 0x04};  // too short: never written
   events.push_back(make_event({3, 7, 1}, SpanEvent::HopForward, 999, Layer::Router,
                               "r\"quoted\"", R"(back\slash "and" quotes)", 1));
   events.push_back(make_event({-1, -1, 0}, SpanEvent::Timeout, 1000, Layer::App, "",
@@ -170,7 +193,7 @@ TEST(FlightExportReference, ChromeTraceMatchesPrintfRendering) {
   EXPECT_EQ(to_chrome_trace_json(events), reference_chrome(events));
   for (const auto& event : events) {
     const std::vector<FlightEvent> one{event};
-    EXPECT_EQ(to_chrome_trace_json(one), reference_chrome(one)) << event.detail;
+    EXPECT_EQ(to_chrome_trace_json(one), reference_chrome(one)) << event.detail.view();
   }
   EXPECT_EQ(to_chrome_trace_json({}), reference_chrome({}));
   EXPECT_EQ(to_chrome_trace_json({}), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n");

@@ -187,7 +187,7 @@ TEST(Media, ReceiverCountsGapAcrossWraparound) {
   MediaReceiver receiver(*chain.host_b, MediaReceiver::Config{});
   auto sock = chain.host_a->open_udp();
   // 65534 then 2: three packets (65535, 0, 1) went missing.
-  for (const std::uint16_t seq : {65534, 2}) {
+  for (const std::uint16_t seq : {std::uint16_t{65534}, std::uint16_t{2}}) {
     RtpPacket packet;
     packet.header.sequence = seq;
     packet.header.ssrc = 7;

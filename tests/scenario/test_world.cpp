@@ -96,13 +96,17 @@ TEST_F(WorldTest, BeforeTraceTogglesAvailability) {
   int departed = 0;
   for (const auto& server : world.servers()) {
     departed += server.departed ? 1 : 0;
-    if (server.departed) EXPECT_FALSE(server.online);
+    if (server.departed) {
+      EXPECT_FALSE(server.online);
+    }
   }
   // With 5% departure probability on 40 servers, usually > 0; allow zero but
   // require the flag mechanics to hold via a forced second application.
   world.before_trace("UGla wired", 2, 51);
   for (const auto& server : world.servers()) {
-    if (server.departed) EXPECT_FALSE(server.online);
+    if (server.departed) {
+      EXPECT_FALSE(server.online);
+    }
   }
   SUCCEED();
 }

@@ -48,11 +48,17 @@ TEST_P(WorldSeedSweep, CampaignInvariantsHold) {
       EXPECT_GE(s.udp_ect0.attempts, 1);
       EXPECT_LE(s.udp_ect0.attempts, 5);
       // Success on attempt k < 5 means it did not exhaust the budget.
-      if (s.udp_plain.reachable) EXPECT_LE(s.udp_plain.attempts, 5);
+      if (s.udp_plain.reachable) {
+        EXPECT_LE(s.udp_plain.attempts, 5);
+      }
       // ECN negotiated implies connected.
-      if (s.tcp_ecn.ecn_negotiated) EXPECT_TRUE(s.tcp_ecn.connected);
+      if (s.tcp_ecn.ecn_negotiated) {
+        EXPECT_TRUE(s.tcp_ecn.connected);
+      }
       // An HTTP response implies the handshake completed.
-      if (s.tcp_plain.got_response) EXPECT_TRUE(s.tcp_plain.connected);
+      if (s.tcp_plain.got_response) {
+        EXPECT_TRUE(s.tcp_plain.connected);
+      }
     }
   }
 }

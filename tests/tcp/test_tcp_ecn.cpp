@@ -175,7 +175,9 @@ TEST(TcpEcn, RetransmissionsAreNotEctMarked) {
                                               pkt.dgram.payload);
     if (!seg || seg->payload.empty()) continue;
     const int count = ++seq_seen[seg->header.seq];
-    if (count > 1) EXPECT_EQ(pkt.dgram.ip.ecn, wire::Ecn::NotEct);
+    if (count > 1) {
+      EXPECT_EQ(pkt.dgram.ip.ecn, wire::Ecn::NotEct);
+    }
   }
   pair.client_host->remove_capture(&capture);
 }

@@ -471,7 +471,7 @@ int cmd_trace_autopsy(const Options& options) {
     return 0;
   }
   const auto report = analysis::render_trace_autopsy(
-      world.collect_flight_slice(), delta.ledger, world.ip2as(), request);
+      world.take_flight_slice(), delta.ledger, world.ip2as(), request);
   std::fputs(report.c_str(), stdout);
   return 0;
 }
