@@ -61,7 +61,7 @@ std::string render_trace_autopsy(const std::vector<obs::FlightEvent>& events,
 
   std::ostringstream os;
   os << "Trace " << request.trace << " autopsy";
-  if (!request.server.empty()) os << " (server " << request.server << ")";
+  if (request.server) os << " (server " << request.server->to_string() << ")";
   os << "\n";
 
   std::size_t probes_shown = 0;
@@ -71,8 +71,7 @@ std::string render_trace_autopsy(const std::vector<obs::FlightEvent>& events,
   int replies = 0;
 
   for (const auto& [probe, chain] : chains) {
-    if (!request.server.empty() &&
-        (!chain.have_first_send || chain.dst.to_string() != request.server)) {
+    if (request.server && (!chain.have_first_send || chain.dst != *request.server)) {
       continue;
     }
     ++probes_shown;
@@ -135,7 +134,7 @@ std::string render_trace_autopsy(const std::vector<obs::FlightEvent>& events,
 
   if (probes_shown == 0) {
     os << "\nno recorded probes match";
-    if (!request.server.empty()) os << " server " << request.server;
+    if (request.server) os << " server " << request.server->to_string();
     os << " (recording disabled, or the trace was replayed from a journal)\n";
   }
 
@@ -197,8 +196,8 @@ std::string render_sketched_autopsy(const obs::TelemetryDelta& delta,
                                  static_cast<double>(delta.rtt_count) / 1e6)
        << "ms\n";
   }
-  if (!request.server.empty()) {
-    os << "\n  (note: --server " << request.server
+  if (request.server) {
+    os << "\n  (note: --server " << request.server->to_string()
        << " filtering applies to per-packet records only; the totals above"
           " cover the whole trace)\n";
   }

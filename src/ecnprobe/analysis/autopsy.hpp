@@ -6,6 +6,7 @@
 // (ect-udp-filter), timed out after 5 attempts".
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,9 +20,9 @@ namespace ecnprobe::analysis {
 
 struct AutopsyRequest {
   int trace = 0;
-  /// Restrict to probes of this server (empty string = every probe in the
-  /// trace). Matched against the destination of each probe's first send.
-  std::string server;
+  /// Restrict to probes of this server (none = every probe in the trace).
+  /// Matched against the destination of each probe's first send.
+  std::optional<wire::Ipv4Address> server;
 };
 
 /// Renders the per-probe event chains for one trace: every span's events in

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
@@ -22,25 +21,10 @@ std::string hex64(std::uint64_t v) {
   return util::strf("%016llx", static_cast<unsigned long long>(v));
 }
 
-bool parse_u64_tok(const std::string& tok, std::uint64_t* out, int base = 10) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, base);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 bool parse_int_tok(const std::string& tok, int* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size() || v < -(1l << 30) || v > (1l << 30)) {
-    return false;
-  }
-  *out = static_cast<int>(v);
+  const auto v = util::parse_integer<int>(tok);
+  if (!v || *v < -(1 << 30) || *v > (1 << 30)) return false;
+  *out = *v;
   return true;
 }
 
@@ -53,9 +37,9 @@ std::string rtt_bits(double v) {
 }
 
 bool parse_rtt_bits(const std::string& tok, double* out) {
-  std::uint64_t bits = 0;
-  if (!parse_u64_tok(tok, &bits, 16)) return false;
-  std::memcpy(out, &bits, sizeof(bits));
+  const auto bits = util::parse_integer<std::uint64_t>(tok, 16);
+  if (!bits) return false;
+  std::memcpy(out, &*bits, sizeof(*bits));
   return true;
 }
 
@@ -132,11 +116,10 @@ bool decode_trace(const std::string& text, Trace* out) {
   for (int i = 0; i < nservers; ++i) {
     ServerResult server;
     std::string addr_tok;
-    std::uint64_t addr = 0;
-    if (!cur.take(&addr_tok) || !parse_u64_tok(addr_tok, &addr) || addr > 0xffffffffull) {
-      return false;
-    }
-    server.server = wire::Ipv4Address(static_cast<std::uint32_t>(addr));
+    if (!cur.take(&addr_tok)) return false;
+    const auto addr = util::parse_integer<std::uint32_t>(addr_tok);
+    if (!addr) return false;
+    server.server = wire::Ipv4Address(*addr);
     if (!decode_udp(cur, &server.udp_plain) || !decode_udp(cur, &server.udp_ect0) ||
         !decode_tcp(cur, &server.tcp_plain) || !decode_tcp(cur, &server.tcp_ecn)) {
       return false;

@@ -159,8 +159,7 @@ void Network::transmit(NodeId from, int egress_if, wire::Datagram dgram) {
       return;
     }
     if (dgram.ip.ecn != before) {
-      obs_->ledger.record_rewrite(obs::Layer::Policy, rewrite_cause_for(dgram.ip.ecn),
-                                  nodes_[from]->name());
+      obs_->ledger.record_rewrite(obs::Layer::Policy, rewrite_cause_for(dgram.ip.ecn));
       record_flight_rewrite(obs_->recorder, sim_, *nodes_[from], dgram, before);
     }
     policy_delay += policy->take_extra_delay();  // queuing policies
@@ -201,8 +200,7 @@ void Network::transmit(NodeId from, int egress_if, wire::Datagram dgram) {
           return;
         }
         if (d.ip.ecn != before) {
-          obs_->ledger.record_rewrite(obs::Layer::Policy, rewrite_cause_for(d.ip.ecn),
-                                      nodes_[to]->name());
+          obs_->ledger.record_rewrite(obs::Layer::Policy, rewrite_cause_for(d.ip.ecn));
           record_flight_rewrite(obs_->recorder, sim_, *nodes_[to], d, before);
         }
       }

@@ -2,8 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "ecnprobe/util/strings.hpp"
@@ -19,32 +20,18 @@ std::string format_double(double v) {
   return buf;
 }
 
-bool parse_u64(const std::string& tok, std::uint64_t* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_i64(const std::string& tok, std::int64_t* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
-}
-
-bool parse_f64(const std::string& tok, double* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size()) return false;
-  *out = v;
+/// Reads all of `tok` with util's strict readers: bare decimal digits ('-'
+/// only for signed T) within T's range, or a finite decimal double.
+template <typename T>
+bool parse_tok(std::string_view tok, T* out) {
+  std::optional<T> v;
+  if constexpr (std::is_floating_point_v<T>) {
+    v = util::parse_number(tok);
+  } else {
+    v = util::parse_integer<T>(tok);
+  }
+  if (!v) return false;
+  *out = *v;
   return true;
 }
 
@@ -212,13 +199,13 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
       else return bad(where + ": unknown metric kind '" + kind_tok + "'");
       family.help = *help;
       std::uint64_t nbounds = 0;
-      if (!parse_u64(nbounds_tok, &nbounds) || nbounds > 4096) {
+      if (!parse_tok(nbounds_tok, &nbounds) || nbounds > 4096) {
         return bad(where + ": bad bounds count");
       }
       for (std::uint64_t i = 0; i < nbounds; ++i) {
         std::string b;
         double v = 0;
-        if (!line.take(&b) || !parse_f64(b, &v)) return bad(where + ": bad bound");
+        if (!line.take(&b) || !parse_tok(b, &v)) return bad(where + ": bad bound");
         family.bounds.push_back(v);
       }
       if (!line.done()) return bad(where + ": trailing tokens in M record");
@@ -228,7 +215,7 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
       if (current == nullptr) return bad(where + ": S record before any M record");
       std::string nlabels_tok;
       std::uint64_t nlabels = 0;
-      if (!line.take(&nlabels_tok) || !parse_u64(nlabels_tok, &nlabels) || nlabels > 4096) {
+      if (!line.take(&nlabels_tok) || !parse_tok(nlabels_tok, &nlabels) || nlabels > 4096) {
         return bad(where + ": bad label count");
       }
       LabelSet labels;
@@ -243,16 +230,16 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
       SampleValue value;
       std::string tok;
       std::uint64_t nbuckets = 0;
-      if (!line.take(&tok) || !parse_u64(tok, &value.counter)) return bad(where + ": bad counter");
-      if (!line.take(&tok) || !parse_i64(tok, &value.gauge)) return bad(where + ": bad gauge");
-      if (!line.take(&tok) || !parse_u64(tok, &value.count)) return bad(where + ": bad count");
-      if (!line.take(&tok) || !parse_i64(tok, &value.sum_milli)) return bad(where + ": bad sum");
-      if (!line.take(&tok) || !parse_u64(tok, &nbuckets) || nbuckets > 4096) {
+      if (!line.take(&tok) || !parse_tok(tok, &value.counter)) return bad(where + ": bad counter");
+      if (!line.take(&tok) || !parse_tok(tok, &value.gauge)) return bad(where + ": bad gauge");
+      if (!line.take(&tok) || !parse_tok(tok, &value.count)) return bad(where + ": bad count");
+      if (!line.take(&tok) || !parse_tok(tok, &value.sum_milli)) return bad(where + ": bad sum");
+      if (!line.take(&tok) || !parse_tok(tok, &nbuckets) || nbuckets > 4096) {
         return bad(where + ": bad bucket count");
       }
       for (std::uint64_t i = 0; i < nbuckets; ++i) {
         std::uint64_t b = 0;
-        if (!line.take(&tok) || !parse_u64(tok, &b)) return bad(where + ": bad bucket");
+        if (!line.take(&tok) || !parse_tok(tok, &b)) return bad(where + ": bad bucket");
         value.buckets.push_back(b);
       }
       if (!line.done()) return bad(where + ": trailing tokens in S record");
@@ -261,7 +248,7 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
       std::string layer_tok, cause_tok, n_tok;
       std::uint64_t n = 0;
       if (!line.take(&layer_tok) || !line.take(&cause_tok) || !line.take(&n_tok) ||
-          !parse_u64(n_tok, &n) || !line.done()) {
+          !parse_tok(n_tok, &n) || !line.done()) {
         return bad(where + ": bad ledger record");
       }
       auto layer = unescape_token(layer_tok);
@@ -272,7 +259,7 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
     } else if (tag == "T") {
       std::string key_tok, n_tok;
       std::uint64_t n = 0;
-      if (!line.take(&key_tok) || !line.take(&n_tok) || !parse_u64(n_tok, &n) ||
+      if (!line.take(&key_tok) || !line.take(&n_tok) || !parse_tok(n_tok, &n) ||
           !line.done()) {
         return bad(where + ": bad telemetry count record");
       }
@@ -283,31 +270,31 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
       std::string bucket_tok, n_tok;
       std::int64_t bucket = 0;
       std::uint64_t n = 0;
-      if (!line.take(&bucket_tok) || !parse_i64(bucket_tok, &bucket) ||
+      if (!line.take(&bucket_tok) || !parse_tok(bucket_tok, &bucket) ||
           bucket < 0 || bucket > (std::int64_t{1} << 30) || !line.take(&n_tok) ||
-          !parse_u64(n_tok, &n) || !line.done()) {
+          !parse_tok(n_tok, &n) || !line.done()) {
         return bad(where + ": bad telemetry rtt bucket record");
       }
       out.telemetry.rtt_buckets[static_cast<std::int32_t>(bucket)] += n;
     } else if (tag == "Q") {
       std::string count_tok, sum_tok;
-      if (!line.take(&count_tok) || !parse_u64(count_tok, &out.telemetry.rtt_count) ||
-          !line.take(&sum_tok) || !parse_i64(sum_tok, &out.telemetry.rtt_sum_nanos) ||
+      if (!line.take(&count_tok) || !parse_tok(count_tok, &out.telemetry.rtt_count) ||
+          !line.take(&sum_tok) || !parse_tok(sum_tok, &out.telemetry.rtt_sum_nanos) ||
           !line.done()) {
         return bad(where + ": bad telemetry rtt totals record");
       }
     } else if (tag == "F") {
       std::string folded_tok, sampled_tok;
       if (!line.take(&folded_tok) ||
-          !parse_u64(folded_tok, &out.telemetry.folded_records) ||
+          !parse_tok(folded_tok, &out.telemetry.folded_records) ||
           !line.take(&sampled_tok) ||
-          !parse_u64(sampled_tok, &out.telemetry.sampled_exact) || !line.done()) {
+          !parse_tok(sampled_tok, &out.telemetry.sampled_exact) || !line.done()) {
         return bad(where + ": bad telemetry fold record");
       }
     } else if (tag == "E") {
       std::string trace_tok, layer_tok, cause_tok, node_tok;
       std::int64_t trace = 0;
-      if (!line.take(&trace_tok) || !parse_i64(trace_tok, &trace) ||
+      if (!line.take(&trace_tok) || !parse_tok(trace_tok, &trace) ||
           !line.take(&layer_tok) || !line.take(&cause_tok) || !line.take(&node_tok) ||
           !line.done()) {
         return bad(where + ": bad telemetry exemplar record");
@@ -325,9 +312,9 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
       std::string width_tok, subbits_tok;
       std::int64_t subbits = 0;
       if (!line.take(&width_tok) ||
-          !parse_i64(width_tok, &out.timeseries.window_nanos) ||
+          !parse_tok(width_tok, &out.timeseries.window_nanos) ||
           out.timeseries.window_nanos < 1 || !line.take(&subbits_tok) ||
-          !parse_i64(subbits_tok, &subbits) || subbits < 0 || subbits > 64 ||
+          !parse_tok(subbits_tok, &subbits) || subbits < 0 || subbits > 64 ||
           !line.done()) {
         return bad(where + ": bad timeseries config record");
       }
@@ -336,9 +323,9 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
       std::string index_tok, key_tok, n_tok;
       std::int64_t index = 0;
       std::uint64_t n = 0;
-      if (!line.take(&index_tok) || !parse_i64(index_tok, &index) || index < 0 ||
+      if (!line.take(&index_tok) || !parse_tok(index_tok, &index) || index < 0 ||
           index > (std::int64_t{1} << 30) || !line.take(&key_tok) ||
-          !line.take(&n_tok) || !parse_u64(n_tok, &n) || !line.done()) {
+          !line.take(&n_tok) || !parse_tok(n_tok, &n) || !line.done()) {
         return bad(where + ": bad timeseries count record");
       }
       auto key = unescape_token(key_tok);
@@ -348,11 +335,11 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
       std::string index_tok, bucket_tok, n_tok;
       std::int64_t index = 0, bucket = 0;
       std::uint64_t n = 0;
-      if (!line.take(&index_tok) || !parse_i64(index_tok, &index) || index < 0 ||
+      if (!line.take(&index_tok) || !parse_tok(index_tok, &index) || index < 0 ||
           index > (std::int64_t{1} << 30) || !line.take(&bucket_tok) ||
-          !parse_i64(bucket_tok, &bucket) || bucket < 0 ||
+          !parse_tok(bucket_tok, &bucket) || bucket < 0 ||
           bucket > (std::int64_t{1} << 30) || !line.take(&n_tok) ||
-          !parse_u64(n_tok, &n) || !line.done()) {
+          !parse_tok(n_tok, &n) || !line.done()) {
         return bad(where + ": bad timeseries rtt bucket record");
       }
       out.timeseries.windows[static_cast<std::int32_t>(index)]
@@ -360,15 +347,15 @@ util::Expected<ObsSnapshot> decode_obs(std::string_view text) {
     } else if (tag == "Y") {
       std::string index_tok, count_tok, sum_tok;
       std::int64_t index = 0;
-      if (!line.take(&index_tok) || !parse_i64(index_tok, &index) || index < 0 ||
+      if (!line.take(&index_tok) || !parse_tok(index_tok, &index) || index < 0 ||
           index > (std::int64_t{1} << 30)) {
         return bad(where + ": bad timeseries rtt totals record");
       }
       auto& window = out.timeseries.windows[static_cast<std::int32_t>(index)];
       std::uint64_t count = 0;
       std::int64_t sum = 0;
-      if (!line.take(&count_tok) || !parse_u64(count_tok, &count) ||
-          !line.take(&sum_tok) || !parse_i64(sum_tok, &sum) || !line.done()) {
+      if (!line.take(&count_tok) || !parse_tok(count_tok, &count) ||
+          !line.take(&sum_tok) || !parse_tok(sum_tok, &sum) || !line.done()) {
         return bad(where + ": bad timeseries rtt totals record");
       }
       window.rtt_count += count;

@@ -1,6 +1,6 @@
 // Which layer of the stack acted on a packet. Shared between the drop
-// ledger (attribution records) and the flight recorder (span events), so
-// a ledger row and the recorder event describing the same discard name
+// ledger (attribution counts) and the flight recorder (span events), so
+// a ledger count and the recorder event describing the same discard name
 // the same layer.
 #pragma once
 

@@ -1,15 +1,18 @@
 // The drop-attribution ledger: every packet the simulator discards or
-// ECN-rewrites leaves a record of {trace idx, node, layer, cause}. This is
-// the "why did that probe fail" companion to the paper's outcome figures:
-// Figure 2's unreachable cells, Figure 3's ECT-dependent losses, and
-// Figure 4's bleaching boundaries all have a concrete cause here.
+// ECN-rewrites is counted under its {layer, cause}. This is the "why did
+// that probe fail" companion to the paper's outcome figures: Figure 2's
+// unreachable cells, Figure 3's ECT-dependent losses, and Figure 4's
+// bleaching boundaries all have a concrete cause here. The ledger keeps
+// counts, not rows: "which hop" is answered per packet by the flight
+// recorder (trace-autopsy) and, in sketched mode, by the `hop:<node>/<cause>`
+// telemetry keys.
 //
 // The ledger is single-threaded by design: it belongs to one world (one
 // simulator thread). Parallel campaign workers each own a private ledger
 // inside their world clone; per-trace slices are merged in plan order, so
 // the combined cause totals are byte-identical to a sequential run.
 //
-// Every record is also mirrored into the owning MetricsRegistry as
+// Every count is also mirrored into the owning MetricsRegistry as
 // `ecn_drops_total{layer,cause}` / `ecn_rewrites_total{layer,cause}`
 // counters, so exports and the loss-autopsy table need no special casing.
 #pragma once
@@ -19,7 +22,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "ecnprobe/obs/flight.hpp"
 #include "ecnprobe/obs/layer.hpp"
@@ -73,24 +75,8 @@ inline constexpr std::size_t kRewriteCauseCount = 2;
 std::string_view to_string(DropCause cause);
 std::string_view to_string(RewriteCause cause);
 
-/// One discarded packet.
-struct DropRecord {
-  int trace = -1;  ///< campaign trace index, -1 outside any trace epoch
-  Layer layer = Layer::Link;
-  DropCause cause = DropCause::LinkLoss;
-  std::string node;  ///< hop where it died (node name or server address)
-};
-
-/// One ECN-codepoint rewrite observed in flight.
-struct RewriteRecord {
-  int trace = -1;
-  Layer layer = Layer::Policy;
-  RewriteCause cause = RewriteCause::Bleached;
-  std::string node;
-};
-
-/// Aggregated ledger slice: cause x layer totals plus per-node detail.
-/// Plain data, mergeable, deterministic encoding (maps throughout).
+/// Aggregated ledger slice: layer x cause totals. Plain data, mergeable,
+/// deterministic encoding (maps throughout).
 struct LedgerSnapshot {
   std::map<std::pair<std::string, std::string>, std::uint64_t> drops;     ///< {layer,cause} -> n
   std::map<std::pair<std::string, std::string>, std::uint64_t> rewrites;  ///< {layer,cause} -> n
@@ -105,19 +91,9 @@ class DropLedger {
 public:
   explicit DropLedger(MetricsRegistry* registry) : registry_(registry) {}
 
-  /// Stamps subsequent records with the given campaign trace index.
-  void set_trace(int index) { trace_ = index; }
-  int trace() const { return trace_; }
-
-  /// Trace-epoch entry point: stamps the index and, when sketched
-  /// telemetry is armed, releases the previous trace's record vectors so
-  /// a worker's ledger stays O(one trace), not O(campaign). Call BEFORE
-  /// the world snapshots its obs baseline.
-  void begin_trace(int index);
-
   /// Sketched-mode wiring: when set and armed, records are forwarded to
-  /// the telemetry recorder; only exactly-sampled traces keep ledger rows
-  /// and registry mirror counters.
+  /// the telemetry recorder; only exactly-sampled traces are counted here,
+  /// and none reach the registry mirror counters.
   void set_telemetry(TelemetryRecorder* telemetry) { telemetry_ = telemetry; }
 
   /// Sim-time-series wiring: when set and armed, every record is also
@@ -127,31 +103,25 @@ public:
     timeseries_ = timeseries;
   }
 
-  void record_drop(Layer layer, DropCause cause, std::string node);
-  void record_rewrite(Layer layer, RewriteCause cause, std::string node);
+  /// `node` (the hop where the packet died: node name or server address)
+  /// reaches only sketched telemetry's `hop:`/`as:` keys and exemplars.
+  void record_drop(Layer layer, DropCause cause, std::string_view node);
+  void record_rewrite(Layer layer, RewriteCause cause);
 
-  const std::vector<DropRecord>& drops() const { return drops_; }
-  const std::vector<RewriteRecord>& rewrites() const { return rewrites_; }
+  /// The non-zero cells counted since the last reset(): one trace's worth
+  /// when World::mark_obs_baseline() resets at each trace epoch.
+  LedgerSnapshot aggregate() const;
 
-  /// Aggregates records [drop_from, rewrite_from) .. end -- the campaign
-  /// executors use this to slice out one trace's worth of attribution.
-  LedgerSnapshot aggregate(std::size_t drop_from = 0, std::size_t rewrite_from = 0) const;
-
-  /// Drops every row past the first `drop_count` drops and
-  /// `rewrite_count` rewrites, keeping the vectors' capacity for the rows
-  /// that follow. Mirror counters, series and sketches keep what they
-  /// counted when each row was recorded.
-  void truncate(std::size_t drop_count, std::size_t rewrite_count);
-
-  void clear();
+  /// Zeroes both count tables. Mirror counters, series and sketches keep
+  /// what they counted.
+  void reset();
 
 private:
   MetricsRegistry* registry_;
   TelemetryRecorder* telemetry_ = nullptr;
   TimeSeriesRecorder* timeseries_ = nullptr;
-  int trace_ = -1;
-  std::vector<DropRecord> drops_;
-  std::vector<RewriteRecord> rewrites_;
+  std::array<std::array<std::uint64_t, kDropCauseCount>, kLayerCount> drops_{};
+  std::array<std::array<std::uint64_t, kRewriteCauseCount>, kLayerCount> rewrites_{};
   // Mirror counters, resolved lazily per (layer, cause).
   std::array<std::array<Counter*, kDropCauseCount>, kLayerCount> drop_counters_{};
   std::array<std::array<Counter*, kRewriteCauseCount>, kLayerCount> rewrite_counters_{};

@@ -129,8 +129,8 @@ bool Profiler::write_chrome_trace(const std::string& path) const {
                  static_cast<double>(slice.duration_nanos) / 1000.0);
   }
   std::fprintf(f, "]}\n");
-  std::fclose(f);
-  return true;
+  const bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written;
 }
 
 void Profiler::reset() {

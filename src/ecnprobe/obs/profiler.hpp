@@ -72,7 +72,7 @@ class Profiler {
 
   /// Chrome trace-event JSON (chrome://tracing / Perfetto "X" events),
   /// one row per worker thread. Returns false if the file cannot be
-  /// written.
+  /// opened, written or closed (a full disk may show only at the close).
   bool write_chrome_trace(const std::string& path) const;
 
   std::map<std::string, StageStats> stages() const;

@@ -112,7 +112,7 @@ void TelemetryRecorder::begin_trace(int trace) {
 }
 
 void TelemetryRecorder::on_drop(std::string_view layer, std::string_view cause,
-                                const std::string& node) {
+                                std::string_view node) {
   if (!armed_) return;
   std::string key;
   key.reserve(8 + layer.size() + node.size() + cause.size());
@@ -127,7 +127,7 @@ void TelemetryRecorder::on_drop(std::string_view layer, std::string_view cause,
       ++current_.counts[key];
     }
   }
-  if (sampled_) return;  // the ledger keeps the exact record
+  if (sampled_) return;  // the ledger counts the exact record
   // This record exists only in the sketches; keep a reservoir-sampled
   // exemplar so reports can still show a concrete victim. Algorithm R
   // over the trace's folded drops, driven by the private telemetry Rng.
@@ -135,7 +135,7 @@ void TelemetryRecorder::on_drop(std::string_view layer, std::string_view cause,
   const auto cap = static_cast<std::size_t>(config_.reservoir);
   if (cap == 0) return;
   TelemetryExemplar exemplar{trace_, std::string(layer), std::string(cause),
-                             node};
+                             std::string(node)};
   if (current_.exemplars.size() < cap) {
     current_.exemplars.push_back(std::move(exemplar));
     return;

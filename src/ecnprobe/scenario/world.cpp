@@ -152,7 +152,7 @@ World::World(WorldParams params)
     // pure functions of (config, seed, trace) -- every worker clone and
     // the campaign-level aggregate derive the identical hash functions.
     obs_.telemetry.arm(params_.telemetry.resolved(params_.seed));
-    obs_.telemetry.set_as_labeler([this](const std::string& node) {
+    obs_.telemetry.set_as_labeler([this](std::string_view node) {
       const auto address = wire::Ipv4Address::parse(node);
       if (!address) return std::string();  // vantage/router names: no AS key
       const auto asn = internet_->ip2as().lookup(*address);
@@ -603,12 +603,10 @@ void World::before_trace(const std::string& /*vantage*/, int batch, int index) {
 }
 
 void World::begin_trace_epoch(const std::string& vantage, int batch, int index) {
-  // Telemetry epoch before the baseline: begin_trace decides head-based
-  // sampling and (in sketched mode) releases the previous trace's ledger
-  // rows, so the marks below start from the trimmed state.
+  // Telemetry and series epochs first: begin_trace clears their deltas and
+  // decides head-based sampling, which the recorder reads just below.
   obs_.telemetry.begin_trace(index);
   obs_.timeseries.begin_trace(index);
-  obs_.ledger.begin_trace(index);
   // Observability epoch next: everything from here on -- including the
   // trace-start counter just below -- lands in this trace's delta.
   mark_obs_baseline();
@@ -635,8 +633,7 @@ void World::begin_trace_epoch(const std::string& vantage, int batch, int index) 
 
 void World::mark_obs_baseline() {
   obs_baseline_ = obs_.registry.snapshot();
-  obs_drop_mark_ = obs_.ledger.drops().size();
-  obs_rewrite_mark_ = obs_.ledger.rewrites().size();
+  obs_.ledger.reset();
   obs_flight_mark_ = obs_.recorder.cursor();
 }
 
@@ -647,7 +644,7 @@ std::vector<obs::FlightEvent> World::take_flight_slice() {
 obs::ObsSnapshot World::collect_obs_delta() const {
   obs::ObsSnapshot delta;
   delta.metrics = obs_.registry.snapshot().delta_since(obs_baseline_);
-  delta.ledger = obs_.ledger.aggregate(obs_drop_mark_, obs_rewrite_mark_);
+  delta.ledger = obs_.ledger.aggregate();
   delta.telemetry = obs_.telemetry.collect_delta();
   delta.timeseries = obs_.timeseries.collect_delta();
   return delta;
@@ -663,10 +660,6 @@ std::vector<measure::TracerouteObservation> World::run_traceroutes(
   // fixed label so the traceroute figures do not depend on whether (or how)
   // a campaign ran on this world first.
   net().begin_epoch(util::derive_seed(params_.seed, "traceroute-epoch"));
-  // Nothing aggregates this phase's ledger rows (its drops are counted as
-  // they are recorded), so each pass's rows go once the pass is done.
-  const std::size_t drops_before = obs_.ledger.drops().size();
-  const std::size_t rewrites_before = obs_.ledger.rewrites().size();
   std::vector<measure::TracerouteObservation> all;
   for (const auto& name : vantage_names_) {
     measure::TracerouteRunner runner(vantage(name), server_addresses(), options,
@@ -677,7 +670,6 @@ std::vector<measure::TracerouteObservation> World::run_traceroutes(
       done = true;
     });
     sim_.run();
-    obs_.ledger.truncate(drops_before, rewrites_before);
     if (!done) throw std::runtime_error("World::run_traceroutes: simulation stalled");
   }
   return all;

@@ -198,7 +198,8 @@ public:
   void quarantine_trace(const std::string& vantage);
 
   // -- observability ---------------------------------------------------------
-  /// Marks the current registry/ledger position as the delta baseline.
+  /// Marks the current registry position as the delta baseline and zeroes
+  /// the ledger's counts.
   /// begin_trace_epoch calls this automatically; collect_obs_delta reads
   /// everything recorded since the last mark.
   void mark_obs_baseline();
@@ -216,14 +217,6 @@ public:
   /// Begins its own epoch ("traceroute-epoch"), so the observations are a
   /// pure function of the world seed, independent of any campaign that ran
   /// on this world before.
-  ///
-  /// Ledger contract: the phase keeps no drop-ledger rows. Each vantage's
-  /// pass truncates the ledger back to its size when the phase began, so
-  /// rows recorded before the phase and every obs mark survive, and
-  /// collect_obs_delta().ledger reads as it did before the phase. The
-  /// phase's drops and rewrites still count where they are counted as
-  /// recorded: `ecn_drops_total`/`ecn_rewrites_total`, the time series
-  /// and the sketches.
   std::vector<measure::TracerouteObservation> run_traceroutes(
       int repetitions = 2, traceroute::TracerouteOptions options = {});
 
@@ -283,8 +276,6 @@ private:
   wire::Ipv4Address resolver_address_;
 
   obs::MetricsSnapshot obs_baseline_;
-  std::size_t obs_drop_mark_ = 0;
-  std::size_t obs_rewrite_mark_ = 0;
   std::size_t obs_flight_mark_ = 0;
 };
 

@@ -37,13 +37,14 @@ bool istarts_with(std::string_view s, std::string_view prefix);
 /// True if the two strings are equal, case-insensitively (ASCII).
 bool iequals(std::string_view a, std::string_view b);
 
-/// Parses all of `s` as a base-10 integer of type T: digits with a
-/// leading '-' allowed for signed T only; no '+', no whitespace, nothing
-/// after the digits, and within T's range. Empty on anything else.
+/// Parses all of `s` as an integer of type T in `base` (digits, then
+/// letters either case past 10, no "0x"): a leading '-' allowed for
+/// signed T only; no '+', no whitespace, nothing after the digits, and
+/// within T's range. Empty on anything else.
 template <typename T>
-std::optional<T> parse_integer(std::string_view s) {
+std::optional<T> parse_integer(std::string_view s, int base = 10) {
   T value{};
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value, base);
   if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
   return value;
 }

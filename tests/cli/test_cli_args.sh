@@ -98,6 +98,10 @@ must_fail "discover ignores retry policy" discover --scale 0.02 --retry-policy b
 must_fail "traceroute ignores workers" traceroute --scale 0.02 --count 1 --workers 2
 must_fail "pcap ignores traces" pcap --scale 0.02 --traces 1 --out "$TMP/p.pcap"
 must_fail "trace-autopsy ignores workers" trace-autopsy --scale 0.02 --trace 0 --workers 2
+must_fail "trace-autopsy server not an address" trace-autopsy --scale 0.02 --trace 1 \
+  --server banana
+must_fail "trace-autopsy server out of range" trace-autopsy --scale 0.02 --trace 1 \
+  --server 10.0.0.256
 
 # Live-plane flags: the port must be a bare integer in [0, 65535].
 must_fail "non-numeric serve-obs port" campaign --serve-obs banana

@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "ecnprobe/obs/codec.hpp"
+#include "ecnprobe/util/hash.hpp"
+#include "ecnprobe/util/strings.hpp"
 
 namespace ecnprobe::measure {
 namespace {
@@ -125,6 +132,65 @@ TEST(CampaignJournal, FlippedPayloadByteDetected) {
   EXPECT_FALSE(corrupted.open(file.path, sample_meta(), &error));
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
   EXPECT_NE(error.find("trace 4"), std::string::npos) << error;
+}
+
+// A record whose checksum matches but whose numbers take a form the writer
+// never emits -- a sign, a '+', a tab, a "0x" -- is refused, not replayed:
+// "-1" drops must not come back as 2^64-1.
+TEST(CampaignJournal, ChecksumConsistentLooseNumbersAreRefused) {
+  TempFile file("journal_loose_numbers");
+  std::string error;
+  {
+    CampaignJournal journal;
+    ASSERT_TRUE(journal.open(file.path, sample_meta(), &error)) << error;
+    ASSERT_TRUE(journal.append(sample_trace(4), sample_delta()));
+  }
+  std::string header, record;
+  {
+    std::ifstream in(file.path);
+    std::getline(in, header);
+    std::getline(in, record);
+  }
+  // "T <idx> <checksum> <payload>": edit the payload in the clear, then
+  // re-sign it so only the number reader can refuse it.
+  const auto payload_at = record.find(' ', record.find(' ', 2) + 1) + 1;
+  const auto payload = obs::unescape_token(record.substr(payload_at));
+  ASSERT_TRUE(payload);
+  const auto reopen_with = [&](const std::string& from, const std::string& to) {
+    std::string edited = *payload;
+    const auto at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) edited.replace(at, from.size(), to);
+    const auto token = obs::escape_token(edited);
+    {
+      std::ofstream out(file.path, std::ios::trunc);
+      out << header << "\nT 4 "
+          << util::strf("%016llx", static_cast<unsigned long long>(util::fnv1a64(token)))
+          << ' ' << token << '\n';
+    }
+    CampaignJournal journal;
+    return journal.open(file.path, sample_meta(), &error);
+  };
+  ASSERT_TRUE(reopen_with("random-loss 3", "random-loss 3")) << error;  // re-signing works
+
+  const double rtt = sample_trace(4).servers[0].udp_plain.rtt_ms;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &rtt, sizeof(bits));
+  const auto rtt_hex = util::strf("%016llx", static_cast<unsigned long long>(bits));
+  const auto address = std::to_string(sample_trace(4).servers[0].server.value());
+  const std::vector<std::pair<std::string, std::string>> loose = {
+      {"random-loss 3", "random-loss -1"},
+      {"random-loss 3", "random-loss +3"},
+      {"random-loss 3", "random-loss \t3"},
+      {" 2 4 1 ", " +2 4 1 "},  // the batch
+      {" " + address + " ", " +" + address + " "},
+      {rtt_hex, "+" + rtt_hex},
+      {rtt_hex, "0x" + rtt_hex.substr(2)},
+  };
+  for (const auto& [from, to] : loose) {
+    EXPECT_FALSE(reopen_with(from, to)) << to;
+    EXPECT_NE(error.find("undecodable"), std::string::npos) << to << ": " << error;
+  }
 }
 
 TEST(CampaignJournal, FlippedChecksumByteDetected) {

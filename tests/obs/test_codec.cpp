@@ -22,7 +22,7 @@ ObsSnapshot sample_snapshot() {
   obs.ledger.record_drop(Layer::Link, DropCause::LinkLoss, "r1");
   obs.ledger.record_drop(Layer::Link, DropCause::LinkLoss, "r1");
   obs.ledger.record_drop(Layer::Measure, DropCause::TraceQuarantined, "EC2 Tok");
-  obs.ledger.record_rewrite(Layer::Policy, RewriteCause::Bleached, "r2");
+  obs.ledger.record_rewrite(Layer::Policy, RewriteCause::Bleached);
 
   ObsSnapshot snapshot;
   snapshot.metrics = registry.snapshot();
@@ -68,6 +68,17 @@ TEST(ObsCodec, MalformedInputRejectedNotCrashed) {
   EXPECT_FALSE(decode_obs("D link"));              // short ledger line
   EXPECT_FALSE(decode_obs("X what is this"));      // unknown record type
   EXPECT_FALSE(decode_obs("D link link-loss notanumber"));
+  // Numbers are read strictly, in the forms the encoder writes: no sign on
+  // a count (a "-1" would replay as 2^64-1 drops), no '+', no whitespace,
+  // and a histogram bound is a finite decimal.
+  for (const char* count : {"-1", "+5", "\t7"}) {
+    EXPECT_FALSE(decode_obs(std::string("D link link-loss ") + count)) << count;
+  }
+  EXPECT_TRUE(decode_obs("D link link-loss 7"));
+  for (const char* bound : {"inf", "nan", "0x1p3", "+1.5"}) {
+    EXPECT_FALSE(decode_obs(std::string("M rtt histogram % 1 ") + bound)) << bound;
+  }
+  EXPECT_TRUE(decode_obs("M rtt histogram % 1 1.5"));
 }
 
 TEST(ObsCodec, MergeOfDecodedDeltasMatchesDirectMerge) {

@@ -155,9 +155,9 @@ TEST_F(CampaignTest, TraceroutesDetectBleachersButNoCe) {
   EXPECT_EQ(analysis.ce_marks_seen, 0u);  // matches the paper: no CE observed
 }
 
-// The traceroute phase keeps no drop-ledger rows: each vantage's pass
-// truncates the ledger back to where the phase began. Its drops still count
-// in the registry as they are recorded.
+// The traceroute phase counts its drops and rewrites like any other sim
+// time: in the registry as they are recorded, and in the ledger until the
+// next obs baseline.
 std::uint64_t registry_count(World& world, const std::string& family,
                              const obs::LabelSet& labels) {
   const auto snap = world.obs().registry.snapshot();
@@ -168,7 +168,6 @@ std::uint64_t registry_count(World& world, const std::string& family,
 }
 
 const obs::LabelSet kTtlExpired{{"cause", "ttl-expired"}, {"layer", "router"}};
-const obs::LabelSet kBleached{{"cause", "bleached"}, {"layer", "policy"}};
 
 std::vector<measure::TracerouteObservation> run_short_traceroutes(World& world) {
   traceroute::TracerouteOptions options;
@@ -176,8 +175,8 @@ std::vector<measure::TracerouteObservation> run_short_traceroutes(World& world) 
   return world.run_traceroutes(1, options);
 }
 
-/// One campaign trace on `world` itself, so the ledger holds rows and the
-/// obs marks sit past zero before a traceroute phase.
+/// One campaign trace on `world` itself, so the obs baseline sits at its
+/// epoch and the ledger holds counts before a traceroute phase.
 void run_one_campaign_trace(World& world) {
   world.begin_trace_epoch("UGla wired", 1, 0);
   measure::TraceRunner runner(world.vantage("UGla wired"), world.server_addresses(),
@@ -188,34 +187,31 @@ void run_one_campaign_trace(World& world) {
   ASSERT_TRUE(done);
 }
 
-TEST(TraceroutePhase, LeavesTheLedgerRowCountsAsTheyWere) {
-  World world{campaign_params()};
-  const auto drops = world.obs().ledger.drops().size();
-  const auto rewrites = world.obs().ledger.rewrites().size();
-  const auto bleached = registry_count(world, "ecn_rewrites_total", kBleached);
-  EXPECT_EQ(run_short_traceroutes(world).size(), 13u * 30u);
-  EXPECT_EQ(world.obs().ledger.drops().size(), drops);
-  EXPECT_EQ(world.obs().ledger.rewrites().size(), rewrites);
-  // The phase did rewrite marks: the equal count above is a truncation.
-  EXPECT_GT(registry_count(world, "ecn_rewrites_total", kBleached), bleached);
+/// The `family` cells of a metrics delta, keyed like the ledger's.
+std::map<std::pair<std::string, std::string>, std::uint64_t> mirror_cells(
+    const obs::MetricsSnapshot& metrics, const std::string& family) {
+  std::map<std::pair<std::string, std::string>, std::uint64_t> cells;
+  const auto f = metrics.families.find(family);
+  if (f == metrics.families.end()) return cells;
+  for (const auto& [labels, value] : f->second.samples) {
+    if (value.counter != 0) cells[{labels.at("layer"), labels.at("cause")}] = value.counter;
+  }
+  return cells;
 }
 
-TEST(TraceroutePhase, LeavesTheTraceObsDeltaAsItWas) {
+TEST(TraceroutePhase, LedgerDeltaEqualsItsMirrorCountersCellForCell) {
   World world{campaign_params()};
   run_one_campaign_trace(world);
-  const auto rows = world.obs().ledger.drops();
-  const auto before = world.collect_obs_delta().ledger;
-  ASSERT_GT(before.total_drops(), 0u);
+  const auto trace_only = world.collect_obs_delta().ledger;
+  ASSERT_GT(trace_only.total_drops(), 0u);
   run_short_traceroutes(world);
-  const auto after = world.collect_obs_delta().ledger;
-  EXPECT_EQ(after.drops, before.drops);
-  EXPECT_EQ(after.rewrites, before.rewrites);
-  // The trace's own rows survive the phase, row for row.
-  ASSERT_EQ(world.obs().ledger.drops().size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(world.obs().ledger.drops()[i].node, rows[i].node);
-    EXPECT_EQ(world.obs().ledger.drops()[i].cause, rows[i].cause);
-  }
+  const auto delta = world.collect_obs_delta();
+  // The phase's TTL expiries and bleaches land in the ledger delta too...
+  EXPECT_GT(delta.ledger.total_drops(), trace_only.total_drops());
+  EXPECT_GT(delta.ledger.total_rewrites(), trace_only.total_rewrites());
+  // ...and exactly where the exact-mode mirror counters put them.
+  EXPECT_EQ(delta.ledger.drops, mirror_cells(delta.metrics, "ecn_drops_total"));
+  EXPECT_EQ(delta.ledger.rewrites, mirror_cells(delta.metrics, "ecn_rewrites_total"));
 }
 
 TEST(TraceroutePhase, StillCountsItsDropsInTheRegistry) {

@@ -76,7 +76,7 @@ struct Options {
   bool resume = false;     ///< --resume: the journal must already exist
   std::string record;      ///< flight-recorder output prefix (--record)
   int trace = -1;          ///< trace-autopsy: campaign trace index
-  std::string server;      ///< trace-autopsy: restrict to this server address
+  std::optional<wire::Ipv4Address> server;  ///< trace-autopsy: restrict to this server
   /// Live observability plane port (--serve-obs): -1 = off, 0 = ephemeral.
   int serve_obs = -1;
   /// Wall-clock self-profiler (--profile); outside the determinism
@@ -157,7 +157,9 @@ bool parse(const Command& command, int argc, char** argv, Options* options) {
     } else if (name == "record") {
       options->record = v;
     } else if (name == "server") {
-      options->server = v;
+      const auto address = wire::Ipv4Address::parse(v);
+      ok = address.has_value();
+      if (ok) options->server = *address;
     } else {
       // A campaign key: validated with the others by the spec below.
       spec_args.push_back("--" + name + "=" + v);
@@ -376,12 +378,12 @@ int cmd_campaign(const Options& options) {
     if (!options.record.empty()) {
       // Chrome-trace sidecar lands next to the flight recorder's files.
       const std::string trace_path = options.record + ".profile.json";
-      if (profiler.write_chrome_trace(trace_path)) {
-        std::fprintf(stderr, "wrote %s (chrome trace; load in chrome://tracing)\n",
-                     trace_path.c_str());
-      } else {
+      if (!profiler.write_chrome_trace(trace_path)) {
         std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
+        return 1;
       }
+      std::fprintf(stderr, "wrote %s (chrome trace; load in chrome://tracing)\n",
+                   trace_path.c_str());
     }
     std::fprintf(stderr, "profile (wall-clock, unguarded): %s\n",
                  profiler.to_json().c_str());
