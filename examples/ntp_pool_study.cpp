@@ -32,10 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "ecnprobe/analysis/differential.hpp"
+#include "ecnprobe/analysis/figures.hpp"
 #include "ecnprobe/analysis/geosummary.hpp"
 #include "ecnprobe/analysis/hops.hpp"
-#include "ecnprobe/analysis/reachability.hpp"
 #include "ecnprobe/analysis/report.hpp"
 #include "ecnprobe/analysis/trend.hpp"
 #include "ecnprobe/http/obs_server.hpp"
@@ -183,7 +182,10 @@ int main(int argc, char** argv) {
     std::printf("      live obs plane: http://127.0.0.1:%u  (/metrics /progress /events)\n",
                 static_cast<unsigned>(obs_server->port()));
   }
-  const auto traces = campaign.run(plan);
+  // The traces are folded as they come back and freed before the
+  // traceroutes: the study peaks in that phase.
+  analysis::FigureFold figures;
+  for (const auto& trace : campaign.run(plan)) figures.add(trace);
   obs_server.reset();  // the live plane serves the campaign only
   const auto& campaign_obs = campaign.metrics();
   const auto& telemetry = campaign.telemetry();
@@ -206,13 +208,13 @@ int main(int argc, char** argv) {
                  failure.vantage.c_str(), failure.message.c_str());
   }
 
-  const auto per_trace = analysis::per_trace_reachability(traces);
+  const auto& per_trace = figures.per_trace();
   std::printf("\nFigure 2a: ECT(0)-reachability of not-ECT-reachable servers\n%s\n",
               analysis::render_figure2a(per_trace).c_str());
   std::printf("Figure 2b: converse\n%s\n",
               analysis::render_figure2b(per_trace).c_str());
 
-  const auto diffs = analysis::per_server_differential(traces);
+  const auto& diffs = figures.differential();
   std::printf("Figure 3a: per-server differential reachability (aggregate)\n%s\n",
               analysis::render_figure3a(diffs).c_str());
   std::printf("Figure 3b: converse\n%s\n",
@@ -221,14 +223,14 @@ int main(int argc, char** argv) {
   std::printf("Figure 5: TCP reachability and ECN negotiation\n%s\n",
               analysis::render_figure5(per_trace, params.server_count).c_str());
 
-  const auto summary = analysis::summarize_reachability(traces);
+  const auto summary = figures.summary();
   std::printf("Figure 6: adoption trend with our measured point\n%s\n",
               analysis::render_figure6(
                   analysis::trend_with_measurement(summary.pct_tcp_negotiating_ecn))
                   .c_str());
 
   std::printf("Table 2: UDP vs TCP ECN failure correlation\n%s\n",
-              analysis::render_table2(analysis::correlation_table(traces)).c_str());
+              analysis::render_table2(figures.correlation()).c_str());
 
   // Loss autopsy: the drop ledger's answer to "why is that Figure 2 cell
   // unreachable" -- every failed probe above has an attributed cause here.

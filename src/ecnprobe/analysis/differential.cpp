@@ -2,82 +2,103 @@
 
 #include <algorithm>
 
+#include "ecnprobe/analysis/figures.hpp"
+
 namespace ecnprobe::analysis {
 
-std::vector<ServerDifferential> per_server_differential(
-    const std::vector<measure::Trace>& traces) {
-  struct Counters {
-    std::map<std::string, int> plain;          ///< traces reachable plain
-    std::map<std::string, int> plain_not_ect;  ///< ...of which ECT failed
-    std::map<std::string, int> ect;
-    std::map<std::string, int> ect_not_plain;
-  };
-  std::map<std::uint32_t, Counters> by_server;
-  std::vector<std::uint32_t> order;
+std::optional<double> DifferentialCell::plain_not_ect_pct() const {
+  if (plain == 0) return std::nullopt;
+  return 100.0 * plain_not_ect / plain;
+}
 
-  for (const auto& trace : traces) {
-    for (const auto& s : trace.servers) {
-      if (!by_server.contains(s.server.value())) order.push_back(s.server.value());
-      Counters& c = by_server[s.server.value()];
-      if (s.udp_plain.reachable) {
-        ++c.plain[trace.vantage];
-        if (!s.udp_ect0.reachable) ++c.plain_not_ect[trace.vantage];
-      }
-      if (s.udp_ect0.reachable) {
-        ++c.ect[trace.vantage];
-        if (!s.udp_plain.reachable) ++c.ect_not_plain[trace.vantage];
-      }
-    }
-  }
+std::optional<double> DifferentialCell::ect_not_plain_pct() const {
+  if (ect == 0) return std::nullopt;
+  return 100.0 * ect_not_plain / ect;
+}
 
-  std::vector<ServerDifferential> out;
-  out.reserve(order.size());
-  for (const auto addr : order) {
-    const Counters& c = by_server.at(addr);
-    ServerDifferential d;
-    d.server = wire::Ipv4Address{addr};
-    int plain_total = 0;
-    int plain_not_ect_total = 0;
-    for (const auto& [vantage, n] : c.plain) {
-      const auto it = c.plain_not_ect.find(vantage);
-      const int failed = it == c.plain_not_ect.end() ? 0 : it->second;
-      d.plain_not_ect_pct[vantage] = 100.0 * failed / n;
-      plain_total += n;
-      plain_not_ect_total += failed;
-    }
-    int ect_total = 0;
-    int ect_not_plain_total = 0;
-    for (const auto& [vantage, n] : c.ect) {
-      const auto it = c.ect_not_plain.find(vantage);
-      const int failed = it == c.ect_not_plain.end() ? 0 : it->second;
-      d.ect_not_plain_pct[vantage] = 100.0 * failed / n;
-      ect_total += n;
-      ect_not_plain_total += failed;
-    }
-    d.overall_plain_not_ect_pct =
-        plain_total == 0 ? 0.0 : 100.0 * plain_not_ect_total / plain_total;
-    d.overall_ect_not_plain_pct =
-        ect_total == 0 ? 0.0 : 100.0 * ect_not_plain_total / ect_total;
-    out.push_back(std::move(d));
+std::optional<std::size_t> ServerDifferentials::column(std::string_view vantage) const {
+  const auto it = std::find(vantages_.begin(), vantages_.end(), vantage);
+  if (it == vantages_.end()) return std::nullopt;
+  return static_cast<std::size_t>(it - vantages_.begin());
+}
+
+DifferentialCell ServerDifferentials::cell(std::size_t row, std::size_t column) const {
+  const auto& cells = columns_[column];
+  return row < cells.size() ? cells[row] : DifferentialCell{};
+}
+
+DifferentialCell ServerDifferentials::cell(std::size_t row, std::string_view vantage) const {
+  const auto c = column(vantage);
+  return c ? cell(row, *c) : DifferentialCell{};
+}
+
+DifferentialCell ServerDifferentials::total(std::size_t row) const {
+  DifferentialCell sum;
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    const auto one = cell(row, c);
+    sum.plain += one.plain;
+    sum.plain_not_ect += one.plain_not_ect;
+    sum.ect += one.ect;
+    sum.ect_not_plain += one.ect_not_plain;
   }
-  return out;
+  return sum;
+}
+
+std::size_t ServerDifferentials::begin_trace(std::string_view vantage, std::size_t servers) {
+  auto c = column(vantage);
+  if (!c) {
+    c = vantages_.size();
+    vantages_.emplace_back(vantage);
+    columns_.emplace_back();
+  }
+  columns_[*c].reserve(servers);
+  return *c;
+}
+
+void ServerDifferentials::count(std::size_t column, std::size_t position,
+                                const measure::ServerResult& result) {
+  // The traces of one campaign list the servers in one order, so a
+  // result's position in its trace is nearly always its row.
+  std::size_t row = position;
+  if (row >= servers_.size() || servers_[row] != result.server) {
+    const auto [it, added] = rows_.try_emplace(result.server.value(),
+                                               static_cast<std::uint32_t>(servers_.size()));
+    if (added) servers_.push_back(result.server);
+    row = it->second;
+  }
+  auto& cells = columns_[column];
+  if (row >= cells.size()) cells.resize(servers_.size());
+  auto& cell = cells[row];
+  const bool plain = result.udp_plain.reachable;
+  const bool ect = result.udp_ect0.reachable;
+  if (plain) {
+    ++cell.plain;
+    if (!ect) ++cell.plain_not_ect;
+  }
+  if (ect) {
+    ++cell.ect;
+    if (!plain) ++cell.ect_not_plain;
+  }
+}
+
+ServerDifferentials per_server_differential(const std::vector<measure::Trace>& traces) {
+  return FigureFold(traces).differential();
 }
 
 std::vector<DifferentialCounts> count_over_threshold(
-    const std::vector<ServerDifferential>& differentials,
-    const std::vector<std::string>& vantages, double threshold_pct) {
+    const ServerDifferentials& differentials, const std::vector<std::string>& vantages,
+    double threshold_pct) {
   std::vector<DifferentialCounts> out;
   for (const auto& vantage : vantages) {
     DifferentialCounts counts;
     counts.vantage = vantage;
-    for (const auto& d : differentials) {
-      const auto a = d.plain_not_ect_pct.find(vantage);
-      if (a != d.plain_not_ect_pct.end() && a->second > threshold_pct) {
-        ++counts.plain_not_ect_over_threshold;
-      }
-      const auto b = d.ect_not_plain_pct.find(vantage);
-      if (b != d.ect_not_plain_pct.end() && b->second > threshold_pct) {
-        ++counts.ect_not_plain_over_threshold;
+    if (const auto column = differentials.column(vantage)) {
+      for (std::size_t row = 0; row < differentials.size(); ++row) {
+        const auto cell = differentials.cell(row, *column);
+        const auto a = cell.plain_not_ect_pct();
+        if (a && *a > threshold_pct) ++counts.plain_not_ect_over_threshold;
+        const auto b = cell.ect_not_plain_pct();
+        if (b && *b > threshold_pct) ++counts.ect_not_plain_over_threshold;
       }
     }
     out.push_back(std::move(counts));
@@ -86,16 +107,20 @@ std::vector<DifferentialCounts> count_over_threshold(
 }
 
 std::vector<wire::Ipv4Address> persistent_failures(
-    const std::vector<ServerDifferential>& differentials,
-    const std::vector<std::string>& vantages, double threshold_pct) {
+    const ServerDifferentials& differentials, const std::vector<std::string>& vantages,
+    double threshold_pct) {
+  std::vector<std::optional<std::size_t>> columns;
+  columns.reserve(vantages.size());
+  for (const auto& vantage : vantages) columns.push_back(differentials.column(vantage));
   std::vector<wire::Ipv4Address> out;
-  for (const auto& d : differentials) {
+  for (std::size_t row = 0; row < differentials.size(); ++row) {
     const bool everywhere = std::all_of(
-        vantages.begin(), vantages.end(), [&](const std::string& vantage) {
-          const auto it = d.plain_not_ect_pct.find(vantage);
-          return it != d.plain_not_ect_pct.end() && it->second > threshold_pct;
+        columns.begin(), columns.end(), [&](const std::optional<std::size_t>& column) {
+          if (!column) return false;
+          const auto pct = differentials.cell(row, *column).plain_not_ect_pct();
+          return pct && *pct > threshold_pct;
         });
-    if (everywhere) out.push_back(d.server);
+    if (everywhere) out.push_back(differentials.server(row));
   }
   return out;
 }

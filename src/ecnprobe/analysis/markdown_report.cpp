@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "ecnprobe/analysis/differential.hpp"
-#include "ecnprobe/analysis/reachability.hpp"
 #include "ecnprobe/analysis/report.hpp"
 #include "ecnprobe/analysis/trend.hpp"
 #include "ecnprobe/util/strings.hpp"
@@ -24,15 +22,11 @@ std::string render_markdown_report(const ReportInputs& inputs) {
   std::ostringstream out;
   out << "# " << inputs.title << "\n\n";
 
-  const auto summary = summarize_reachability(inputs.traces);
-  int server_count = 0;
-  if (!inputs.traces.empty()) {
-    server_count = static_cast<int>(inputs.traces.front().servers.size());
-  }
-  out << util::strf(
-      "%zu traces over %d servers from %zu vantage points.\n\n",
-      inputs.traces.size(), server_count,
-      per_vantage_reachability(inputs.traces).size());
+  const auto& figures = inputs.figures;
+  const auto summary = figures.summary();
+  const int server_count = figures.server_count();
+  out << util::strf("%zu traces over %d servers from %zu vantage points.\n\n",
+                    figures.trace_count(), server_count, figures.per_vantage().size());
 
   out << "## Headline numbers\n\n";
   fenced(out, render_summary(summary));
@@ -44,13 +38,13 @@ std::string render_markdown_report(const ReportInputs& inputs) {
     fenced(out, render_figure1(*inputs.geo, 80, 22));
   }
 
-  const auto per_trace = per_trace_reachability(inputs.traces);
+  const auto& per_trace = figures.per_trace();
   out << "## Figure 2a — ECT(0) reachability of not-ECT-reachable servers\n\n";
   fenced(out, render_figure2a(per_trace));
   out << "## Figure 2b — converse\n\n";
   fenced(out, render_figure2b(per_trace));
 
-  const auto diffs = per_server_differential(inputs.traces);
+  const auto& diffs = figures.differential();
   out << "## Figure 3a — per-server differential reachability\n\n";
   fenced(out, render_figure3a(diffs));
   out << "## Figure 3b — converse\n\n";
@@ -70,7 +64,7 @@ std::string render_markdown_report(const ReportInputs& inputs) {
          render_figure6(trend_with_measurement(summary.pct_tcp_negotiating_ecn)));
 
   out << "## Table 2 — UDP vs TCP ECN failure correlation\n\n";
-  fenced(out, render_table2(correlation_table(inputs.traces)));
+  fenced(out, render_table2(figures.correlation()));
 
   return out.str();
 }

@@ -1,108 +1,25 @@
 #include "ecnprobe/analysis/reachability.hpp"
 
-#include <map>
-
-#include "ecnprobe/util/stats.hpp"
+#include "ecnprobe/analysis/figures.hpp"
 
 namespace ecnprobe::analysis {
 
 std::vector<TraceReachability> per_trace_reachability(
     const std::vector<measure::Trace>& traces) {
-  std::vector<TraceReachability> out;
-  out.reserve(traces.size());
-  for (const auto& trace : traces) {
-    TraceReachability r;
-    r.vantage = trace.vantage;
-    r.batch = trace.batch;
-    r.index = trace.index;
-    r.reachable_udp_plain = trace.reachable_udp_plain();
-    r.reachable_udp_ect0 = trace.reachable_udp_ect0();
-    r.reachable_tcp = trace.reachable_tcp();
-    r.negotiated_ecn_tcp = trace.negotiated_ecn_tcp();
-    r.pct_ect_given_plain = trace.pct_ect_given_plain();
-    r.pct_plain_given_ect = trace.pct_plain_given_ect();
-    out.push_back(std::move(r));
-  }
-  return out;
+  return FigureFold(traces).per_trace();
 }
 
 ReachabilitySummary summarize_reachability(const std::vector<measure::Trace>& traces) {
-  util::RunningStats plain;
-  util::RunningStats pct_ect;
-  util::RunningStats pct_plain;
-  util::RunningStats tcp;
-  util::RunningStats tcp_ecn;
-  for (const auto& trace : traces) {
-    plain.add(trace.reachable_udp_plain());
-    pct_ect.add(trace.pct_ect_given_plain());
-    pct_plain.add(trace.pct_plain_given_ect());
-    tcp.add(trace.reachable_tcp());
-    tcp_ecn.add(trace.negotiated_ecn_tcp());
-  }
-  ReachabilitySummary s;
-  s.mean_reachable_udp_plain = plain.mean();
-  s.mean_pct_ect_given_plain = pct_ect.mean();
-  s.min_pct_ect_given_plain = pct_ect.min();
-  s.mean_pct_plain_given_ect = pct_plain.mean();
-  s.mean_reachable_tcp = tcp.mean();
-  s.mean_negotiated_ecn_tcp = tcp_ecn.mean();
-  s.pct_tcp_negotiating_ecn =
-      tcp.mean() > 0.0 ? 100.0 * tcp_ecn.mean() / tcp.mean() : 0.0;
-  return s;
+  return FigureFold(traces).summary();
 }
 
 std::vector<VantageReachability> per_vantage_reachability(
     const std::vector<measure::Trace>& traces) {
-  std::map<std::string, std::pair<util::RunningStats, util::RunningStats>> by_vantage;
-  std::vector<std::string> order;
-  for (const auto& trace : traces) {
-    if (!by_vantage.contains(trace.vantage)) order.push_back(trace.vantage);
-    auto& [pct, plain] = by_vantage[trace.vantage];
-    pct.add(trace.pct_ect_given_plain());
-    plain.add(trace.reachable_udp_plain());
-  }
-  std::vector<VantageReachability> out;
-  for (const auto& vantage : order) {
-    const auto& [pct, plain] = by_vantage.at(vantage);
-    VantageReachability r;
-    r.vantage = vantage;
-    r.traces = static_cast<int>(pct.count());
-    r.mean_pct_ect_given_plain = pct.mean();
-    r.mean_reachable_udp_plain = plain.mean();
-    out.push_back(std::move(r));
-  }
-  return out;
+  return FigureFold(traces).per_vantage();
 }
 
 std::vector<CorrelationRow> correlation_table(const std::vector<measure::Trace>& traces) {
-  struct Acc {
-    util::RunningStats unreachable;
-    util::RunningStats fail_tcp;
-  };
-  std::map<std::string, Acc> by_vantage;
-  std::vector<std::string> order;
-  for (const auto& trace : traces) {
-    int unreachable_with_ect = 0;
-    int also_fail_tcp_ecn = 0;
-    for (const auto& s : trace.servers) {
-      if (!(s.udp_plain.reachable && !s.udp_ect0.reachable)) continue;
-      ++unreachable_with_ect;
-      // "Fail to negotiate ECN with TCP": the web server responds to TCP
-      // but does not return an ECN-setup SYN-ACK.
-      if (s.tcp_plain.got_response && !(s.tcp_ecn.connected && s.tcp_ecn.ecn_negotiated)) {
-        ++also_fail_tcp_ecn;
-      }
-    }
-    if (!by_vantage.contains(trace.vantage)) order.push_back(trace.vantage);
-    by_vantage[trace.vantage].unreachable.add(unreachable_with_ect);
-    by_vantage[trace.vantage].fail_tcp.add(also_fail_tcp_ecn);
-  }
-  std::vector<CorrelationRow> out;
-  for (const auto& vantage : order) {
-    const auto& acc = by_vantage.at(vantage);
-    out.push_back(CorrelationRow{vantage, acc.unreachable.mean(), acc.fail_tcp.mean()});
-  }
-  return out;
+  return FigureFold(traces).correlation();
 }
 
 }  // namespace ecnprobe::analysis

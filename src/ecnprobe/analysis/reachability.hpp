@@ -1,7 +1,9 @@
 // Section 4.1 / 4.3 / 4.4 aggregations: per-trace reachability percentages
 // (Figures 2a/2b), per-trace TCP + ECN-negotiation counts (Figure 5), the
 // campaign-wide summary numbers quoted in the abstract (98.97%, 99.45%,
-// 82.0%), and the Table 2 UDP/TCP failure correlation.
+// 82.0%), and the Table 2 UDP/TCP failure correlation. Each is computed
+// by analysis::FigureFold (figures.hpp); the functions here fold a vector
+// of traces and read one result.
 #pragma once
 
 #include <string>
@@ -21,6 +23,8 @@ struct TraceReachability {
   int negotiated_ecn_tcp = 0;
   double pct_ect_given_plain = 0.0;  ///< Figure 2a bar
   double pct_plain_given_ect = 0.0;  ///< Figure 2b bar
+  int unreachable_udp_with_ect = 0;  ///< Table 2: reachable plain, not ECT(0)
+  int also_fail_tcp_ecn = 0;         ///< ...of which TCP answers without ECN
 };
 
 std::vector<TraceReachability> per_trace_reachability(

@@ -66,20 +66,20 @@ std::string render_figure2b(const std::vector<TraceReachability>& traces) {
 
 namespace {
 
-std::string render_differential(const std::vector<ServerDifferential>& differentials,
+std::string render_differential(const ServerDifferentials& differentials,
                                 const std::string& vantage, bool plain_not_ect) {
+  const auto column = differentials.column(vantage);
   std::vector<double> values;
   values.reserve(differentials.size());
-  for (const auto& d : differentials) {
-    double v = 0.0;
+  for (std::size_t row = 0; row < differentials.size(); ++row) {
+    DifferentialCell cell;
     if (vantage.empty()) {
-      v = plain_not_ect ? d.overall_plain_not_ect_pct : d.overall_ect_not_plain_pct;
-    } else {
-      const auto& m = plain_not_ect ? d.plain_not_ect_pct : d.ect_not_plain_pct;
-      const auto it = m.find(vantage);
-      v = it == m.end() ? 0.0 : it->second;
+      cell = differentials.total(row);
+    } else if (column) {
+      cell = differentials.cell(row, *column);
     }
-    values.push_back(v);
+    const auto pct = plain_not_ect ? cell.plain_not_ect_pct() : cell.ect_not_plain_pct();
+    values.push_back(pct.value_or(0.0));
   }
   util::SpikePlotOptions opts;
   opts.width = 100;
@@ -90,12 +90,12 @@ std::string render_differential(const std::vector<ServerDifferential>& different
 
 }  // namespace
 
-std::string render_figure3a(const std::vector<ServerDifferential>& differentials,
+std::string render_figure3a(const ServerDifferentials& differentials,
                             const std::string& vantage) {
   return render_differential(differentials, vantage, true);
 }
 
-std::string render_figure3b(const std::vector<ServerDifferential>& differentials,
+std::string render_figure3b(const ServerDifferentials& differentials,
                             const std::string& vantage) {
   return render_differential(differentials, vantage, false);
 }

@@ -25,10 +25,11 @@ std::string render_figure2a(const std::vector<TraceReachability>& traces);
 std::string render_figure2b(const std::vector<TraceReachability>& traces);
 
 /// Figures 3a/3b: per-server differential-reachability spike plots for one
-/// vantage (or the cross-vantage aggregate when `vantage` is empty).
-std::string render_figure3a(const std::vector<ServerDifferential>& differentials,
+/// vantage (or the cross-vantage aggregate when `vantage` is empty). A
+/// server no trace from the vantage reached draws as 0%.
+std::string render_figure3a(const ServerDifferentials& differentials,
                             const std::string& vantage = {});
-std::string render_figure3b(const std::vector<ServerDifferential>& differentials,
+std::string render_figure3b(const ServerDifferentials& differentials,
                             const std::string& vantage = {});
 
 /// Figure 4: headline hop statistics plus a sample of rendered paths

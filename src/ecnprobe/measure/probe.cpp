@@ -107,8 +107,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
                        "UDP NTP request transmissions, retries included")
         ->inc(static_cast<std::uint64_t>(r.attempts));
     if (!r.success) {
-      o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::ProbeTimeout,
-                           server.to_string());
+      o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::ProbeTimeout, server);
     } else if (o.telemetry.armed()) {
       // Sketched mode folds every successful probe RTT into the log-bucketed
       // histogram; exact mode keeps the registry untouched (byte-compat).
@@ -130,8 +129,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
                        {{"test", test}, {"outcome", r.connected ? "ok" : "failed"}},
                        "TCP HTTP probe outcomes")->inc();
     if (!r.connected) {
-      o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::ProbeTimeout,
-                           server.to_string());
+      o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::ProbeTimeout, server);
       if (o.recorder.armed()) {
         // The TCP stack records each SYN flight; the probe-level give-up is
         // keyed by context (no packet to hang it on).
@@ -277,8 +275,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
     // can show what stalled.
     finished = true;
     auto& o = vantage.host().network().obs();
-    o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::WatchdogCancelled,
-                         server.to_string());
+    o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::WatchdogCancelled, server);
     if (o.recorder.armed()) {
       o.recorder.record_here(obs::SpanEvent::Timeout,
                              vantage.host().network().sim().now(), obs::Layer::Measure,

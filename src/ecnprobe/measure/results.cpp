@@ -8,62 +8,6 @@
 
 namespace ecnprobe::measure {
 
-int Trace::reachable_udp_plain() const {
-  int n = 0;
-  for (const auto& s : servers) n += s.udp_plain.reachable ? 1 : 0;
-  return n;
-}
-
-int Trace::reachable_udp_ect0() const {
-  int n = 0;
-  for (const auto& s : servers) n += s.udp_ect0.reachable ? 1 : 0;
-  return n;
-}
-
-int Trace::reachable_tcp() const {
-  int n = 0;
-  for (const auto& s : servers) n += s.tcp_plain.got_response ? 1 : 0;
-  return n;
-}
-
-int Trace::negotiated_ecn_tcp() const {
-  int n = 0;
-  for (const auto& s : servers) {
-    n += (s.tcp_ecn.connected && s.tcp_ecn.ecn_negotiated) ? 1 : 0;
-  }
-  return n;
-}
-
-double Trace::pct_ect_given_plain() const {
-  int plain = 0;
-  int both = 0;
-  for (const auto& s : servers) {
-    if (!s.udp_plain.reachable) continue;
-    ++plain;
-    if (s.udp_ect0.reachable) ++both;
-  }
-  return plain == 0 ? 0.0 : 100.0 * both / plain;
-}
-
-double Trace::pct_plain_given_ect() const {
-  int ect = 0;
-  int both = 0;
-  for (const auto& s : servers) {
-    if (!s.udp_ect0.reachable) continue;
-    ++ect;
-    if (s.udp_plain.reachable) ++both;
-  }
-  return ect == 0 ? 0.0 : 100.0 * both / ect;
-}
-
-int Trace::unreachable_udp_with_ect() const {
-  int n = 0;
-  for (const auto& s : servers) {
-    n += (s.udp_plain.reachable && !s.udp_ect0.reachable) ? 1 : 0;
-  }
-  return n;
-}
-
 const std::vector<std::string> kColumns = {
     "vantage",    "batch",       "trace",             "server",      "udp_plain",
     "udp_plain_tries", "udp_ect0", "udp_ect0_tries",  "tcp_conn",    "tcp_resp",

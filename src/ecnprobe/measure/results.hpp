@@ -42,18 +42,6 @@ struct Trace {
   int batch = 1;  ///< 1 = Apr/May 2015, 2 = Jul/Aug 2015
   int index = 0;  ///< trace sequence number within the campaign
   std::vector<ServerResult> servers;
-
-  // -- per-trace summaries used throughout Section 4 ----------------------
-  int reachable_udp_plain() const;
-  int reachable_udp_ect0() const;
-  int reachable_tcp() const;
-  int negotiated_ecn_tcp() const;
-  /// Figure 2a: % of not-ECT-reachable servers also ECT(0)-reachable.
-  double pct_ect_given_plain() const;
-  /// Figure 2b: % of ECT(0)-reachable servers also not-ECT-reachable.
-  double pct_plain_given_ect() const;
-  /// Table 2 row input: servers reachable plain-UDP but not ECT(0)-UDP.
-  int unreachable_udp_with_ect() const;
 };
 
 /// One repetition of a traceroute from a vantage point to a server.

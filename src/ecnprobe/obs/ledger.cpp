@@ -109,6 +109,11 @@ void DropLedger::record_drop(Layer layer, DropCause cause, std::string_view node
   ++drops_[li][ci];
 }
 
+void DropLedger::record_drop(Layer layer, DropCause cause, wire::Ipv4Address server) {
+  const bool node_read = telemetry_ != nullptr && telemetry_->armed();
+  record_drop(layer, cause, node_read ? server.to_string() : std::string());
+}
+
 void DropLedger::record_rewrite(Layer layer, RewriteCause cause) {
   if (timeseries_ != nullptr && timeseries_->armed()) {
     timeseries_->on_rewrite(to_string(layer), to_string(cause));

@@ -28,6 +28,7 @@
 #include "ecnprobe/obs/metrics.hpp"
 #include "ecnprobe/obs/telemetry.hpp"
 #include "ecnprobe/obs/timeseries.hpp"
+#include "ecnprobe/wire/ipv4.hpp"
 
 namespace ecnprobe::obs {
 
@@ -106,6 +107,9 @@ public:
   /// `node` (the hop where the packet died: node name or server address)
   /// reaches only sketched telemetry's `hop:`/`as:` keys and exemplars.
   void record_drop(Layer layer, DropCause cause, std::string_view node);
+  /// A drop at a server (a probe given up on or skipped): the address is
+  /// formatted only when sketched telemetry reads the node.
+  void record_drop(Layer layer, DropCause cause, wire::Ipv4Address server);
   void record_rewrite(Layer layer, RewriteCause cause);
 
   /// The non-zero cells counted since the last reset(): one trace's worth

@@ -94,8 +94,7 @@ void TraceSupervisor::on_server_result(wire::Ipv4Address server, bool any_succes
 }
 
 void TraceSupervisor::record_skip(wire::Ipv4Address server, const char* scope) {
-  obs_.ledger.record_drop(obs::Layer::Measure, obs::DropCause::CircuitOpen,
-                          server.to_string());
+  obs_.ledger.record_drop(obs::Layer::Measure, obs::DropCause::CircuitOpen, server);
   obs_.registry
       .counter("sched_breaker_skips_total", {{"scope", scope}},
                "probe steps skipped because a circuit breaker was open")

@@ -37,10 +37,10 @@ TEST(Differential, FirewalledServerShows100PercentEverywhere) {
   }
   const auto diffs = per_server_differential(traces);
   ASSERT_EQ(diffs.size(), 2u);
-  EXPECT_DOUBLE_EQ(diffs[0].plain_not_ect_pct.at("A"), 100.0);
-  EXPECT_DOUBLE_EQ(diffs[0].plain_not_ect_pct.at("B"), 100.0);
-  EXPECT_DOUBLE_EQ(diffs[0].overall_plain_not_ect_pct, 100.0);
-  EXPECT_DOUBLE_EQ(diffs[1].plain_not_ect_pct.at("A"), 0.0);
+  EXPECT_DOUBLE_EQ(diffs.cell(0, "A").plain_not_ect_pct().value(), 100.0);
+  EXPECT_DOUBLE_EQ(diffs.cell(0, "B").plain_not_ect_pct().value(), 100.0);
+  EXPECT_DOUBLE_EQ(diffs.total(0).plain_not_ect_pct().value_or(0.0), 100.0);
+  EXPECT_DOUBLE_EQ(diffs.cell(1, "A").plain_not_ect_pct().value(), 0.0);
 
   const auto persistent = persistent_failures(diffs, {"A", "B"});
   ASSERT_EQ(persistent.size(), 1u);
@@ -55,7 +55,7 @@ TEST(Differential, TransientFailureGivesPartialPercentage) {
   traces.push_back(trace("A", 3, {server(1, true, true)}));
   const auto diffs = per_server_differential(traces);
   ASSERT_EQ(diffs.size(), 1u);
-  EXPECT_DOUBLE_EQ(diffs[0].plain_not_ect_pct.at("A"), 25.0);
+  EXPECT_DOUBLE_EQ(diffs.cell(0, "A").plain_not_ect_pct().value(), 25.0);
 }
 
 TEST(Differential, ConverseDirectionTracked) {
@@ -64,10 +64,12 @@ TEST(Differential, ConverseDirectionTracked) {
   traces.push_back(trace("A", 1, {server(1, false, true)}));
   const auto diffs = per_server_differential(traces);
   ASSERT_EQ(diffs.size(), 1u);
-  // Never plain-reachable: no denominator for Figure 3a...
-  EXPECT_TRUE(diffs[0].plain_not_ect_pct.empty());
+  // Never plain-reachable: no denominator for Figure 3a from any vantage...
+  for (const auto& vantage : diffs.vantages()) {
+    EXPECT_FALSE(diffs.cell(0, vantage).plain_not_ect_pct().has_value()) << vantage;
+  }
   // ...but 100% in the Figure 3b direction.
-  EXPECT_DOUBLE_EQ(diffs[0].ect_not_plain_pct.at("A"), 100.0);
+  EXPECT_DOUBLE_EQ(diffs.cell(0, "A").ect_not_plain_pct().value(), 100.0);
 }
 
 TEST(Differential, ThresholdCountsPerVantage) {

@@ -52,12 +52,16 @@ TEST(ReportRender, Figure5ShowsBothSeries) {
 }
 
 TEST(ReportRender, Figure3SpikesVisible) {
-  std::vector<ServerDifferential> diffs(200);
-  for (std::size_t i = 0; i < diffs.size(); ++i) {
-    diffs[i].server = wire::Ipv4Address(11, 0, 1, static_cast<std::uint8_t>(i));
-    diffs[i].overall_plain_not_ect_pct = 0.0;
+  measure::Trace trace;
+  trace.vantage = "A";
+  trace.servers.resize(200);
+  for (std::size_t i = 0; i < trace.servers.size(); ++i) {
+    auto& s = trace.servers[i];
+    s.server = wire::Ipv4Address(11, 0, 1, static_cast<std::uint8_t>(i));
+    s.udp_plain.reachable = true;
+    s.udp_ect0.reachable = i != 50;  // one firewalled spike
   }
-  diffs[50].overall_plain_not_ect_pct = 100.0;  // one firewalled spike
+  const auto diffs = per_server_differential({trace});
   const auto out = render_figure3a(diffs);
   EXPECT_NE(out.find('|'), std::string::npos);
   // A vantage with no data renders only the axis: one '|' per plot row.
@@ -121,7 +125,7 @@ TEST(MarkdownReport, ContainsEverySectionAndBalancedFences) {
   s1.tcp_ecn.connected = true;
   s1.tcp_ecn.ecn_negotiated = true;
   trace.servers = {s1};
-  inputs.traces = {trace};
+  inputs.figures.add(trace);
   GeoSummary geo_summary;
   geo_summary.counts[geo::Region::Europe] = 1;
   geo_summary.total = 1;
@@ -151,7 +155,7 @@ TEST(MarkdownReport, IncludesFigure4WithTracerouteData) {
   ReportInputs inputs;
   measure::Trace trace;
   trace.vantage = "A";
-  inputs.traces = {trace};
+  inputs.figures.add(trace);
   measure::TracerouteObservation obs;
   obs.vantage = "A";
   obs.path.destination = wire::Ipv4Address(11, 0, 0, 1);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ecnprobe/analysis/reachability.hpp"
 #include "ecnprobe/scenario/world.hpp"
 
 namespace ecnprobe::measure {
@@ -109,8 +110,9 @@ TEST(TraceRunner, ProducesOneResultPerServer) {
   EXPECT_EQ(trace->index, 42);
   EXPECT_EQ(trace->servers.size(), world.servers().size());
   // Clean world: everything reachable.
-  EXPECT_EQ(trace->reachable_udp_plain(), static_cast<int>(world.servers().size()));
-  EXPECT_EQ(trace->pct_ect_given_plain(), 100.0);
+  const auto row = analysis::per_trace_reachability({*trace})[0];
+  EXPECT_EQ(row.reachable_udp_plain, static_cast<int>(world.servers().size()));
+  EXPECT_EQ(row.pct_ect_given_plain, 100.0);
 }
 
 TEST(TracerouteRunner, CollectsRepeatedObservations) {

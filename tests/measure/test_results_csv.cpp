@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "ecnprobe/analysis/reachability.hpp"
 #include "ecnprobe/measure/results.hpp"
 
 namespace ecnprobe::measure {
@@ -34,20 +35,20 @@ Trace make_trace(const std::string& vantage, int batch, int index) {
 }
 
 TEST(TraceSummaries, CountsMatchConstruction) {
-  const auto trace = make_trace("UGla wired", 1, 0);
-  EXPECT_EQ(trace.reachable_udp_plain(), 4);
-  EXPECT_EQ(trace.reachable_udp_ect0(), 3);
-  EXPECT_EQ(trace.reachable_tcp(), 3);
-  EXPECT_EQ(trace.negotiated_ecn_tcp(), 2);
-  EXPECT_DOUBLE_EQ(trace.pct_ect_given_plain(), 75.0);
-  EXPECT_DOUBLE_EQ(trace.pct_plain_given_ect(), 100.0);
-  EXPECT_EQ(trace.unreachable_udp_with_ect(), 1);
+  const auto trace = analysis::per_trace_reachability({make_trace("UGla wired", 1, 0)})[0];
+  EXPECT_EQ(trace.reachable_udp_plain, 4);
+  EXPECT_EQ(trace.reachable_udp_ect0, 3);
+  EXPECT_EQ(trace.reachable_tcp, 3);
+  EXPECT_EQ(trace.negotiated_ecn_tcp, 2);
+  EXPECT_DOUBLE_EQ(trace.pct_ect_given_plain, 75.0);
+  EXPECT_DOUBLE_EQ(trace.pct_plain_given_ect, 100.0);
+  EXPECT_EQ(trace.unreachable_udp_with_ect, 1);
 }
 
 TEST(TraceSummaries, EmptyTraceSafe) {
-  Trace trace;
-  EXPECT_EQ(trace.pct_ect_given_plain(), 0.0);
-  EXPECT_EQ(trace.pct_plain_given_ect(), 0.0);
+  const auto trace = analysis::per_trace_reachability({Trace{}})[0];
+  EXPECT_EQ(trace.pct_ect_given_plain, 0.0);
+  EXPECT_EQ(trace.pct_plain_given_ect, 0.0);
 }
 
 TEST(ResultsCsv, RoundTripPreservesEverything) {
@@ -70,8 +71,10 @@ TEST(ResultsCsv, RoundTripPreservesEverything) {
   EXPECT_EQ(t0.servers[0].tcp_ecn.ecn_negotiated, true);
   EXPECT_EQ(t0.servers[3].tcp_plain.http_status, 0);
   // Summary functions agree after the round trip.
-  EXPECT_EQ(t0.reachable_udp_plain(), traces[0].reachable_udp_plain());
-  EXPECT_EQ(t0.negotiated_ecn_tcp(), traces[0].negotiated_ecn_tcp());
+  const auto rows = analysis::per_trace_reachability(*loaded);
+  const auto written = analysis::per_trace_reachability(traces);
+  EXPECT_EQ(rows[0].reachable_udp_plain, written[0].reachable_udp_plain);
+  EXPECT_EQ(rows[0].negotiated_ecn_tcp, written[0].negotiated_ecn_tcp);
 }
 
 TEST(ResultsCsv, RejectsEmptyAndMalformed) {

@@ -1,6 +1,7 @@
 // Vantage plumbing and campaign-level churn behaviour.
 #include <gtest/gtest.h>
 
+#include "ecnprobe/analysis/reachability.hpp"
 #include "ecnprobe/measure/campaign.hpp"
 #include "ecnprobe/netsim/pcap.hpp"
 #include "ecnprobe/scenario/world.hpp"
@@ -75,9 +76,10 @@ TEST(CampaignChurn, DepartedServersStayGoneWithinCampaign) {
   const auto traces = scenario::run_campaign(params, plan).traces;
   ASSERT_EQ(traces.size(), 3u);
 
-  const int before = traces[0].reachable_udp_plain();
-  const int batch2_first = traces[1].reachable_udp_plain();
-  const int batch2_second = traces[2].reachable_udp_plain();
+  const auto rows = analysis::per_trace_reachability(traces);
+  const int before = rows[0].reachable_udp_plain;
+  const int batch2_first = rows[1].reachable_udp_plain;
+  const int batch2_second = rows[2].reachable_udp_plain;
   EXPECT_EQ(before, 40);            // batch 1: everyone present
   EXPECT_LT(batch2_first, before);  // churn bites in batch 2
   // Departure is permanent: the same servers stay gone.

@@ -151,6 +151,19 @@ TEST(DropAttribution, NoSocketDeliveryIsAHostLayerDrop) {
   EXPECT_EQ(chain.hop_count("hop:hostB/no-socket"), 1u);
 }
 
+TEST(DropAttribution, ServerDropCountsAndNamesTheAddressUnderItsHopKey) {
+  // Probe give-ups pass the server's address; it is text only where
+  // sketched telemetry keys it.
+  ObservedChain chain(1);
+  const wire::Ipv4Address server(11, 0, 0, 7);
+  chain.obs.ledger.record_drop(Layer::Measure, DropCause::ProbeTimeout, server);
+  EXPECT_EQ(chain.obs.ledger.aggregate().drops, (Cells{{{"measure", "probe-timeout"}, 1}}));
+  chain.arm_hop_keys();
+  chain.obs.ledger.record_drop(Layer::Measure, DropCause::ProbeTimeout, server);
+  EXPECT_EQ(chain.obs.ledger.aggregate().drops, (Cells{{{"measure", "probe-timeout"}, 2}}));
+  EXPECT_EQ(chain.hop_count("hop:11.0.0.7/probe-timeout"), 1u);
+}
+
 TEST(DropAttribution, RecordsMirrorIntoCounterFamilies) {
   ObservedChain chain(2);
   chain.net.add_egress_policy(chain.routers[0], 1,

@@ -39,11 +39,10 @@
 #include "ecnprobe/measure/journal.hpp"
 
 #include "ecnprobe/analysis/autopsy.hpp"
-#include "ecnprobe/analysis/differential.hpp"
+#include "ecnprobe/analysis/figures.hpp"
 #include "ecnprobe/analysis/hops.hpp"
 #include "ecnprobe/analysis/geosummary.hpp"
 #include "ecnprobe/analysis/markdown_report.hpp"
-#include "ecnprobe/analysis/reachability.hpp"
 #include "ecnprobe/analysis/report.hpp"
 #include "ecnprobe/measure/campaign.hpp"
 #include "ecnprobe/measure/probe.hpp"
@@ -490,20 +489,16 @@ int cmd_analyze(const Options& options) {
     return 1;
   }
   std::printf("loaded %zu traces\n\n", traces->size());
-  const auto per_trace = analysis::per_trace_reachability(*traces);
+  const analysis::FigureFold figures(*traces);
+  const auto& per_trace = figures.per_trace();
   std::printf("Figure 2a:\n%s\n", analysis::render_figure2a(per_trace).c_str());
   std::printf("Figure 2b:\n%s\n", analysis::render_figure2b(per_trace).c_str());
-  const auto diffs = analysis::per_server_differential(*traces);
-  std::printf("Figure 3a (aggregate):\n%s\n", analysis::render_figure3a(diffs).c_str());
-  int server_count = 0;
-  if (!traces->empty()) server_count = static_cast<int>((*traces)[0].servers.size());
+  std::printf("Figure 3a (aggregate):\n%s\n",
+              analysis::render_figure3a(figures.differential()).c_str());
   std::printf("Figure 5:\n%s\n",
-              analysis::render_figure5(per_trace, server_count).c_str());
-  std::printf("Table 2:\n%s\n",
-              analysis::render_table2(analysis::correlation_table(*traces)).c_str());
-  std::printf("Summary:\n%s",
-              analysis::render_summary(analysis::summarize_reachability(*traces))
-                  .c_str());
+              analysis::render_figure5(per_trace, figures.server_count()).c_str());
+  std::printf("Table 2:\n%s\n", analysis::render_table2(figures.correlation()).c_str());
+  std::printf("Summary:\n%s", analysis::render_summary(figures.summary()).c_str());
   return 0;
 }
 
@@ -543,7 +538,9 @@ int cmd_report(const Options& options) {
   std::fprintf(stderr, "running %d traces x %d servers...\n", plan.total_traces(),
                params.server_count);
   analysis::ReportInputs inputs;
-  inputs.traces = scenario::run_campaign(params, plan, probe).traces;
+  // The traces are folded and freed here, before the traceroutes: the
+  // report peaks in that phase.
+  inputs.figures = analysis::FigureFold(scenario::run_campaign(params, plan, probe).traces);
   std::fprintf(stderr, "running traceroutes...\n");
   scenario::World world(params);
   inputs.traceroutes = world.run_traceroutes(2);
