@@ -182,10 +182,10 @@ int main(int argc, char** argv) {
     std::printf("      live obs plane: http://127.0.0.1:%u  (/metrics /progress /events)\n",
                 static_cast<unsigned>(obs_server->port()));
   }
-  // The traces are folded as they come back and freed before the
-  // traceroutes: the study peaks in that phase.
+  // Each trace is folded as the executor commits it, so the campaign's
+  // traces are never held together: the study peaks in its traceroutes.
   analysis::FigureFold figures;
-  for (const auto& trace : campaign.run(plan)) figures.add(trace);
+  campaign.run(plan, [&figures](measure::Trace trace) { figures.add(trace); });
   obs_server.reset();  // the live plane serves the campaign only
   const auto& campaign_obs = campaign.metrics();
   const auto& telemetry = campaign.telemetry();

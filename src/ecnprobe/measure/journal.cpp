@@ -1,7 +1,5 @@
 #include "ecnprobe/measure/journal.hpp"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
@@ -129,7 +127,8 @@ bool decode_trace(const std::string& text, Trace* out) {
   return cur.next == cur.toks.size();
 }
 
-std::string header_line(const JournalMeta& meta, int version) {
+/// A new journal's header is v2; an existing one keeps its version.
+std::string header_line(const JournalMeta& meta, int version = 2) {
   std::string line =
       util::strf("ecnprobe-journal v%d plan=%s faults=%s seed=%llu traces=%d servers=%d",
                  version, obs::escape_token(meta.plan).c_str(),
@@ -172,14 +171,8 @@ std::string plan_fingerprint(const CampaignPlan& plan) {
 bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
                            std::string* error) {
   meta_ = meta;
-  version_ = 2;
   path_ = path;
   entries_.clear();
-
-  // Sweep any temp file a crash mid-rotate() left behind. The rename in
-  // rotate() is the commit point: until it happens the real journal is
-  // complete and authoritative, so the temp is garbage by definition.
-  std::remove((path + ".tmp").c_str());
 
   std::ifstream in(path, std::ios::binary);
   if (in.is_open()) {
@@ -197,8 +190,7 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
       ++line_no;
       if (line.empty()) continue;
       if (line_no == 1) {
-        version_ = header_version(line);
-        const std::string expected_header = header_line(meta, version_);
+        const std::string expected_header = header_line(meta, header_version(line));
         if (line != expected_header) {
           if (error != nullptr) {
             *error = "journal " + path + " belongs to a different campaign\n  have: " +
@@ -264,7 +256,7 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
         if (error != nullptr) *error = "cannot write journal " + path;
         return false;
       }
-      out_ << header_line(meta, version_) << '\n' << std::flush;
+      out_ << header_line(meta) << '\n' << std::flush;
       return true;
     }
     if (committed < text.size()) {
@@ -290,7 +282,7 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
     if (error != nullptr) *error = "cannot create journal " + path;
     return false;
   }
-  out_ << header_line(meta, version_) << '\n' << std::flush;
+  out_ << header_line(meta) << '\n' << std::flush;
   return true;
 }
 
@@ -300,48 +292,6 @@ bool CampaignJournal::append(const Trace& trace, const obs::ObsSnapshot& delta) 
   out_ << record_line(trace.index, trace, delta) << '\n' << std::flush;
   entries_[trace.index] = Entry{trace, delta};
   return out_.good();
-}
-
-bool CampaignJournal::rotate(std::string* error) {
-  if (!out_.is_open()) {
-    if (error != nullptr) *error = "journal not open";
-    return false;
-  }
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream tmp_out(tmp, std::ios::trunc);
-    if (!tmp_out.is_open()) {
-      if (error != nullptr) *error = "cannot create rotation temp " + tmp;
-      return false;
-    }
-    tmp_out << header_line(meta_, version_) << '\n';
-    for (const auto& [index, entry] : entries_) {
-      tmp_out << record_line(index, entry.trace, entry.delta) << '\n';
-    }
-    tmp_out.flush();
-    if (!tmp_out.good()) {
-      if (error != nullptr) *error = "short write rotating journal to " + tmp;
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  // The commit point. rename(2) is atomic within a filesystem: a reader
-  // (or a crash) sees either the old journal or the new one, whole.
-  out_.close();
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    if (error != nullptr) {
-      *error = "cannot rename " + tmp + " over " + path_ + ": " + std::strerror(errno);
-    }
-    std::remove(tmp.c_str());
-    out_.open(path_, std::ios::app);  // keep the original journal appendable
-    return false;
-  }
-  out_.open(path_, std::ios::app);
-  if (!out_.is_open()) {
-    if (error != nullptr) *error = "cannot reopen rotated journal " + path_;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace ecnprobe::measure

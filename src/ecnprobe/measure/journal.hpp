@@ -87,22 +87,12 @@ public:
   /// entries(), so a journal can be handed to a resumed executor as-is.
   bool append(const Trace& trace, const obs::ObsSnapshot& delta);
 
-  /// Crash-atomic checkpoint rotation: rewrites the header plus every
-  /// entry to `<path>.tmp`, flushes it, then renames it over the journal.
-  /// A kill at ANY point leaves either the old complete journal or the new
-  /// complete journal on disk -- never a torn file. A stale `.tmp` from a
-  /// mid-rotation crash is swept by the next open(). On I/O failure
-  /// returns false (reason in *error) with the original journal still
-  /// attached and appendable.
-  bool rotate(std::string* error = nullptr);
-
   const JournalMeta& meta() const { return meta_; }
   const std::string& path() const { return path_; }
   bool is_open() const { return out_.is_open(); }
 
 private:
   JournalMeta meta_;
-  int version_ = 2;  ///< header version on disk; rotate() keeps it
   std::string path_;
   std::map<int, Entry> entries_;
   std::ofstream out_;

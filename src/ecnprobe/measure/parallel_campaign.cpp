@@ -29,56 +29,58 @@ ParallelCampaign::ParallelCampaign(ShardFactory factory, Options options)
   if (options_.workers < 1) options_.workers = 1;
 }
 
-void ParallelCampaign::commit_delta(int index, PendingDelta delta) {
+void ParallelCampaign::commit(int index, PendingTrace finished, const TraceSink& sink) {
   std::lock_guard<std::mutex> lock(merge_mutex_);
-  // Every trace's delta enters the totals exactly once -- as a live
-  // result, a journal replay, or a quarantine. A second commit would
-  // either be dropped by emplace or, below next_merge_, folded twice.
-  if (index < next_merge_ || !pending_.emplace(index, std::move(delta)).second) {
+  // Every trace enters the totals exactly once -- as a live result, a
+  // journal replay, or a quarantine. A second commit would either be
+  // dropped by emplace or, below next_merge_, folded twice.
+  if (index < next_merge_ || !pending_.emplace(index, std::move(finished)).second) {
     throw std::logic_error("ParallelCampaign: trace " + std::to_string(index) +
                            " committed twice");
   }
-  // Fold the contiguous ready prefix and release it. Claims are strictly
-  // increasing, so at most ~workers deltas wait here at any moment; the
-  // campaign totals themselves live in fixed-size structures (metric sums,
-  // sketches), never in per-trace retained snapshots.
+  // Fold the contiguous ready prefix and release it. Live claims are
+  // strictly increasing, so at most ~workers traces wait here at any
+  // moment; the campaign totals themselves live in fixed-size structures
+  // (metric sums, sketches), never in per-trace retained snapshots. The
+  // trace leaves the window before it is folded, so a sink that throws
+  // cannot have it folded again.
   for (auto it = pending_.find(next_merge_); it != pending_.end();
        it = pending_.find(next_merge_)) {
-    fold(it->second);
-    pending_.erase(it);
+    auto ready = pending_.extract(it);
     ++next_merge_;
+    fold(ready.mapped(), sink);
   }
 }
 
-void ParallelCampaign::fold(PendingDelta& delta) {
-  merged_metrics_.metrics.merge(delta.obs.metrics);
-  merged_metrics_.ledger.merge(delta.obs.ledger);
-  merged_metrics_.timeseries.merge(delta.obs.timeseries);
-  telemetry_.fold(delta.obs.telemetry);
-  flight_events_.insert(flight_events_.end(), std::make_move_iterator(delta.events.begin()),
-                        std::make_move_iterator(delta.events.end()));
+void ParallelCampaign::fold(PendingTrace& finished, const TraceSink& sink) {
+  merged_metrics_.metrics.merge(finished.obs.metrics);
+  merged_metrics_.ledger.merge(finished.obs.ledger);
+  merged_metrics_.timeseries.merge(finished.obs.timeseries);
+  telemetry_.fold(finished.obs.telemetry);
+  flight_events_.insert(flight_events_.end(),
+                        std::make_move_iterator(finished.events.begin()),
+                        std::make_move_iterator(finished.events.end()));
   ++folded_;
+  if (finished.trace) {
+    ++delivered_;
+    sink(std::move(*finished.trace));
+  }
 }
 
-void ParallelCampaign::flush_pending() {
+void ParallelCampaign::flush_pending(const TraceSink& sink) {
   // Holes in the index space (halt_after_traces abandons claimed indices,
-  // journal prefill can start above zero) stall the prefix walk; once the
+  // journal replays can start above zero) stall the prefix walk; once the
   // pool is idle no more commits arrive, so fold the stragglers in index
   // order -- std::map iteration is already ascending.
   std::lock_guard<std::mutex> lock(merge_mutex_);
-  for (auto& [index, ready] : pending_) fold(ready);
-  pending_.clear();
+  while (!pending_.empty()) {
+    auto ready = pending_.extract(pending_.begin());
+    fold(ready.mapped(), sink);
+  }
 }
 
 void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& schedule,
-                               int index, std::vector<std::unique_ptr<Trace>>& slots) {
-  if (slots[static_cast<std::size_t>(index)]) {
-    // A filled slot means this trace was already replayed from the journal;
-    // running it again would merge its metrics delta twice.
-    throw std::logic_error(
-        "ParallelCampaign::run_one: trace " + std::to_string(index) +
-        " already has a result (journal replay raced a live claim?)");
-  }
+                               int index, const TraceSink& sink) {
   const auto& planned = schedule[static_cast<std::size_t>(index)];
   auto* in_flight =
       runtime_.gauge("campaign_in_flight", {{"vantage", planned.vantage}},
@@ -91,14 +93,12 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     if (lent) worker.capture = vantage->capture().release();
     lent = false;
   };
+  PendingTrace finished;
+  std::optional<std::string> error;  // set when the trace threw
   try {
     {
       obs::Profiler::Scope plan_scope("plan");
       worker.shard->begin_trace(planned.vantage, planned.batch, index);
-    }
-    if (observer_) {
-      std::lock_guard<std::mutex> lock(observer_mutex_);
-      observer_(planned.vantage, planned.batch, index);
     }
     if (vantage == nullptr) {
       throw std::invalid_argument("ParallelCampaign: unknown vantage " + planned.vantage);
@@ -112,11 +112,10 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
       if (auto groups = worker.shard->breaker_group()) probe.breaker_group = std::move(groups);
     }
     TraceRunner runner(*vantage, worker.servers, probe);
-    std::unique_ptr<Trace> result;
+    std::optional<Trace> result;
     {
       obs::Profiler::Scope probe_scope("probe");
-      runner.run(planned.batch, index,
-                 [&result](Trace trace) { result = std::make_unique<Trace>(std::move(trace)); });
+      runner.run(planned.batch, index, [&result](Trace trace) { result = std::move(trace); });
       worker.shard->sim().run();
     }
     auto& profiler = obs::Profiler::process();
@@ -129,9 +128,8 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     // The delta is collected after full quiescence, so straggler events
     // (TIME_WAIT timers, late responses) land in this trace's delta, never
     // in whichever trace runs next on this worker.
-    PendingDelta delta;
-    delta.obs = worker.shard->collect_trace_metrics();
-    delta.events = worker.shard->collect_trace_events();
+    finished.obs = worker.shard->collect_trace_metrics();
+    finished.events = worker.shard->collect_trace_events();
     // The capture holds this trace's packets only: shards may read it while
     // collecting, and taking the buffer back here bounds a worker's memory
     // to the trace it runs instead of every vantage's latest trace.
@@ -140,21 +138,14 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
       // Write-ahead: the trace is durable before it counts as complete.
       obs::Profiler::Scope journal_scope("journal");
       std::lock_guard<std::mutex> lock(journal_mutex_);
-      journal_->append(*result, delta.obs);
+      journal_->append(*result, finished.obs);
       auto& stream = obs::EventStream::process();
       if (stream.enabled()) {
         stream.emit("checkpoint", "trace=" + std::to_string(index) +
                                       " vantage=" + planned.vantage);
       }
     }
-    slots[static_cast<std::size_t>(index)] = std::move(result);
-    {
-      obs::Profiler::Scope merge_scope("merge");
-      commit_delta(index, std::move(delta));
-    }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    runtime_.counter("campaign_completed_total", {{"vantage", planned.vantage}},
-                     "traces finished, per vantage")->inc();
+    finished.trace = std::move(result);
   } catch (const std::exception& e) {
     // Abandoned events may reference objects the unwinding destroyed (the
     // TraceRunner above); they must never fire. The epoch reset at the next
@@ -164,21 +155,30 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     // partial delta (including that attribution) still merges in plan order
     // -- so the failed trace shows up in the report, not as a silent hole.
     worker.shard->quarantine_trace(planned.vantage, planned.batch, index);
+    error = e.what();
     auto& stream = obs::EventStream::process();
     if (stream.enabled()) {
       stream.emit("quarantine", "trace=" + std::to_string(index) +
-                                    " vantage=" + planned.vantage +
-                                    " error=" + e.what());
+                                    " vantage=" + planned.vantage + " error=" + *error);
     }
-    PendingDelta delta;
-    delta.obs = worker.shard->collect_trace_metrics();
-    delta.events = worker.shard->collect_trace_events();
+    finished = PendingTrace{};
+    finished.obs = worker.shard->collect_trace_metrics();
+    finished.events = worker.shard->collect_trace_events();
     take_back_capture();
-    commit_delta(index, std::move(delta));
+  }
+  {
+    obs::Profiler::Scope merge_scope("merge");
+    commit(index, std::move(finished), sink);
+  }
+  if (!error) {
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    runtime_.counter("campaign_completed_total", {{"vantage", planned.vantage}},
+                     "traces finished, per vantage")->inc();
+  } else {
     runtime_.counter("campaign_failed_total", {{"vantage", planned.vantage}},
                      "traces that threw, per vantage")->inc();
     std::lock_guard<std::mutex> lock(failures_mutex_);
-    failures_.push_back({index, planned.vantage, planned.batch, e.what()});
+    failures_.push_back({index, planned.vantage, planned.batch, *error});
   }
   in_flight->add(-1);
 }
@@ -228,6 +228,12 @@ std::string ParallelCampaign::Progress::to_json() const {
 }
 
 std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
+  std::vector<Trace> traces;
+  run(plan, [&traces](Trace trace) { traces.push_back(std::move(trace)); });
+  return traces;
+}
+
+void ParallelCampaign::run(const CampaignPlan& plan, const TraceSink& sink) {
   const auto schedule = expand_schedule(plan);
   failures_.clear();
   completed_.store(0, std::memory_order_relaxed);
@@ -245,18 +251,21 @@ std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
     pending_.clear();
     next_merge_ = 0;
     folded_ = 0;
+    delivered_ = 0;
   }
 
-  std::vector<std::unique_ptr<Trace>> slots(schedule.size());
+  // Checkpoint replay: journaled traces are committed here, before the
+  // pool starts, and count as completed; they enter the same plan-order
+  // window as live traces. The claim loop skips them through `replayed`,
+  // never through the journal, whose map append() mutates under
+  // journal_mutex_ while workers run.
+  std::vector<bool> replayed(schedule.size());
   if (journal_ != nullptr) {
-    // Checkpoint replay: journaled traces prefill their slots and count as
-    // completed; the claim loop below skips them. Their deltas enter the
-    // same streaming merger as live traces, so fold order stays plan order.
     int prefilled = 0;
     for (const auto& [index, entry] : journal_->entries()) {
       if (index < 0 || static_cast<std::size_t>(index) >= schedule.size()) continue;
-      slots[static_cast<std::size_t>(index)] = std::make_unique<Trace>(entry.trace);
-      commit_delta(index, PendingDelta{entry.delta, {}});
+      replayed[static_cast<std::size_t>(index)] = true;
+      commit(index, PendingTrace{entry.trace, entry.delta, {}}, sink);
       ++prefilled;
     }
     completed_.store(prefilled, std::memory_order_relaxed);
@@ -294,18 +303,18 @@ std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
           }
           const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
           if (index >= schedule.size()) break;
-          if (slots[index]) continue;  // replayed from the journal
+          if (replayed[index]) continue;
           if (options_.halt_after_traces > 0 &&
               live_claimed.fetch_add(1, std::memory_order_relaxed) >=
                   options_.halt_after_traces) {
             // Simulated crash: this worker stops claiming. Which indices got
             // journaled depends on scheduling, but a --resume run completes
-            // the rest, and the final merged output is index-keyed -- so it
-            // is byte-identical to an uninterrupted run regardless.
+            // the rest, and the sink still sees them in plan order -- so the
+            // output is byte-identical to an uninterrupted run regardless.
             break;
           }
           const auto started = std::chrono::steady_clock::now();
-          run_one(worker, schedule, static_cast<int>(index), slots);
+          run_one(worker, schedule, static_cast<int>(index), sink);
           const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - started);
           worker.busy_micros->inc(static_cast<std::uint64_t>(elapsed.count()));
@@ -319,31 +328,23 @@ std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
   std::sort(failures_.begin(), failures_.end(),
             [](const TraceFailure& a, const TraceFailure& b) { return a.index < b.index; });
 
-  // Deltas were folded in plan order by the streaming merger as traces
-  // finished (commutative integer sums + order-pinned sketch folds), so
-  // the totals are byte-identical at any worker count; only halt-induced
-  // holes remain parked.
-  flush_pending();
+  // Traces were folded in plan order as they finished (commutative integer
+  // sums + order-pinned sketch folds), so the totals are byte-identical at
+  // any worker count; only halt-induced holes remain parked.
+  flush_pending(sink);
 
-  // Merge results back into plan order; failed traces leave no hole and no
-  // duplicate -- their slot is simply empty.
-  std::vector<Trace> merged;
-  merged.reserve(slots.size());
-  for (auto& slot : slots) {
-    if (slot) merged.push_back(std::move(*slot));
-  }
-  // Merge accounting: one folded delta per result (live or replayed) and
-  // per quarantined trace; a worker that never built its shard has none.
+  // Merge accounting: one folded delta per delivered trace (live or
+  // replayed) and per quarantined trace; a worker that never built its
+  // shard has none.
   const auto quarantined = static_cast<std::size_t>(
       std::count_if(failures_.begin(), failures_.end(),
                     [](const TraceFailure& failure) { return failure.index >= 0; }));
-  if (folded_ != merged.size() + quarantined) {
+  if (folded_ != delivered_ + quarantined) {
     throw std::logic_error("ParallelCampaign: obs merge accounting broken: " +
                            std::to_string(folded_) + " deltas folded for " +
-                           std::to_string(merged.size()) + " results and " +
+                           std::to_string(delivered_) + " delivered and " +
                            std::to_string(quarantined) + " quarantined traces");
   }
-  return merged;
 }
 
 }  // namespace ecnprobe::measure

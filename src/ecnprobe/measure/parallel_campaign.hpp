@@ -3,8 +3,11 @@
 // and its campaign index), so they shard trivially: a fixed-size worker
 // pool pulls per-trace work items from a shared queue, each worker runs
 // them on its own isolated, seed-derived world -- no mutable simulation
-// state is shared between threads -- and the merged results and
-// observability are in plan order, byte-identical at any worker count.
+// state is shared between threads -- and each finished trace waits in one
+// plan-order window until every lower-index trace has been folded. The
+// fold merges the trace's observability into the campaign totals and hands
+// its result to the caller's sink, so both are in plan order and
+// byte-identical at any worker count, and no trace is held once folded.
 // One worker is the same code path with a pool of one thread.
 //
 // Thread affinity contract:
@@ -13,8 +16,11 @@
 //     by that thread (netsim::Simulator enforces single-thread use).
 //   * begin_trace() is called on the worker thread and may freely mutate
 //     the shard's own world.
-//   * The observer hook (set_observer) runs serialized under a mutex, one
-//     invocation at a time, but on whichever worker claimed the trace.
+//   * The trace sink passed to run() is called under the merge mutex, one
+//     trace at a time and in plan order, on whichever thread folds the
+//     trace: the worker whose commit completed the plan-order prefix, or
+//     the caller of run() for journal replays and the traces a halt left
+//     parked. It must not call back into the executor.
 //   * run() blocks the calling thread until every trace finished.
 #pragma once
 
@@ -23,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,10 +93,6 @@ class ParallelCampaign {
 public:
   /// Builds worker `worker_index`'s shard. Invoked on the worker thread.
   using ShardFactory = std::function<std::unique_ptr<CampaignShard>(int worker_index)>;
-  /// Progress observer; serialized across workers. Must not touch any
-  /// shard's world (each worker resets its own via CampaignShard).
-  using ObserverHook =
-      std::function<void(const std::string& vantage, int batch, int index)>;
 
   struct Options {
     int workers = 1;
@@ -107,8 +110,6 @@ public:
 
   ParallelCampaign(ShardFactory factory, Options options);
 
-  void set_observer(ObserverHook hook) { observer_ = std::move(hook); }
-
   /// Cooperative cancel, callable from any thread (a watchdog, a signal
   /// handler's drain path, a daemon shutdown): workers stop claiming new
   /// traces and run() returns once in-flight traces finish. Already-
@@ -125,9 +126,14 @@ public:
   /// is considered complete. The journal must outlive run().
   void set_journal(CampaignJournal* journal) { journal_ = journal; }
 
-  /// Runs the plan across the worker pool; blocks until done. Returns the
-  /// successful traces merged back into plan order (failed traces are
-  /// omitted -- never duplicated, never reordered).
+  /// Runs the plan across the worker pool; blocks until done. Hands each
+  /// delivered trace -- run live or replayed from the journal -- to `sink`
+  /// exactly once, in plan order; a trace that threw is never delivered.
+  /// The sink is the only way a trace leaves the executor. It runs under
+  /// the merge mutex (see the thread affinity contract above), so a slow
+  /// sink holds up every worker's commit.
+  void run(const CampaignPlan& plan, const TraceSink& sink);
+  /// run() with the sink that appends: the delivered traces in plan order.
   std::vector<Trace> run(const CampaignPlan& plan);
 
   /// Traces that threw during the last run(), in campaign-index order.
@@ -184,44 +190,44 @@ public:
 private:
   struct Worker;
 
-  /// One finished trace's observability, parked until every lower-index
-  /// trace has been folded. Holding deltas instead of per-trace campaign
-  /// snapshots is what bounds executor memory: the pending window is at
-  /// most ~workers deep (claims are strictly increasing), so campaign
+  /// One finished trace, parked until every lower-index trace has been
+  /// folded: its result (none when it threw), its observability delta and
+  /// its flight events. Live claims are strictly increasing, so the window
+  /// is at most ~workers deep beyond the journal replays, and campaign
   /// telemetry stays O(sketch) rather than O(traces x labels).
-  struct PendingDelta {
+  struct PendingTrace {
+    std::optional<Trace> trace;
     obs::ObsSnapshot obs;
     std::vector<obs::FlightEvent> events;
   };
 
   void run_one(Worker& worker, const std::vector<PlannedTrace>& schedule, int index,
-               std::vector<std::unique_ptr<Trace>>& slots);
+               const TraceSink& sink);
 
-  /// Parks `delta` for trace `index`, then folds the contiguous ready
-  /// prefix into the campaign snapshot/telemetry/flight log in plan order.
-  /// Thread-safe; committing an index twice is a std::logic_error.
-  void commit_delta(int index, PendingDelta delta);
-  /// Folds one delta into the campaign totals. Caller holds merge_mutex_.
-  void fold(PendingDelta& delta);
-  /// Folds any still-parked deltas (holes from halt_after_traces leave the
+  /// Parks trace `index`, then folds the contiguous ready prefix in plan
+  /// order. Thread-safe; committing an index twice is a std::logic_error.
+  void commit(int index, PendingTrace finished, const TraceSink& sink);
+  /// Folds one trace: its delta into the campaign snapshot, telemetry and
+  /// flight log, its result (if any) into `sink`. Caller holds merge_mutex_.
+  void fold(PendingTrace& finished, const TraceSink& sink);
+  /// Folds any still-parked traces (holes from halt_after_traces leave the
   /// prefix short) in index order. Call only after the pool is idle.
-  void flush_pending();
+  void flush_pending(const TraceSink& sink);
 
   ShardFactory factory_;
   Options options_;
-  ObserverHook observer_;
   CampaignJournal* journal_ = nullptr;
   std::mutex journal_mutex_;
-  std::mutex observer_mutex_;
   std::mutex failures_mutex_;
   std::vector<TraceFailure> failures_;
   std::atomic<int> completed_{0};
   std::atomic<int> total_{0};
   std::atomic<bool> halt_requested_{false};
   mutable std::mutex merge_mutex_;
-  std::map<int, PendingDelta> pending_;
+  std::map<int, PendingTrace> pending_;
   int next_merge_ = 0;
-  std::size_t folded_ = 0;  ///< deltas folded by the last run()
+  std::size_t folded_ = 0;     ///< deltas folded by the last run()
+  std::size_t delivered_ = 0;  ///< of which traces handed to the sink
   obs::ObsSnapshot merged_metrics_;
   obs::TelemetryAggregate telemetry_;
   std::vector<obs::FlightEvent> flight_events_;

@@ -1,6 +1,7 @@
 #include "ecnprobe/measure/results.hpp"
 
 #include <istream>
+#include <optional>
 #include <ostream>
 
 #include "ecnprobe/util/strings.hpp"
@@ -35,11 +36,22 @@ void write_traces_csv(std::ostream& os, const std::vector<Trace>& traces) {
   }
 }
 
-util::Expected<std::vector<Trace>> read_traces_csv(std::istream& is) {
+util::Expected<std::size_t> read_traces_csv(std::istream& is, const TraceSink& sink) {
   std::string line;
   if (!std::getline(is, line)) return util::make_error("csv", "empty input");
-  std::vector<Trace> traces;
-  Trace* current = nullptr;
+  const auto header = util::split(util::trim(line), ',');
+  if (header != kColumns) {
+    return util::make_error("csv", util::strf("line 1: expected the header %s,...,%s",
+                                              kColumns.front().c_str(),
+                                              kColumns.back().c_str()));
+  }
+  std::optional<Trace> current;
+  std::size_t handed_over = 0;
+  const auto hand_over = [&] {
+    if (!current) return;
+    sink(std::move(*current));
+    ++handed_over;
+  };
   std::size_t line_no = 1;
   while (std::getline(is, line)) {
     ++line_no;
@@ -63,11 +75,6 @@ util::Expected<std::vector<Trace>> read_traces_csv(std::istream& is) {
     const std::string& vantage = cells[0];
     const int batch = integer(1);
     const int index = integer(2);
-    if (current == nullptr || current->vantage != vantage || current->index != index ||
-        current->batch != batch) {
-      traces.push_back(Trace{vantage, batch, index, {}});
-      current = &traces.back();
-    }
     auto addr = wire::Ipv4Address::parse(cells[3]);
     if (!addr && bad == 0) bad = 3;
     ServerResult s;
@@ -87,8 +94,22 @@ util::Expected<std::vector<Trace>> read_traces_csv(std::istream& is) {
       return util::make_error("csv", util::strf("line %zu: bad %s '%s'", line_no,
                                                 kColumns[bad].c_str(), cells[bad].c_str()));
     }
+    if (!current || current->vantage != vantage || current->index != index ||
+        current->batch != batch) {
+      hand_over();
+      current = Trace{vantage, batch, index, {}};
+    }
     current->servers.push_back(s);
   }
+  hand_over();
+  return handed_over;
+}
+
+util::Expected<std::vector<Trace>> read_traces_csv(std::istream& is) {
+  std::vector<Trace> traces;
+  const auto read =
+      read_traces_csv(is, [&traces](Trace trace) { traces.push_back(std::move(trace)); });
+  if (!read) return read.error();
   return traces;
 }
 

@@ -5,6 +5,8 @@
 // re-run offline.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -44,6 +46,10 @@ struct Trace {
   std::vector<ServerResult> servers;
 };
 
+/// Receives whole traces one at a time, in the order they are produced:
+/// the campaign executor's plan order, or a CSV's row order.
+using TraceSink = std::function<void(Trace)>;
+
 /// One repetition of a traceroute from a vantage point to a server.
 struct TracerouteObservation {
   std::string vantage;
@@ -57,6 +63,14 @@ struct TracerouteObservation {
 /// udp_ect0_tries,tcp_conn,tcp_resp,tcp_status,tcpecn_conn,tcpecn_negotiated,
 /// tcpecn_resp,tcpecn_status
 void write_traces_csv(std::ostream& os, const std::vector<Trace>& traces);
+/// Reads a CSV the writer produced, handing each trace to `sink` once its
+/// last row is parsed, so a reader that folds holds one trace at a time.
+/// Consecutive rows with the same (vantage, batch, trace) form one trace.
+/// Refuses input whose first line is not the header above, or any row
+/// that is malformed; traces before the bad line have been handed over
+/// by then. Returns the number of traces handed over.
+util::Expected<std::size_t> read_traces_csv(std::istream& is, const TraceSink& sink);
+/// The same, collecting the traces.
 util::Expected<std::vector<Trace>> read_traces_csv(std::istream& is);
 
 }  // namespace ecnprobe::measure

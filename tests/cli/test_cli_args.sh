@@ -137,13 +137,17 @@ must_fail_plain "--resume missing journal" campaign --scale 0.02 --traces 1 \
   --resume "$TMP/absent.journal"
 
 # analyze refuses a traces CSV whose cells are not what the campaign
-# writes, instead of reading "banana" as 0 and "yes" as unreachable.
+# writes, instead of reading "banana" as 0 and "yes" as unreachable, and
+# one without the header, instead of skipping its first row as one.
 header=vantage,batch,trace,server,udp_plain,udp_plain_tries,udp_ect0,udp_ect0_tries,tcp_conn
 header=$header,tcp_resp,tcp_status,tcpecn_conn,tcpecn_negotiated,tcpecn_resp,tcpecn_status
 printf '%s\nv,banana,0,11.0.0.1,1,1,1,1,1,1,302,1,1,1,302\n' "$header" > "$TMP/bad_batch.csv"
 printf '%s\nv,1,0,11.0.0.1,yes,1,1,1,1,1,302,1,1,1,302\n' "$header" > "$TMP/bad_flag.csv"
+printf 'v,1,0,11.0.0.1,1,1,1,1,1,1,302,1,1,1,302\nv,1,0,11.0.0.2,1,1,1,1,1,1,302,1,1,1,302\n' \
+  > "$TMP/headerless.csv"
 must_fail_plain "analyze refuses a non-numeric batch" analyze "$TMP/bad_batch.csv"
 must_fail_plain "analyze refuses a flag other than 0/1" analyze "$TMP/bad_flag.csv"
+must_fail_plain "analyze refuses a CSV without its header" analyze "$TMP/headerless.csv"
 
 must_pass "plain campaign" campaign --scale 0.02 --traces 1 --out "$TMP/t.csv"
 must_fail "analyze ignores scale" analyze --scale 0.02 "$TMP/t.csv"

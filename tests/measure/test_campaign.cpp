@@ -43,10 +43,11 @@ TEST(Campaign, RunsPlanAndStampsTraces) {
 
   ParallelCampaign campaign(scenario::world_shard_factory(params), {});
   std::vector<std::tuple<std::string, int, int>> observed;
-  campaign.set_observer([&](const std::string& vantage, int batch, int index) {
-    observed.emplace_back(vantage, batch, index);
+  std::vector<Trace> traces;
+  campaign.run(plan, [&](Trace trace) {
+    observed.emplace_back(trace.vantage, trace.batch, trace.index);
+    traces.push_back(std::move(trace));
   });
-  const auto traces = campaign.run(plan);
 
   ASSERT_EQ(traces.size(), 3u);
   EXPECT_EQ(traces[0].vantage, "UGla wired");
@@ -57,8 +58,7 @@ TEST(Campaign, RunsPlanAndStampsTraces) {
   // Indices are sequential.
   EXPECT_EQ(traces[0].index, 0);
   EXPECT_EQ(traces[2].index, 2);
-  // At one worker the observer sees each trace once, in plan order:
-  // batch 1 before batch 2.
+  // The sink sees each trace once, in plan order: batch 1 before batch 2.
   const std::vector<std::tuple<std::string, int, int>> expected = {
       {"UGla wired", 1, 0}, {"UGla wired", 1, 1}, {"EC2 Sin", 2, 2}};
   EXPECT_EQ(observed, expected);

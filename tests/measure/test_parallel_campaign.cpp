@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ecnprobe/analysis/reachability.hpp"
+#include "ecnprobe/measure/journal.hpp"
 #include "ecnprobe/measure/results.hpp"
 #include "ecnprobe/obs/export.hpp"
 #include "ecnprobe/scenario/world.hpp"
@@ -41,10 +45,56 @@ CampaignPlan mixed_plan() {
   return plan;
 }
 
+CampaignPlan four_vantage_plan() {
+  CampaignPlan plan;
+  plan.entries.push_back({"Perkins home", 1, 4});
+  plan.entries.push_back({"UGla wired", 1, 4});
+  plan.entries.push_back({"EC2 Sin", 2, 4});
+  plan.entries.push_back({"EC2 Sao", 2, 4});
+  return plan;
+}
+
 std::string to_csv(const std::vector<Trace>& traces) {
   std::ostringstream os;
   write_traces_csv(os, traces);
   return os.str();
+}
+
+/// A world shard whose poisoned traces throw once the world has set up
+/// their epoch: a trace that fails on its worker mid-campaign.
+class PoisonedShard final : public CampaignShard {
+public:
+  PoisonedShard(const scenario::WorldParams& params, std::set<int> poisoned)
+      : inner_(params), poisoned_(std::move(poisoned)) {}
+
+  netsim::Simulator& sim() override { return inner_.sim(); }
+  std::map<std::string, Vantage*> vantages() override { return inner_.vantages(); }
+  std::vector<wire::Ipv4Address> servers() override { return inner_.servers(); }
+  void begin_trace(const std::string& vantage, int batch, int index) override {
+    inner_.begin_trace(vantage, batch, index);
+    if (poisoned_.contains(index)) {
+      throw std::runtime_error("injected failure for trace " + std::to_string(index));
+    }
+  }
+  obs::ObsSnapshot collect_trace_metrics() override { return inner_.collect_trace_metrics(); }
+  std::vector<obs::FlightEvent> collect_trace_events() override {
+    return inner_.collect_trace_events();
+  }
+  void quarantine_trace(const std::string& vantage, int batch, int index) override {
+    inner_.quarantine_trace(vantage, batch, index);
+  }
+  sched::GroupResolver breaker_group() override { return inner_.breaker_group(); }
+
+private:
+  scenario::WorldShard inner_;
+  std::set<int> poisoned_;
+};
+
+ParallelCampaign::ShardFactory poisoned_factory(const scenario::WorldParams& params,
+                                                const std::set<int>& poisoned) {
+  return [params, poisoned](int) -> std::unique_ptr<CampaignShard> {
+    return std::make_unique<PoisonedShard>(params, poisoned);
+  };
 }
 
 TEST(ParallelCampaign, ByteIdenticalToSequentialAt1And2And8Workers) {
@@ -93,30 +143,78 @@ TEST(ParallelCampaign, RepeatedParallelRunsAreIdentical) {
   EXPECT_EQ(to_csv(first), to_csv(second));
 }
 
-TEST(ParallelCampaign, ProgressCounterAndSerializedObserver) {
+// The sink contract. The run has every kind of gap: a journal holding a
+// non-contiguous set of traces (one above the halt), a halt_after_traces
+// hole and a trace that throws. The sink must see each delivered trace
+// exactly once, in ascending index order, and never the quarantined one.
+// It is called one trace at a time, so a non-atomic counter in it still
+// ends exact.
+TEST(ParallelCampaign, SinkSeesEachDeliveredTraceOnceInPlanOrder) {
   const auto params = determinism_params();
-  const auto plan = mixed_plan();
+  const auto plan = four_vantage_plan();
+  const auto meta = scenario::journal_meta(params, plan, {});
+  const std::set<int> journaled = {3, 4, 14};
+  const int poisoned = 0;  // the first live claim, so every run quarantines it
+  std::string error;
 
-  ParallelCampaign::Options options;
-  options.workers = 4;
-  ParallelCampaign campaign(scenario::world_shard_factory(params), options);
+  // The journaled records, traces and deltas, come from an uninterrupted run.
+  const std::string reference_path = ::testing::TempDir() + "/sink_contract_reference";
+  std::remove(reference_path.c_str());
+  CampaignJournal reference;
+  ASSERT_TRUE(reference.open(reference_path, meta, &error)) << error;
+  scenario::run_campaign(params, plan, {}, 1, &reference);
+  ASSERT_EQ(static_cast<int>(reference.entries().size()), plan.total_traces());
 
-  // The observer is serialized: with the mutex held by the executor, a
-  // non-atomic counter must still end up exact.
-  int observed = 0;
-  std::set<int> observed_indices;
-  campaign.set_observer([&](const std::string&, int, int index) {
-    ++observed;
-    observed_indices.insert(index);
-  });
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const std::string path =
+        ::testing::TempDir() + "/sink_contract_" + std::to_string(workers);
+    std::remove(path.c_str());
+    CampaignJournal journal;
+    ASSERT_TRUE(journal.open(path, meta, &error)) << error;
+    for (const int index : journaled) {
+      const auto& entry = reference.entries().at(index);
+      ASSERT_TRUE(journal.append(entry.trace, entry.delta));
+    }
 
-  EXPECT_EQ(campaign.traces_completed(), 0);
-  const auto traces = campaign.run(plan);
-  EXPECT_EQ(static_cast<int>(traces.size()), plan.total_traces());
-  EXPECT_EQ(campaign.traces_completed(), plan.total_traces());
-  EXPECT_EQ(observed, plan.total_traces());
-  EXPECT_EQ(static_cast<int>(observed_indices.size()), plan.total_traces());
-  EXPECT_TRUE(campaign.failures().empty());
+    auto options = scenario::campaign_options(params, {}, workers);
+    options.halt_after_traces = 10;  // of the 13 live traces
+    ParallelCampaign campaign(poisoned_factory(params, {poisoned}), options);
+    campaign.set_journal(&journal);
+    int calls = 0;  // deliberately not atomic
+    std::vector<Trace> delivered;
+    campaign.run(plan, [&](Trace trace) {
+      ++calls;
+      delivered.push_back(std::move(trace));
+    });
+
+    // Every delivered trace is in the journal (replayed, or appended
+    // before it was committed) and every journaled trace was delivered.
+    EXPECT_EQ(calls, static_cast<int>(journal.entries().size()));
+    EXPECT_EQ(calls, campaign.traces_completed());
+    ASSERT_EQ(delivered.size(), journal.entries().size());
+    std::vector<Trace> expected;
+    auto entry = journal.entries().begin();
+    for (std::size_t i = 0; i < delivered.size(); ++i, ++entry) {
+      EXPECT_EQ(delivered[i].index, entry->first) << "out of plan order";
+      expected.push_back(reference.entries().at(entry->first).trace);
+    }
+    EXPECT_EQ(to_csv(delivered), to_csv(expected));
+
+    ASSERT_EQ(campaign.failures().size(), 1u);
+    EXPECT_EQ(campaign.failures()[0].index, poisoned);
+    EXPECT_FALSE(journal.has(poisoned));
+    // The halt left a hole: of the 16 traces, 3 replayed and 10 ran live,
+    // the poisoned one among them.
+    EXPECT_EQ(calls, static_cast<int>(journaled.size()) + 9);
+    if (workers == 1) {
+      std::vector<int> indices;
+      for (const auto& trace : delivered) indices.push_back(trace.index);
+      EXPECT_EQ(indices, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14}));
+    }
+    std::remove(path.c_str());
+  }
+  std::remove(reference_path.c_str());
 }
 
 // The observability half of the determinism contract: the campaign-scoped
@@ -220,22 +318,13 @@ TEST(ParallelCampaign, StressNoLostOrDuplicatedTracesWhenWorkersThrow) {
   params.greylist_dead_prob = 0.05;   // wedged firewalls
   params.rate_limited_fraction = 0.3; // heavy NTP rate limiting
   params.offline_prob = 0.15;         // heavy failure injection
-  CampaignPlan plan;
-  plan.entries.push_back({"Perkins home", 1, 4});
-  plan.entries.push_back({"UGla wired", 1, 4});
-  plan.entries.push_back({"EC2 Sin", 2, 4});
-  plan.entries.push_back({"EC2 Sao", 2, 4});
+  const auto plan = four_vantage_plan();
   const int total = plan.total_traces();
 
   const std::set<int> poisoned = {1, 5, 11};
   ParallelCampaign::Options options;
   options.workers = 8;
-  ParallelCampaign campaign(scenario::world_shard_factory(params), options);
-  campaign.set_observer([&](const std::string&, int, int index) {
-    if (poisoned.contains(index)) {
-      throw std::runtime_error("injected failure for trace " + std::to_string(index));
-    }
-  });
+  ParallelCampaign campaign(poisoned_factory(params, poisoned), options);
 
   const auto traces = campaign.run(plan);
   EXPECT_EQ(static_cast<int>(traces.size()), total - static_cast<int>(poisoned.size()));

@@ -10,6 +10,10 @@
 namespace ecnprobe::measure {
 namespace {
 
+const std::string kHeader =
+    "vantage,batch,trace,server,udp_plain,udp_plain_tries,udp_ect0,udp_ect0_tries,tcp_conn,"
+    "tcp_resp,tcp_status,tcpecn_conn,tcpecn_negotiated,tcpecn_resp,tcpecn_status";
+
 Trace make_trace(const std::string& vantage, int batch, int index) {
   Trace trace;
   trace.vantage = vantage;
@@ -81,12 +85,18 @@ TEST(ResultsCsv, RejectsEmptyAndMalformed) {
   std::istringstream empty("");
   EXPECT_FALSE(read_traces_csv(empty));
 
-  std::istringstream bad_fields("header\na,b,c\n");
+  std::istringstream bad_fields(kHeader + "\na,b,c\n");
   EXPECT_FALSE(read_traces_csv(bad_fields));
 
-  std::istringstream bad_addr(
-      "h\nv,1,0,notanip,1,1,1,1,0,0,0,0,0,0,0\n");
+  std::istringstream bad_addr(kHeader + "\nv,1,0,notanip,1,1,1,1,0,0,0,0,0,0,0\n");
   EXPECT_FALSE(read_traces_csv(bad_addr));
+
+  // Without its header the first row would be skipped as one, and the
+  // figures would silently lose a server.
+  std::istringstream headerless("v,1,0,11.0.0.1,1,1,1,1,1,1,302,1,1,1,302\n");
+  const auto loaded = read_traces_csv(headerless);
+  ASSERT_FALSE(loaded);
+  EXPECT_EQ(loaded.error().message, "line 1: expected the header vantage,...,tcpecn_status");
 }
 
 TEST(ResultsCsv, RefusesMalformedCellsNamingTheColumn) {
@@ -95,7 +105,7 @@ TEST(ResultsCsv, RefusesMalformedCellsNamingTheColumn) {
   const auto read_row = [](const std::vector<std::string>& cells) {
     std::string line;
     for (const auto& cell : cells) line += (line.empty() ? "" : ",") + cell;
-    std::istringstream is("header\n" + line + "\n");
+    std::istringstream is(kHeader + "\n" + line + "\n");
     return read_traces_csv(is);
   };
   ASSERT_TRUE(read_row(row));

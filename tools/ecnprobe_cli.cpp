@@ -483,13 +483,15 @@ int cmd_analyze(const Options& options) {
     std::fprintf(stderr, "cannot open %s\n", options.input.c_str());
     return 1;
   }
-  const auto traces = measure::read_traces_csv(is);
-  if (!traces) {
-    std::fprintf(stderr, "parse error: %s\n", traces.error().message.c_str());
+  // Each trace is folded as its last row is parsed: one trace is held at a time.
+  analysis::FigureFold figures;
+  const auto read =
+      measure::read_traces_csv(is, [&figures](measure::Trace trace) { figures.add(trace); });
+  if (!read) {
+    std::fprintf(stderr, "parse error: %s\n", read.error().message.c_str());
     return 1;
   }
-  std::printf("loaded %zu traces\n\n", traces->size());
-  const analysis::FigureFold figures(*traces);
+  std::printf("loaded %zu traces\n\n", *read);
   const auto& per_trace = figures.per_trace();
   std::printf("Figure 2a:\n%s\n", analysis::render_figure2a(per_trace).c_str());
   std::printf("Figure 2b:\n%s\n", analysis::render_figure2b(per_trace).c_str());
@@ -538,9 +540,11 @@ int cmd_report(const Options& options) {
   std::fprintf(stderr, "running %d traces x %d servers...\n", plan.total_traces(),
                params.server_count);
   analysis::ReportInputs inputs;
-  // The traces are folded and freed here, before the traceroutes: the
-  // report peaks in that phase.
-  inputs.figures = analysis::FigureFold(scenario::run_campaign(params, plan, probe).traces);
+  // Each trace is folded as the executor commits it, so the campaign's
+  // traces are never held together: the report peaks in its traceroutes.
+  measure::ParallelCampaign campaign(scenario::world_shard_factory(params),
+                                     scenario::campaign_options(params, probe));
+  campaign.run(plan, [&inputs](measure::Trace trace) { inputs.figures.add(trace); });
   std::fprintf(stderr, "running traceroutes...\n");
   scenario::World world(params);
   inputs.traceroutes = world.run_traceroutes(2);
