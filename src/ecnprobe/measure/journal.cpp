@@ -290,7 +290,7 @@ bool CampaignJournal::append(const Trace& trace, const obs::ObsSnapshot& delta) 
   if (!out_.is_open()) return false;
   if (entries_.count(trace.index) != 0) return true;  // replayed: already durable
   out_ << record_line(trace.index, trace, delta) << '\n' << std::flush;
-  entries_[trace.index] = Entry{trace, delta};
+  entries_.emplace(trace.index, std::nullopt);
   return out_.good();
 }
 

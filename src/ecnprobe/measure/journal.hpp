@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "ecnprobe/measure/campaign.hpp"
@@ -79,12 +80,15 @@ public:
   /// record.
   bool open(const std::string& path, const JournalMeta& meta, std::string* error);
 
-  /// Completed traces recovered from disk, by campaign index.
-  const std::map<int, Entry>& entries() const { return entries_; }
+  /// Every journaled trace, by campaign index. A record open() recovered
+  /// from disk carries its trace and delta; a trace appended since keeps
+  /// only its index (nullopt): its record is on disk, and reopening the
+  /// journal reads it back. So a checkpointed campaign does not hold its
+  /// traces twice.
+  const std::map<int, std::optional<Entry>>& entries() const { return entries_; }
   bool has(int index) const { return entries_.count(index) != 0; }
 
-  /// Appends one completed trace and flushes. Also records it in
-  /// entries(), so a journal can be handed to a resumed executor as-is.
+  /// Appends one completed trace and flushes; entries() keeps its index.
   bool append(const Trace& trace, const obs::ObsSnapshot& delta);
 
   const JournalMeta& meta() const { return meta_; }
@@ -94,7 +98,7 @@ public:
 private:
   JournalMeta meta_;
   std::string path_;
-  std::map<int, Entry> entries_;
+  std::map<int, std::optional<Entry>> entries_;
   std::ofstream out_;
 };
 

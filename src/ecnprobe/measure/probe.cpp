@@ -25,6 +25,17 @@ void ProbeOptions::validate() const {
 
 namespace {
 
+/// The `test` label of each probe step.
+constexpr const char* kStepNames[4] = {"udp-plain", "udp-ect0", "tcp-plain", "tcp-ecn"};
+
+// Vantage::probe_counters() slots: the two UDP steps' ok and timeout
+// outcomes, their attempt totals, the two TCP steps' ok and failed
+// outcomes, and the vantage's fully probed servers.
+constexpr std::size_t kUdpOutcomeSlot = 0;
+constexpr std::size_t kUdpAttemptsSlot = 4;
+constexpr std::size_t kTcpOutcomeSlot = 6;
+constexpr std::size_t kServersSlot = 10;
+
 // Sequential four-step probe of one server. Self-owning via shared_ptr.
 //
 // With a supervisor attached, each step passes through three gates before
@@ -98,14 +109,25 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
   // ledger (cause probe-timeout, node = target server), which is what lets
   // the loss autopsy reconcile exactly with Figure 2's unreachable cells:
   // every failed probe has an attributed cause.
-  void record_udp(const char* test, const ntp::NtpQueryResult& r) {
+  void record_udp(int step, const ntp::NtpQueryResult& r) {
+    const char* test = kStepNames[step];
     auto& o = vantage.host().network().obs();
-    o.registry.counter("probe_udp_total",
-                       {{"test", test}, {"outcome", r.success ? "ok" : "timeout"}},
-                       "UDP NTP probe outcomes")->inc();
-    o.registry.counter("probe_udp_attempts_total", {{"test", test}},
-                       "UDP NTP request transmissions, retries included")
-        ->inc(static_cast<std::uint64_t>(r.attempts));
+    const auto udp = static_cast<std::size_t>(step);
+    vantage.probe_counters()
+        .get(o.registry, kUdpOutcomeSlot + 2 * udp + (r.success ? 0 : 1),
+             [&] {
+               return o.registry.counter(
+                   "probe_udp_total", {{"test", test}, {"outcome", r.success ? "ok" : "timeout"}},
+                   "UDP NTP probe outcomes");
+             })
+        .inc();
+    vantage.probe_counters()
+        .get(o.registry, kUdpAttemptsSlot + udp,
+             [&] {
+               return o.registry.counter("probe_udp_attempts_total", {{"test", test}},
+                                         "UDP NTP request transmissions, retries included");
+             })
+        .inc(static_cast<std::uint64_t>(r.attempts));
     if (!r.success) {
       o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::ProbeTimeout, server);
     } else if (o.telemetry.armed()) {
@@ -123,11 +145,18 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
     }
   }
 
-  void record_tcp(const char* test, const http::HttpGetResult& r) {
+  void record_tcp(int step, const http::HttpGetResult& r) {
+    const char* test = kStepNames[step];
     auto& o = vantage.host().network().obs();
-    o.registry.counter("probe_tcp_total",
-                       {{"test", test}, {"outcome", r.connected ? "ok" : "failed"}},
-                       "TCP HTTP probe outcomes")->inc();
+    vantage.probe_counters()
+        .get(o.registry,
+             kTcpOutcomeSlot + 2 * static_cast<std::size_t>(step - 2) + (r.connected ? 0 : 1),
+             [&] {
+               return o.registry.counter(
+                   "probe_tcp_total", {{"test", test}, {"outcome", r.connected ? "ok" : "failed"}},
+                   "TCP HTTP probe outcomes");
+             })
+        .inc();
     if (!r.connected) {
       o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::ProbeTimeout, server);
       if (o.recorder.armed()) {
@@ -207,7 +236,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
         vantage.ntp().query(server, udp_options(wire::Ecn::NotEct, 0),
                             [self](const ntp::NtpQueryResult& r) {
                               if (self->finished) return;
-                              self->record_udp("udp-plain", r);
+                              self->record_udp(0, r);
                               self->result.udp_plain = to_outcome(r);
                               self->after_gap([self]() { self->run_step(1); });
                             });
@@ -217,7 +246,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
         vantage.ntp().query(server, udp_options(wire::Ecn::Ect0, 1),
                             [self](const ntp::NtpQueryResult& r) {
                               if (self->finished) return;
-                              self->record_udp("udp-ect0", r);
+                              self->record_udp(1, r);
                               self->result.udp_ect0 = to_outcome(r);
                               self->after_gap([self]() { self->run_step(2); });
                             });
@@ -227,7 +256,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
         vantage.http().get(server, /*want_ecn=*/false,
                            [self](const http::HttpGetResult& r) {
                              if (self->finished) return;
-                             self->record_tcp("tcp-plain", r);
+                             self->record_tcp(2, r);
                              self->result.tcp_plain = to_outcome(r);
                              self->after_gap([self]() { self->run_step(3); });
                            },
@@ -238,7 +267,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
         vantage.http().get(server, /*want_ecn=*/true,
                            [self](const http::HttpGetResult& r) {
                              if (self->finished) return;
-                             self->record_tcp("tcp-ecn", r);
+                             self->record_tcp(3, r);
                              self->result.tcp_ecn = to_outcome(r);
                              self->run_step(4);
                            },
@@ -251,9 +280,14 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
     finished = true;
     watchdog.cancel();
     if (supervisor != nullptr) supervisor->on_server_result(server, any_step_succeeded());
-    vantage.host().network().obs().registry.counter(
-        "probe_servers_total", {{"vantage", vantage.name()}},
-        "servers fully probed, per vantage")->inc();
+    auto& registry = vantage.host().network().obs().registry;
+    vantage.probe_counters()
+        .get(registry, kServersSlot,
+             [&] {
+               return registry.counter("probe_servers_total", {{"vantage", vantage.name()}},
+                                       "servers fully probed, per vantage");
+             })
+        .inc();
     if (handler) handler(result);
   }
 

@@ -11,6 +11,7 @@
 #include "ecnprobe/netsim/capture.hpp"
 #include "ecnprobe/netsim/host.hpp"
 #include "ecnprobe/ntp/ntp.hpp"
+#include "ecnprobe/obs/metrics.hpp"
 #include "ecnprobe/tcp/tcp.hpp"
 #include "ecnprobe/traceroute/traceroute.hpp"
 
@@ -38,10 +39,15 @@ public:
   /// all, goes back to the worker as the trace commits.
   netsim::PacketCapture& capture() { return capture_; }
 
+  /// Probe-outcome counter handles (measure/probe.cpp), resolved on first
+  /// use in the registry of this vantage's network.
+  obs::Handles<obs::Counter, 11>& probe_counters() { return probe_counters_; }
+
 private:
   std::string name_;
   netsim::Host& host_;
   netsim::PacketCapture capture_;
+  obs::Handles<obs::Counter, 11> probe_counters_;
   ntp::NtpClient ntp_client_;
   tcp::TcpStack tcp_stack_;
   http::HttpGetClient http_client_;

@@ -10,6 +10,7 @@ namespace ecnprobe::ntp {
 
 struct NtpClient::Pending : std::enable_shared_from_this<NtpClient::Pending> {
   netsim::Host& host;
+  obs::Handles<obs::Counter, 2>& hedge_counters;
   SimClock clock;
   wire::Ipv4Address server;
   NtpQueryOptions options;
@@ -32,8 +33,10 @@ struct NtpClient::Pending : std::enable_shared_from_this<NtpClient::Pending> {
     return options.timeout_schedule[i];
   }
 
-  Pending(netsim::Host& h, SimClock c, wire::Ipv4Address s, NtpQueryOptions o, Handler cb)
-      : host(h), clock(c), server(s), options(o), handler(std::move(cb)) {}
+  Pending(netsim::Host& h, obs::Handles<obs::Counter, 2>& counters, SimClock c,
+          wire::Ipv4Address s, NtpQueryOptions o, Handler cb)
+      : host(h), hedge_counters(counters), clock(c), server(s), options(o),
+        handler(std::move(cb)) {}
 
   void start() {
     socket = host.open_udp();
@@ -79,8 +82,14 @@ struct NtpClient::Pending : std::enable_shared_from_this<NtpClient::Pending> {
       last_flight = recorder.begin_flight(/*retransmit=*/true);
     }
     socket->send(server, wire::kNtpPort, bytes, options.ecn, options.ttl);
-    host.network().obs().registry.counter(
-        "sched_hedges_total", {}, "hedged duplicate NTP requests sent")->inc();
+    auto& registry = host.network().obs().registry;
+    hedge_counters
+        .get(registry, 0,
+             [&] {
+               return registry.counter("sched_hedges_total", {},
+                                       "hedged duplicate NTP requests sent");
+             })
+        .inc();
   }
 
   void on_response(const netsim::UdpDelivery& delivery) {
@@ -92,9 +101,14 @@ struct NtpClient::Pending : std::enable_shared_from_this<NtpClient::Pending> {
     timer.cancel();
     hedge_timer.cancel();
     if (hedged) {
-      host.network().obs().registry.counter(
-          "sched_hedge_wins_total", {},
-          "responses that arrived after the attempt was hedged")->inc();
+      auto& registry = host.network().obs().registry;
+      hedge_counters
+          .get(registry, 1,
+               [&] {
+                 return registry.counter("sched_hedge_wins_total", {},
+                                         "responses that arrived after the attempt was hedged");
+               })
+          .inc();
     }
     NtpQueryResult result;
     result.success = true;
@@ -133,8 +147,8 @@ struct NtpClient::Pending : std::enable_shared_from_this<NtpClient::Pending> {
 
 void NtpClient::query(wire::Ipv4Address server, const NtpQueryOptions& options,
                       Handler handler) {
-  auto pending =
-      std::make_shared<Pending>(host_, clock_, server, options, std::move(handler));
+  auto pending = std::make_shared<Pending>(host_, hedge_counters_, clock_, server, options,
+                                           std::move(handler));
   pending->start();
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ecnprobe/netsim/host.hpp"
+#include "ecnprobe/obs/metrics.hpp"
 #include "ecnprobe/wire/ntp.hpp"
 
 namespace ecnprobe::ntp {
@@ -81,6 +82,10 @@ private:
   struct Pending;
   netsim::Host& host_;
   SimClock clock_;
+  /// sched_hedges_total and sched_hedge_wins_total in the host network's
+  /// registry, resolved on first use. A query's events run only while its
+  /// client is alive, as they do while its host is.
+  obs::Handles<obs::Counter, 2> hedge_counters_;
 };
 
 /// Pool-server behaviour on a Host: answers NTP while online.

@@ -20,6 +20,7 @@
 //      (progress gauges, worker utilization) are shared across threads.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -157,6 +158,31 @@ private:
 
   mutable std::mutex mutex_;
   std::map<std::string, Family> families_;
+};
+
+/// Instrument handles kept by the code that counts, each resolved on its
+/// first use: a label set that never fires registers nothing, so snapshots
+/// and exports read as they did with a lookup per event. Slots are the
+/// caller's enumeration of its label sets; `resolve` returns the
+/// instrument for a slot from `registry`, and a change of registry forgets
+/// every handle.
+template <class Instrument, std::size_t N>
+class Handles {
+public:
+  template <class Resolve>
+  Instrument& get(MetricsRegistry& registry, std::size_t slot, Resolve&& resolve) {
+    if (registry_ != &registry) {
+      registry_ = &registry;
+      cells_.fill(nullptr);
+    }
+    Instrument*& cell = cells_.at(slot);
+    if (cell == nullptr) cell = resolve();
+    return *cell;
+  }
+
+private:
+  MetricsRegistry* registry_ = nullptr;
+  std::array<Instrument*, N> cells_{};
 };
 
 }  // namespace ecnprobe::obs

@@ -11,10 +11,7 @@
 #include <vector>
 
 #include "ecnprobe/util/expected.hpp"
-
-namespace ecnprobe::wire {
-class ByteWriter;
-}
+#include "ecnprobe/wire/bytes.hpp"
 
 namespace ecnprobe::rtp {
 

@@ -5,6 +5,29 @@
 
 namespace ecnprobe::sched {
 
+namespace {
+
+// TraceSupervisor::counters_ slots: breaker transitions (scope x target
+// state), then skips by scope, then pacer delays.
+constexpr std::size_t kTransitionSlot = 0;
+constexpr std::size_t kSkipSlot = 6;
+constexpr std::size_t kPacerDelaySlot = 8;
+
+std::size_t scope_index(const char* scope) { return std::string_view(scope) == "group" ? 1 : 0; }
+
+}  // namespace
+
+template <class Resolve>
+obs::Counter& TraceSupervisor::find_or_resolve(std::vector<LabeledCounter>& cache,
+                                               std::string_view label, int n,
+                                               Resolve&& resolve) {
+  for (auto& entry : cache) {
+    if (entry.n == n && entry.label == label) return *entry.counter;
+  }
+  cache.push_back({std::string(label), n, resolve()});
+  return *cache.back().counter;
+}
+
 std::string_view to_string(CircuitBreaker::State state) {
   switch (state) {
     case CircuitBreaker::State::Closed: return "closed";
@@ -28,11 +51,17 @@ CircuitBreaker::Listener TraceSupervisor::transition_listener(const char* scope)
   // The listener only fires when breakers are enabled, so the default
   // config never creates these families.
   return [this, scope](CircuitBreaker::State from, CircuitBreaker::State to) {
-    obs_.registry
-        .counter("sched_breaker_transitions_total",
-                 {{"scope", scope}, {"to", std::string(to_string(to))}},
-                 "circuit breaker state transitions, by scope and target state")
-        ->inc();
+    const std::size_t slot =
+        kTransitionSlot + 3 * scope_index(scope) + static_cast<std::size_t>(to);
+    counters_
+        .get(obs_.registry, slot,
+             [&] {
+               return obs_.registry.counter(
+                   "sched_breaker_transitions_total",
+                   {{"scope", scope}, {"to", std::string(to_string(to))}},
+                   "circuit breaker state transitions, by scope and target state");
+             })
+        .inc();
     // Live plane: breaker trips flow to the SSE stream. Observation-only
     // and gated, so unserved campaigns pay one atomic load.
     auto& stream = obs::EventStream::process();
@@ -95,10 +124,14 @@ void TraceSupervisor::on_server_result(wire::Ipv4Address server, bool any_succes
 
 void TraceSupervisor::record_skip(wire::Ipv4Address server, const char* scope) {
   obs_.ledger.record_drop(obs::Layer::Measure, obs::DropCause::CircuitOpen, server);
-  obs_.registry
-      .counter("sched_breaker_skips_total", {{"scope", scope}},
-               "probe steps skipped because a circuit breaker was open")
-      ->inc();
+  counters_
+      .get(obs_.registry, kSkipSlot + scope_index(scope),
+           [&] {
+             return obs_.registry.counter(
+                 "sched_breaker_skips_total", {{"scope", scope}},
+                 "probe steps skipped because a circuit breaker was open");
+           })
+      .inc();
 }
 
 std::vector<util::SimDuration> TraceSupervisor::retry_schedule(
@@ -111,40 +144,52 @@ std::vector<util::SimDuration> TraceSupervisor::retry_schedule(
 }
 
 void TraceSupervisor::count_attempts(const char* test, int attempts) {
-  obs_.registry
-      .counter("sched_retry_attempts_total",
-               {{"test", test}, {"attempts", std::to_string(attempts)}},
-               "UDP probe steps finished, by test and total attempts used")
-      ->inc();
+  find_or_resolve(attempt_counters_, test, attempts, [&] {
+    return obs_.registry.counter("sched_retry_attempts_total",
+                                 {{"test", test}, {"attempts", std::to_string(attempts)}},
+                                 "UDP probe steps finished, by test and total attempts used");
+  }).inc();
 }
 
 util::SimTime TraceSupervisor::pace(util::SimTime now, wire::Ipv4Address server) {
   if (!pacer_) return now;
   const auto launch = pacer_->acquire(now, server);
   if (pacer_->last_delayed()) {
-    obs_.registry
-        .counter("sched_pacer_delays_total", {},
-                 "probe steps the pacer had to delay")
-        ->inc();
-    obs_.registry
-        .histogram("sched_pacer_wait_ms", {1.0, 5.0, 25.0, 100.0, 500.0, 2500.0}, {},
-                   "sim-time the pacer held a probe step back, ms")
-        ->observe((launch - now).to_millis());
+    auto& registry = obs_.registry;
+    counters_
+        .get(registry, kPacerDelaySlot,
+             [&] {
+               return registry.counter("sched_pacer_delays_total", {},
+                                       "probe steps the pacer had to delay");
+             })
+        .inc();
+    pacer_histograms_
+        .get(registry, 0,
+             [&] {
+               return registry.histogram("sched_pacer_wait_ms",
+                                         {1.0, 5.0, 25.0, 100.0, 500.0, 2500.0}, {},
+                                         "sim-time the pacer held a probe step back, ms");
+             })
+        .observe((launch - now).to_millis());
     // The sequential trace runner launches one step at a time, so the
     // queue behind the pacer is the step being held: depth 1 per delay.
-    obs_.registry
-        .histogram("sched_pacer_queue_depth", {1.0, 2.0, 4.0, 8.0}, {},
-                   "probe steps queued behind the pacer when it delayed one")
-        ->observe(1.0);
+    pacer_histograms_
+        .get(registry, 1,
+             [&] {
+               return registry.histogram(
+                   "sched_pacer_queue_depth", {1.0, 2.0, 4.0, 8.0}, {},
+                   "probe steps queued behind the pacer when it delayed one");
+             })
+        .observe(1.0);
   }
   return launch;
 }
 
 void TraceSupervisor::count_watchdog_cancel(const std::string& vantage) {
-  obs_.registry
-      .counter("sched_watchdog_cancellations_total", {{"vantage", vantage}},
-               "server probes cancelled by the watchdog deadline")
-      ->inc();
+  find_or_resolve(watchdog_counters_, vantage, 0, [&] {
+    return obs_.registry.counter("sched_watchdog_cancellations_total", {{"vantage", vantage}},
+                                 "server probes cancelled by the watchdog deadline");
+  }).inc();
 }
 
 }  // namespace ecnprobe::sched

@@ -19,6 +19,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ecnprobe/obs/ledger.hpp"
 #include "ecnprobe/sched/circuit_breaker.hpp"
@@ -94,6 +96,25 @@ private:
   std::unique_ptr<Pacer> pacer_;
   std::map<std::uint32_t, std::unique_ptr<CircuitBreaker>> server_breakers_;
   std::map<std::string, std::unique_ptr<CircuitBreaker>> group_breakers_;
+
+  // Instrument handles, each resolved on first use: breaker transitions by
+  // scope and target state, skips by scope, pacer delays and the pacer's
+  // two histograms.
+  obs::Handles<obs::Counter, 9> counters_;
+  obs::Handles<obs::Histogram, 2> pacer_histograms_;
+  /// A counter whose label values the supervisor cannot enumerate (retry
+  /// attempts by test and total, watchdog cancellations by vantage), kept
+  /// for a short linear search.
+  struct LabeledCounter {
+    std::string label;
+    int n = 0;
+    obs::Counter* counter = nullptr;
+  };
+  std::vector<LabeledCounter> attempt_counters_;
+  std::vector<LabeledCounter> watchdog_counters_;
+  template <class Resolve>
+  static obs::Counter& find_or_resolve(std::vector<LabeledCounter>& cache,
+                                       std::string_view label, int n, Resolve&& resolve);
 };
 
 }  // namespace ecnprobe::sched

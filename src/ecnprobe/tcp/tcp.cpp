@@ -56,30 +56,6 @@ std::string_view to_string(CloseReason r) {
 // ---------------------------------------------------------------------------
 
 
-namespace {
-// Handshake/ECN outcome counters live in the owning network's registry, so
-// campaign metrics pick them up per-trace. Lookups are per-event (a few per
-// connection), so no pointer caching is needed.
-void count_handshake(TcpStack& stack, const char* role, std::string_view outcome) {
-  stack.host().network().obs().registry.counter(
-      "tcp_handshakes_total",
-      {{"role", role}, {"outcome", std::string(outcome)}},
-      "TCP handshake outcomes by role")->inc();
-}
-
-void count_ecn_negotiation(TcpStack& stack, bool negotiated) {
-  stack.host().network().obs().registry.counter(
-      "tcp_ecn_negotiation_total",
-      {{"result", negotiated ? "negotiated" : "refused"}},
-      "client-side ECN negotiation outcomes")->inc();
-}
-
-void count_retransmission(TcpStack& stack) {
-  stack.host().network().obs().registry.counter(
-      "tcp_retransmissions_total", {}, "TCP segment retransmissions")->inc();
-}
-}  // namespace
-
 TcpConnection::TcpConnection(TcpStack& stack, const TcpConfig& config)
     : stack_(stack),
       config_(config),
@@ -206,7 +182,7 @@ void TcpConnection::send_syn(bool is_retransmit) {
   }
   if (is_retransmit) {
     ++stats_.retransmissions;
-    count_retransmission(stack_);
+    stack_.count_retransmission();
   }
   // Each SYN (re)transmission is its own flight attempt within the probe.
   auto& recorder = stack_.host().network().obs().recorder;
@@ -225,7 +201,7 @@ void TcpConnection::send_syn_ack(bool is_retransmit) {
   if (ecn_ok_) flags.ece = true;  // ECN-setup SYN-ACK: ECE set, CWR clear
   if (is_retransmit) {
     ++stats_.retransmissions;
-    count_retransmission(stack_);
+    stack_.count_retransmission();
   }
   // The SYN-ACK rides the client SYN's flight: the return path belongs to
   // the same probe span (a send event was already recorded for the SYN).
@@ -243,9 +219,7 @@ void TcpConnection::try_send_data() {
 
   while (unsent > 0 && unacked < window) {
     const std::size_t len = std::min({effective_mss(), unsent, window - unacked});
-    std::vector<std::uint8_t> payload(len);
-    std::copy_n(send_buffer_.begin() + static_cast<std::ptrdiff_t>(unacked), len,
-                payload.begin());
+    const auto payload = std::span<const std::uint8_t>(send_buffer_).subspan(unacked, len);
     wire::TcpFlags flags;
     flags.ack = true;
     flags.psh = unsent == len;
@@ -320,12 +294,11 @@ void TcpConnection::on_rto() {
       const std::size_t unacked = data_end - snd_una_;
       if (unacked > 0) {
         const std::size_t len = std::min(effective_mss(), unacked);
-        std::vector<std::uint8_t> payload(len);
-        std::copy_n(send_buffer_.begin(), len, payload.begin());
+        const auto payload = std::span<const std::uint8_t>(send_buffer_).first(len);
         wire::TcpFlags flags;
         flags.ack = true;
         ++stats_.retransmissions;
-        count_retransmission(stack_);
+        stack_.count_retransmission();
         // Retransmissions are not ECT-marked (RFC 3168 section 6.1.5).
         send_segment(flags, snd_una_, payload, false);
       } else if (fin_sent_) {
@@ -333,7 +306,7 @@ void TcpConnection::on_rto() {
         flags.fin = true;
         flags.ack = true;
         ++stats_.retransmissions;
-        count_retransmission(stack_);
+        stack_.count_retransmission();
         send_segment(flags, fin_seq_, {}, false);
       }
       break;
@@ -373,8 +346,8 @@ void TcpConnection::on_segment(const wire::Datagram& dgram,
       snd_nxt_ = seg.header.ack;
       ecn_ok_ = want_ecn_ && seg.header.is_ecn_setup_syn_ack();
       state_ = TcpState::Established;
-      count_handshake(stack_, "client", "established");
-      if (want_ecn_) count_ecn_negotiation(stack_, ecn_ok_);
+      stack_.count_handshake(/*server=*/false, std::nullopt);
+      if (want_ecn_) stack_.count_ecn_negotiation(ecn_ok_);
       retries_ = 0;
       current_rto_ = config_.initial_rto;
       disarm_rto();
@@ -396,7 +369,7 @@ void TcpConnection::on_segment(const wire::Datagram& dgram,
         snd_una_ = iss_ + 1;
         snd_nxt_ = iss_ + 1;
         state_ = TcpState::Established;
-        count_handshake(stack_, "server", "established");
+        stack_.count_handshake(/*server=*/true, std::nullopt);
         retries_ = 0;
         current_rto_ = config_.initial_rto;
         disarm_rto();
@@ -568,8 +541,7 @@ void TcpConnection::finish(CloseReason reason) {
   finished_ = true;
   auto keep_alive = shared_from_this();  // release_flow may drop the last ref
   if (state_ == TcpState::SynSent || state_ == TcpState::SynReceived) {
-    count_handshake(stack_, state_ == TcpState::SynSent ? "client" : "server",
-                    to_string(reason));
+    stack_.count_handshake(/*server=*/state_ != TcpState::SynSent, reason);
   }
   disarm_rto();
   time_wait_timer_.cancel();
@@ -689,6 +661,42 @@ std::uint16_t TcpStack::pick_ephemeral_port() {
     if (!taken) return candidate;
   }
   throw std::runtime_error("TcpStack: ephemeral ports exhausted");
+}
+
+namespace {
+// TcpStack::counters_ slots: per role, established then each CloseReason;
+// then the two ECN negotiation results; then retransmissions.
+constexpr std::size_t kHandshakeOutcomes = 1 + static_cast<std::size_t>(CloseReason::LocalAbort) + 1;
+constexpr std::size_t kEcnSlot = 2 * kHandshakeOutcomes;
+constexpr std::size_t kRetransmissionSlot = kEcnSlot + 2;
+}  // namespace
+
+void TcpStack::count_handshake(bool server, std::optional<CloseReason> failure) {
+  const std::size_t outcome = failure ? 1 + static_cast<std::size_t>(*failure) : 0;
+  auto& registry = host_.network().obs().registry;
+  counters_.get(registry, (server ? kHandshakeOutcomes : 0) + outcome, [&] {
+    return registry.counter(
+        "tcp_handshakes_total",
+        {{"role", server ? "server" : "client"},
+         {"outcome", failure ? std::string(to_string(*failure)) : "established"}},
+        "TCP handshake outcomes by role");
+  }).inc();
+}
+
+void TcpStack::count_ecn_negotiation(bool negotiated) {
+  auto& registry = host_.network().obs().registry;
+  counters_.get(registry, kEcnSlot + (negotiated ? 0 : 1), [&] {
+    return registry.counter("tcp_ecn_negotiation_total",
+                            {{"result", negotiated ? "negotiated" : "refused"}},
+                            "client-side ECN negotiation outcomes");
+  }).inc();
+}
+
+void TcpStack::count_retransmission() {
+  auto& registry = host_.network().obs().registry;
+  counters_.get(registry, kRetransmissionSlot, [&] {
+    return registry.counter("tcp_retransmissions_total", {}, "TCP segment retransmissions");
+  }).inc();
 }
 
 }  // namespace ecnprobe::tcp

@@ -7,15 +7,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "ecnprobe/netsim/host.hpp"
+#include "ecnprobe/obs/metrics.hpp"
 #include "ecnprobe/wire/tcp.hpp"
 
 namespace ecnprobe::tcp {
@@ -162,7 +163,9 @@ private:
   std::uint32_t iss_ = 0;
   std::uint32_t snd_una_ = 0;
   std::uint32_t snd_nxt_ = 0;
-  std::deque<std::uint8_t> send_buffer_;  ///< bytes from snd_una_ onward (unsent+unacked)
+  /// Bytes from snd_una_ onward (unsent+unacked). A vector: an empty one
+  /// holds no memory, where a deque allocates a node and a map up front.
+  std::vector<std::uint8_t> send_buffer_;
   std::size_t inflight_ = 0;              ///< bytes sent but unacked
   std::size_t cwnd_ = 0;
   std::uint16_t peer_window_ = 65535;
@@ -240,11 +243,22 @@ private:
   void release_flow(const FlowKey& key);
   std::uint16_t pick_ephemeral_port();
 
+  // Outcome counters in the host network's registry, so campaign metrics
+  // pick them up per trace: handshakes by role and outcome (established,
+  // or the reason the attempt closed), client-side ECN negotiation, and
+  // retransmissions.
+  void count_handshake(bool server, std::optional<CloseReason> failure);
+  void count_ecn_negotiation(bool negotiated);
+  void count_retransmission();
+
   netsim::Host& host_;
   TcpConfig config_;
   std::map<FlowKey, std::shared_ptr<TcpConnection>> flows_;
   std::map<std::uint16_t, AcceptHandler> listeners_;
   std::uint16_t next_ephemeral_ = 40000;
+  // 2 roles x (established + 5 close reasons), 2 negotiation results,
+  // retransmissions.
+  obs::Handles<obs::Counter, 15> counters_;
 };
 
 }  // namespace ecnprobe::tcp

@@ -26,8 +26,11 @@ std::string strf(const char* fmt, ...) {
   return out;
 }
 
-std::vector<std::string> split(std::string_view s, char sep) {
-  std::vector<std::string> out;
+namespace {
+
+template <class Field>
+std::vector<Field> split_into(std::string_view s, char sep) {
+  std::vector<Field> out;
   std::size_t start = 0;
   while (true) {
     const std::size_t pos = s.find(sep, start);
@@ -38,6 +41,16 @@ std::vector<std::string> split(std::string_view s, char sep) {
     out.emplace_back(s.substr(start, pos - start));
     start = pos + 1;
   }
+}
+
+}  // namespace
+
+std::vector<std::string> split(std::string_view s, char sep) {
+  return split_into<std::string>(s, sep);
+}
+
+std::vector<std::string_view> split_views(std::string_view s, char sep) {
+  return split_into<std::string_view>(s, sep);
 }
 
 std::string_view trim(std::string_view s) {

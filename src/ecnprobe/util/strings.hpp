@@ -24,6 +24,8 @@ std::string strf(const char* fmt, ...);
 
 /// Splits on a single character; keeps empty fields.
 std::vector<std::string> split(std::string_view s, char sep);
+/// split() as views into `s`, which must outlive them: no field is copied.
+std::vector<std::string_view> split_views(std::string_view s, char sep);
 
 /// Removes leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view s);

@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
+
+#include "ecnprobe/wire/small_bytes.hpp"
 
 namespace ecnprobe::wire {
 
@@ -85,11 +88,14 @@ private:
   bool ok_ = true;
 };
 
-/// Appending big-endian writer backed by a growable buffer.
-class ByteWriter {
+/// Appending big-endian writer backed by a growable buffer: a
+/// std::vector, or a SmallBytes for a transport segment that may stay in
+/// place (SegmentWriter).
+template <class Buffer>
+class BasicByteWriter {
 public:
-  ByteWriter() = default;
-  explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
+  BasicByteWriter() = default;
+  explicit BasicByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) {
@@ -115,11 +121,14 @@ public:
   }
 
   std::size_t size() const { return buf_.size(); }
-  std::span<const std::uint8_t> view() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  std::span<const std::uint8_t> view() const { return {buf_.data(), buf_.size()}; }
+  Buffer take() { return std::move(buf_); }
 
 private:
-  std::vector<std::uint8_t> buf_;
+  Buffer buf_;
 };
+
+using ByteWriter = BasicByteWriter<std::vector<std::uint8_t>>;
+using SegmentWriter = BasicByteWriter<SmallBytes>;
 
 }  // namespace ecnprobe::wire

@@ -27,7 +27,7 @@ util::Expected<Datagram> Datagram::decode(std::span<const std::uint8_t> bytes) {
   d.ip = decoded->header;
   const auto payload =
       bytes.subspan(decoded->header_len, decoded->header.total_length - decoded->header_len);
-  d.payload.assign(payload.begin(), payload.end());
+  d.payload.assign(payload);
   return d;
 }
 
@@ -38,7 +38,7 @@ std::string Datagram::summary() const {
 namespace {
 
 Datagram finish(Ipv4Address src, Ipv4Address dst, IpProto proto, Ecn ecn, std::uint8_t ttl,
-                std::vector<std::uint8_t> segment) {
+                SmallBytes segment) {
   Datagram d;
   d.ip.src = src;
   d.ip.dst = dst;
@@ -78,11 +78,8 @@ Datagram make_icmp_error(Ipv4Address sender, const Datagram& received, IcmpType 
   Ipv4Header quoted = received.ip;
   quoted.total_length =
       static_cast<std::uint16_t>(Ipv4Header::kSize + received.payload.size());
-  IcmpMessage msg;
-  msg.type = type;
-  msg.code = code;
-  msg.body = make_error_quotation(quoted, received.payload);
-  return make_icmp_datagram(sender, received.ip.src, msg);
+  return finish(sender, received.ip.src, IpProto::Icmp, Ecn::NotEct, Ipv4Header::kDefaultTtl,
+                encode_icmp_error(type, code, quoted, received.payload.view()));
 }
 
 }  // namespace

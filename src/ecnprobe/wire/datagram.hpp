@@ -6,7 +6,8 @@
 // live driver), with the header checksum summed once there. A Datagram
 // carries no serialisation of its own: packet captures keep one record
 // per packet, so the record is only the header, the payload and the
-// flight id (56 bytes).
+// flight id (56 bytes). A payload of up to 23 bytes (a traceroute probe's
+// UDP segment, a bare TCP ACK or FIN) lives inside the record.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +18,13 @@
 #include "ecnprobe/util/expected.hpp"
 #include "ecnprobe/wire/icmp.hpp"
 #include "ecnprobe/wire/ipv4.hpp"
+#include "ecnprobe/wire/small_bytes.hpp"
 
 namespace ecnprobe::wire {
 
 struct Datagram {
   Ipv4Header ip;
-  std::vector<std::uint8_t> payload;  ///< transport segment (UDP/TCP/ICMP bytes)
+  SmallBytes payload;  ///< transport segment (UDP/TCP/ICMP bytes)
 
   /// Flight-recorder correlation id. Simulation metadata only: never
   /// serialised by encode(), left 0 by decode(). 0 means "not tracked".

@@ -96,7 +96,7 @@ void HttpParser::try_parse() {
 }
 
 bool HttpParser::parse_head(std::string_view head) {
-  const auto lines = util::split(head, '\n');
+  const auto lines = util::split_views(head, '\n');
   if (lines.empty()) {
     error_ = "empty head";
     return false;
@@ -106,7 +106,7 @@ bool HttpParser::parse_head(std::string_view head) {
     return s;
   };
   const std::string_view start_line = strip_cr(lines[0]);
-  const auto parts = util::split(start_line, ' ');
+  const auto parts = util::split_views(start_line, ' ');
   if (kind_ == Kind::Request) {
     if (parts.size() != 3) {
       error_ = "malformed request line";

@@ -7,15 +7,47 @@
 
 namespace ecnprobe::wire {
 
-std::vector<std::uint8_t> IcmpMessage::encode() const {
-  ByteWriter out(kHeaderSize + body.size());
+namespace {
+
+/// The 8-byte ICMP header with a zero checksum, which seal() fills in.
+void put_header(SegmentWriter& out, IcmpType type, std::uint8_t code,
+                std::uint32_t rest_of_header) {
   out.u8(static_cast<std::uint8_t>(type));
   out.u8(code);
   out.u16(0);  // checksum placeholder
   out.u32(rest_of_header);
-  out.bytes(body);
+}
+
+SmallBytes seal(SegmentWriter& out) {
   out.patch_u16(2, internet_checksum(out.view()));
   return out.take();
+}
+
+/// RFC 792's quotation: the IP header as received and up to 8 transport
+/// bytes.
+template <class Buffer>
+void put_quotation(BasicByteWriter<Buffer>& out, const Ipv4Header& received_header,
+                   std::span<const std::uint8_t> transport_bytes) {
+  received_header.encode(out);
+  out.bytes(transport_bytes.first(std::min<std::size_t>(transport_bytes.size(), 8)));
+}
+
+}  // namespace
+
+SmallBytes IcmpMessage::encode() const {
+  SegmentWriter out(kHeaderSize + body.size());
+  put_header(out, type, code, rest_of_header);
+  out.bytes(body);
+  return seal(out);
+}
+
+SmallBytes encode_icmp_error(IcmpType type, std::uint8_t code,
+                             const Ipv4Header& received_header,
+                             std::span<const std::uint8_t> transport_bytes) {
+  SegmentWriter out(IcmpMessage::kHeaderSize + Ipv4Header::kSize + 8);
+  put_header(out, type, code, 0);
+  put_quotation(out, received_header, transport_bytes);
+  return seal(out);
 }
 
 util::Expected<IcmpDecoded> decode_icmp_message(std::span<const std::uint8_t> data) {
@@ -37,9 +69,7 @@ util::Expected<IcmpDecoded> decode_icmp_message(std::span<const std::uint8_t> da
 std::vector<std::uint8_t> make_error_quotation(const Ipv4Header& received_header,
                                                std::span<const std::uint8_t> transport_bytes) {
   ByteWriter out(Ipv4Header::kSize + 8);
-  received_header.encode(out);
-  const std::size_t quoted = std::min<std::size_t>(transport_bytes.size(), 8);
-  out.bytes(transport_bytes.subspan(0, quoted));
+  put_quotation(out, received_header, transport_bytes);
   return out.take();
 }
 

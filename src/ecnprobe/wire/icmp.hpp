@@ -12,6 +12,7 @@
 
 #include "ecnprobe/util/expected.hpp"
 #include "ecnprobe/wire/ipv4.hpp"
+#include "ecnprobe/wire/small_bytes.hpp"
 
 namespace ecnprobe::wire {
 
@@ -41,7 +42,7 @@ struct IcmpMessage {
 
   /// Serialises with a correct ICMP checksum (plain RFC 1071, no
   /// pseudo-header).
-  std::vector<std::uint8_t> encode() const;
+  SmallBytes encode() const;
 
   bool is_error() const {
     return type == IcmpType::DestUnreachable || type == IcmpType::TimeExceeded;
@@ -60,6 +61,14 @@ util::Expected<IcmpDecoded> decode_icmp_message(std::span<const std::uint8_t> da
 /// the bytes the router saw, which is what makes ECN-stripping visible.
 std::vector<std::uint8_t> make_error_quotation(const Ipv4Header& received_header,
                                                std::span<const std::uint8_t> transport_bytes);
+
+/// Serialises an ICMP error (rest-of-header zero) whose body is
+/// make_error_quotation(received_header, transport_bytes): the bytes of
+/// that IcmpMessage's encode(), written in one pass without the body's own
+/// buffer.
+SmallBytes encode_icmp_error(IcmpType type, std::uint8_t code,
+                             const Ipv4Header& received_header,
+                             std::span<const std::uint8_t> transport_bytes);
 
 /// Parses the quotation inside an ICMP error body: the inner IP header and
 /// whatever transport bytes were included. Quotes truncated below the full

@@ -7,7 +7,7 @@
 namespace ecnprobe::wire {
 
 util::Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
-  const auto parts = util::split(text, '.');
+  const auto parts = util::split_views(text, '.');
   if (parts.size() != 4) {
     return util::make_error("ipv4.parse", "expected four dotted octets");
   }
@@ -41,7 +41,8 @@ std::string_view to_string(IpProto p) {
   return "proto?";
 }
 
-void Ipv4Header::encode(ByteWriter& out) const {
+template <class Buffer>
+void Ipv4Header::encode(BasicByteWriter<Buffer>& out) const {
   const std::size_t start = out.size();
   out.u8(0x45);  // version 4, IHL 5
   out.u8(tos_octet());
@@ -59,6 +60,8 @@ void Ipv4Header::encode(ByteWriter& out) const {
   const auto header_bytes = out.view().subspan(start, kSize);
   out.patch_u16(start + 10, internet_checksum(header_bytes));
 }
+template void Ipv4Header::encode(ByteWriter&) const;
+template void Ipv4Header::encode(SegmentWriter&) const;
 
 util::Expected<Ipv4Decoded> decode_ipv4_header(std::span<const std::uint8_t> data) {
   ByteReader in(data);

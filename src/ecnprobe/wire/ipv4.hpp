@@ -14,6 +14,9 @@
 
 namespace ecnprobe::wire {
 
+template <class Buffer>
+class BasicByteWriter;
+
 /// IPv4 address held in host byte order for arithmetic convenience; the
 /// codec converts to network order at the wire boundary.
 class Ipv4Address {
@@ -76,7 +79,8 @@ struct Ipv4Header {
   Ipv4Address dst;
 
   /// Serialises the 20-byte header with a freshly computed checksum.
-  void encode(class ByteWriter& out) const;
+  template <class Buffer>
+  void encode(BasicByteWriter<Buffer>& out) const;
 
   /// The former ToS octet: DSCP in the high six bits, ECN in the low two.
   std::uint8_t tos_octet() const {

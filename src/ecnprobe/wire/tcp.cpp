@@ -53,7 +53,8 @@ std::string TcpFlags::to_string() const {
   return out.empty() ? "-" : out;
 }
 
-void TcpHeader::encode(ByteWriter& out) const {
+template <class Buffer>
+void TcpHeader::encode(BasicByteWriter<Buffer>& out) const {
   out.u16(src_port);
   out.u16(dst_port);
   out.u32(seq);
@@ -67,6 +68,8 @@ void TcpHeader::encode(ByteWriter& out) const {
   out.bytes(options);
   out.zeros(padded_opts - options.size());
 }
+template void TcpHeader::encode(ByteWriter&) const;
+template void TcpHeader::encode(SegmentWriter&) const;
 
 util::Expected<TcpDecoded> decode_tcp_header(std::span<const std::uint8_t> data) {
   ByteReader in(data);
@@ -96,10 +99,9 @@ std::string TcpHeader::to_string() const {
                     ack, flags.to_string().c_str(), window);
 }
 
-std::vector<std::uint8_t> encode_tcp_segment(Ipv4Address src, Ipv4Address dst,
-                                             const TcpHeader& header,
-                                             std::span<const std::uint8_t> payload) {
-  ByteWriter out(header.header_len() + payload.size());
+SmallBytes encode_tcp_segment(Ipv4Address src, Ipv4Address dst, const TcpHeader& header,
+                              std::span<const std::uint8_t> payload) {
+  SegmentWriter out(header.header_len() + payload.size());
   TcpHeader h = header;
   h.checksum = 0;
   h.encode(out);

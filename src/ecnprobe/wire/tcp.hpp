@@ -12,6 +12,7 @@
 
 #include "ecnprobe/util/expected.hpp"
 #include "ecnprobe/wire/ipv4.hpp"
+#include "ecnprobe/wire/small_bytes.hpp"
 
 namespace ecnprobe::wire {
 
@@ -59,7 +60,8 @@ struct TcpHeader {
 
   std::size_t header_len() const { return kMinSize + options.size(); }
 
-  void encode(class ByteWriter& out) const;
+  template <class Buffer>
+  void encode(BasicByteWriter<Buffer>& out) const;
 
   std::string to_string() const;
 };
@@ -80,9 +82,8 @@ std::vector<std::uint8_t> make_mss_option(std::uint16_t mss);
 std::optional<std::uint16_t> find_mss_option(std::span<const std::uint8_t> options);
 
 /// Serialises header+payload with a correct pseudo-header checksum.
-std::vector<std::uint8_t> encode_tcp_segment(Ipv4Address src, Ipv4Address dst,
-                                             const TcpHeader& header,
-                                             std::span<const std::uint8_t> payload);
+SmallBytes encode_tcp_segment(Ipv4Address src, Ipv4Address dst, const TcpHeader& header,
+                              std::span<const std::uint8_t> payload);
 
 struct TcpSegmentView {
   TcpHeader header;

@@ -5,12 +5,15 @@
 
 namespace ecnprobe::wire {
 
-void UdpHeader::encode(ByteWriter& out) const {
+template <class Buffer>
+void UdpHeader::encode(BasicByteWriter<Buffer>& out) const {
   out.u16(src_port);
   out.u16(dst_port);
   out.u16(length);
   out.u16(checksum);
 }
+template void UdpHeader::encode(ByteWriter&) const;
+template void UdpHeader::encode(SegmentWriter&) const;
 
 util::Expected<UdpHeader> UdpHeader::decode(std::span<const std::uint8_t> data) {
   ByteReader in(data);
@@ -24,16 +27,15 @@ util::Expected<UdpHeader> UdpHeader::decode(std::span<const std::uint8_t> data) 
   return h;
 }
 
-std::vector<std::uint8_t> encode_udp_segment(Ipv4Address src, Ipv4Address dst,
-                                             std::uint16_t src_port, std::uint16_t dst_port,
-                                             std::span<const std::uint8_t> payload) {
+SmallBytes encode_udp_segment(Ipv4Address src, Ipv4Address dst, std::uint16_t src_port,
+                              std::uint16_t dst_port, std::span<const std::uint8_t> payload) {
   UdpHeader h;
   h.src_port = src_port;
   h.dst_port = dst_port;
   h.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
   h.checksum = 0;
 
-  ByteWriter out(UdpHeader::kSize + payload.size());
+  SegmentWriter out(UdpHeader::kSize + payload.size());
   h.encode(out);
   out.bytes(payload);
   std::uint16_t csum = transport_checksum(src.value(), dst.value(),

@@ -4,10 +4,10 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "ecnprobe/util/expected.hpp"
 #include "ecnprobe/wire/ipv4.hpp"
+#include "ecnprobe/wire/small_bytes.hpp"
 
 namespace ecnprobe::wire {
 
@@ -19,14 +19,14 @@ struct UdpHeader {
   std::uint16_t length = 0;    ///< header + payload
   std::uint16_t checksum = 0;  ///< 0 = not computed (legal for IPv4)
 
-  void encode(class ByteWriter& out) const;
+  template <class Buffer>
+  void encode(BasicByteWriter<Buffer>& out) const;
   static util::Expected<UdpHeader> decode(std::span<const std::uint8_t> data);
 };
 
 /// Serialises header+payload with a correct pseudo-header checksum.
-std::vector<std::uint8_t> encode_udp_segment(Ipv4Address src, Ipv4Address dst,
-                                             std::uint16_t src_port, std::uint16_t dst_port,
-                                             std::span<const std::uint8_t> payload);
+SmallBytes encode_udp_segment(Ipv4Address src, Ipv4Address dst, std::uint16_t src_port,
+                              std::uint16_t dst_port, std::span<const std::uint8_t> payload);
 
 /// Parsed UDP segment view: header plus the payload bytes that follow it.
 struct UdpSegmentView {

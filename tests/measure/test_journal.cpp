@@ -75,7 +75,8 @@ TEST(CampaignJournal, RoundTripsTracesBitForBit) {
   ASSERT_EQ(reopened.entries().size(), 2u);
   ASSERT_TRUE(reopened.has(0));
   ASSERT_TRUE(reopened.has(3));
-  const auto& entry = reopened.entries().at(3);
+  ASSERT_TRUE(reopened.entries().at(3).has_value());
+  const auto& entry = *reopened.entries().at(3);
   const auto original = sample_trace(3);
   EXPECT_EQ(entry.trace.vantage, original.vantage);
   EXPECT_EQ(entry.trace.batch, original.batch);

@@ -138,7 +138,10 @@ bool open_and_check(const std::string& path) {
     return false;
   }
   EXPECT_LE(journal.entries().size(), static_cast<std::size_t>(kEntries));
-  for (const auto& [index, entry] : journal.entries()) {
+  for (const auto& [index, recovered] : journal.entries()) {
+    EXPECT_TRUE(recovered.has_value()) << "open() recovers every record it counts";
+    if (!recovered) continue;
+    const auto& entry = *recovered;
     const Trace original = fuzz_trace(index);
     EXPECT_EQ(entry.trace.index, index);
     EXPECT_EQ(entry.trace.vantage, original.vantage);

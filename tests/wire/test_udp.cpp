@@ -37,7 +37,7 @@ TEST(Udp, ChecksumCoversAddresses) {
 TEST(Udp, PayloadCorruptionDetected) {
   const std::uint8_t payload[] = {1, 2, 3};
   auto segment = encode_udp_segment(kSrc, kDst, 1, 2, payload);
-  segment.back() ^= 0x01;
+  segment[segment.size() - 1] ^= 0x01;
   const auto view = decode_udp_segment(kSrc, kDst, segment);
   ASSERT_TRUE(view);
   EXPECT_FALSE(view->checksum_ok);
