@@ -12,11 +12,14 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "bench_common.hpp"
 #include "ecnprobe/measure/probe.hpp"
+#include "ecnprobe/netsim/event_queue.hpp"
 #include "ecnprobe/netsim/host.hpp"
 #include "ecnprobe/netsim/network.hpp"
 #include "ecnprobe/netsim/router.hpp"
@@ -209,8 +212,8 @@ constexpr CampaignMixRow kCampaignMix[] = {
 /// each push (median 32, peak 119): the cancelled timers in flight, most of
 /// them far beyond the wheel's horizon, make up the rest. Consecutive events
 /// are usually many empty buckets apart, so this shape prices finding the
-/// next one. Both schedulers run the same calls, so the ratio is the
-/// scheduler's alone.
+/// next one. Both queues run the same calls, so the ratio is the queue's
+/// alone.
 TimerShape sparse_shape() {
   util::Rng rng(8);
   TimerShape shape{5, {}};
@@ -236,22 +239,80 @@ TimerShape sparse_shape() {
   return shape;
 }
 
-/// One scheduler's run of a timer shape.
+/// The reference the calendar queue is measured against: a binary heap
+/// ordered by (when, seq), the scheduler the simulator ran before it.
+class HeapQueue {
+public:
+  void push(netsim::SimEvent&& ev) {
+    heap_.push_back(std::move(ev));
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  netsim::SimEvent pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    netsim::SimEvent out = std::move(heap_.back());
+    heap_.pop_back();
+    return out;
+  }
+  bool empty() const { return heap_.empty(); }
+
+private:
+  struct Later {
+    bool operator()(const netsim::SimEvent& a, const netsim::SimEvent& b) const {
+      return b.before(a);
+    }
+  };
+  std::vector<netsim::SimEvent> heap_;
+};
+
+/// Drives a queue the way netsim::Simulator does, and nothing more, so both
+/// queues run the same code around their push and pop: schedule() files an
+/// event with a shared cancellation flag, post() one without, and run()
+/// fires events in order and reaps the cancelled ones.
+template <typename Queue>
+struct TimerDriver {
+  Queue queue;
+  util::SimTime now;
+  std::uint64_t seq = 0;
+  std::uint64_t fired = 0;
+
+  template <typename F>
+  std::shared_ptr<bool> schedule(util::SimDuration delay, F&& fn) {
+    auto cancelled = std::make_shared<bool>(false);
+    queue.push({now + delay, seq++, util::UniqueFunction(std::forward<F>(fn)), cancelled, now});
+    return cancelled;
+  }
+  template <typename F>
+  void post(util::SimDuration delay, F&& fn) {
+    queue.push({now + delay, seq++, util::UniqueFunction(std::forward<F>(fn)), nullptr, now});
+  }
+  void run() {
+    while (!queue.empty()) {
+      netsim::SimEvent ev = queue.pop();
+      if (ev.cancelled && *ev.cancelled) continue;  // reaped
+      now = ev.when;
+      if (ev.cancelled) *ev.cancelled = true;
+      ev.fn();
+      ++fired;
+    }
+  }
+};
+
+/// One queue's run of a timer shape.
 struct TimerRun {
   double events_per_sec;  ///< fired events/s; reaping cancelled timers is timed too
   double words_per_pop;   ///< calendar bitmap words tested per queue pop (0 on the heap)
 };
 
-/// Steady-state timer throughput of `shape` on one scheduler.
-TimerRun run_timers(netsim::SchedulerKind kind, const TimerShape& shape,
-                    std::uint64_t budget) {
-  netsim::Simulator sim(kind);
+/// Steady-state timer throughput of `shape` on `Queue`.
+template <typename Queue>
+TimerRun run_timers(const TimerShape& shape, std::uint64_t budget) {
+  TimerDriver<Queue> driver;
 
   // Self-rescheduling timer state shared by reference: the per-event
-  // closure is one pointer, so it rides the schedulers' inline storage on
-  // both paths and the comparison isolates the scheduling machinery itself.
+  // closure is one pointer, so it rides the events' inline storage on both
+  // paths and the comparison isolates the queue itself.
   struct TickState {
-    netsim::Simulator& sim;
+    TimerDriver<Queue>& driver;
     const std::vector<TimerDraw>& draws;
     std::uint64_t remaining;
     std::uint64_t cursor = 0;
@@ -262,28 +323,31 @@ TimerRun run_timers(netsim::SchedulerKind kind, const TimerShape& shape,
       for (;;) {
         const TimerDraw& draw = draws[cursor++ & 1023];
         if (draw.cancelled) {
-          sim.schedule(draw.delay, [] {}).cancel();
+          *driver.schedule(draw.delay, [] {}) = true;
           ++cancelled;
         } else if (draw.handle) {
-          (void)sim.schedule(draw.delay, [this] { fire(); });
+          (void)driver.schedule(draw.delay, [this] { fire(); });
           return;
         } else {
-          sim.post(draw.delay, [this] { fire(); });
+          driver.post(draw.delay, [this] { fire(); });
           return;
         }
       }
     }
   };
-  TickState tick{sim, shape.draws, budget};
+  TickState tick{driver, shape.draws, budget};
   for (int i = 0; i < shape.timers; ++i) tick.fire();
 
   const bench::Stopwatch timer;
-  sim.run();
+  driver.run();
   const double seconds = timer.seconds();
-  const auto fired = static_cast<double>(sim.events_processed());
-  return {seconds > 0.0 ? fired / seconds : 0.0,
-          static_cast<double>(sim.bitmap_words_tested()) /
-              (fired + static_cast<double>(tick.cancelled))};
+  const auto fired = static_cast<double>(driver.fired);
+  double words_per_pop = 0.0;
+  if constexpr (std::is_same_v<Queue, netsim::CalendarQueue>) {
+    words_per_pop = static_cast<double>(driver.queue.bitmap_words_tested()) /
+                    (fired + static_cast<double>(tick.cancelled));
+  }
+  return {seconds > 0.0 ? fired / seconds : 0.0, words_per_pop};
 }
 
 /// Full four-way probes through the small calibrated world; returns
@@ -311,8 +375,8 @@ std::pair<double, double> probe_throughput(int probes) {
 
 /// Adds the calendar's throughput on `calendar_shape`, the heap's on
 /// `legacy_shape`, their guarded ratio, and the calendar's bitmap words
-/// tested per pop. The ratios gate CI, so squeeze scheduler noise out: the
-/// rounds interleave the two schedulers, alternating which runs first, and
+/// tested per pop. The ratios gate CI, so squeeze host noise out: the
+/// rounds interleave the two queues, alternating which runs first, and
 /// keep each one's best. The word count is deterministic -- every round
 /// reads the same -- and is guarded exactly: walking empty buckets instead
 /// of jumping to the next occupied one changes it whatever the host's speed.
@@ -322,14 +386,12 @@ void add_scheduler_comparison(bench::BenchJson& json, const TimerShape& calendar
   constexpr int kRounds = 9;
   double overhauled = 0.0, legacy = 0.0, words_per_pop = 0.0;
   const auto run_calendar = [&] {
-    const TimerRun run =
-        run_timers(netsim::SchedulerKind::Calendar, calendar_shape, kBudget);
+    const TimerRun run = run_timers<netsim::CalendarQueue>(calendar_shape, kBudget);
     overhauled = std::max(overhauled, run.events_per_sec);
     words_per_pop = run.words_per_pop;
   };
   const auto run_legacy = [&] {
-    legacy = std::max(legacy, run_timers(netsim::SchedulerKind::LegacyHeap, legacy_shape,
-                                         kBudget).events_per_sec);
+    legacy = std::max(legacy, run_timers<HeapQueue>(legacy_shape, kBudget).events_per_sec);
   };
   for (int round = 0; round < kRounds; ++round) {
     if (round % 2 == 0) {

@@ -2,8 +2,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <iterator>
-#include <sstream>
 
 #include "ecnprobe/obs/codec.hpp"
 #include "ecnprobe/util/hash.hpp"
@@ -176,17 +174,20 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
 
   std::ifstream in(path, std::ios::binary);
   if (in.is_open()) {
-    const std::string text(std::istreambuf_iterator<char>(in), {});
-    in.close();
     // A record is committed once its newline is on disk. A kill inside
-    // append() can leave only an unterminated last line: it is dropped
-    // here and truncated away below, so appending resumes on a line
+    // append() can leave only an unterminated last line: it is not read as
+    // a record, and is truncated away below, so appending resumes on a line
     // boundary instead of gluing the next record onto the torn one.
-    const std::size_t committed = text.rfind('\n') + 1;  // 0 when there is none
-    std::istringstream lines(text.substr(0, committed));
     std::string line;
+    std::string torn;             // the unterminated last line, if any
+    std::uintmax_t committed = 0;  // bytes through the last newline
     int line_no = 0;
-    while (std::getline(lines, line)) {
+    while (std::getline(in, line)) {
+      if (in.eof()) {  // no newline after it
+        torn = std::move(line);
+        break;
+      }
+      committed += line.size() + 1;
       ++line_no;
       if (line.empty()) continue;
       if (line_no == 1) {
@@ -239,14 +240,15 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
       entry.delta = std::move(*delta);
       entries_[index] = std::move(entry);
     }
+    in.close();
     if (line_no == 0) {
       // Nothing committed: a zero-length file, or a header torn by a crash
       // before its newline -- treat as fresh. Anything else is not this
       // journal.
-      const std::string torn_header = header_line(meta, header_version(text));
-      if (torn_header.compare(0, text.size(), text) != 0) {
+      const std::string torn_header = header_line(meta, header_version(torn));
+      if (torn_header.compare(0, torn.size(), torn) != 0) {
         if (error != nullptr) {
-          *error = "journal " + path + " belongs to a different campaign\n  have: " + text +
+          *error = "journal " + path + " belongs to a different campaign\n  have: " + torn +
                    "\n  want: " + torn_header;
         }
         return false;
@@ -259,7 +261,7 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
       out_ << header_line(meta) << '\n' << std::flush;
       return true;
     }
-    if (committed < text.size()) {
+    if (!torn.empty()) {
       std::error_code ec;
       std::filesystem::resize_file(path, committed, ec);
       if (ec) {
@@ -284,6 +286,16 @@ bool CampaignJournal::open(const std::string& path, const JournalMeta& meta,
   }
   out_ << header_line(meta) << '\n' << std::flush;
   return true;
+}
+
+std::vector<std::pair<int, CampaignJournal::Entry>> CampaignJournal::take_recovered() {
+  std::vector<std::pair<int, Entry>> recovered;
+  for (auto& [index, entry] : entries_) {
+    if (!entry) continue;
+    recovered.emplace_back(index, std::move(*entry));
+    entry.reset();
+  }
+  return recovered;
 }
 
 bool CampaignJournal::append(const Trace& trace, const obs::ObsSnapshot& delta) {

@@ -35,6 +35,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ecnprobe/measure/campaign.hpp"
 #include "ecnprobe/measure/results.hpp"
@@ -81,12 +83,17 @@ public:
   bool open(const std::string& path, const JournalMeta& meta, std::string* error);
 
   /// Every journaled trace, by campaign index. A record open() recovered
-  /// from disk carries its trace and delta; a trace appended since keeps
-  /// only its index (nullopt): its record is on disk, and reopening the
-  /// journal reads it back. So a checkpointed campaign does not hold its
-  /// traces twice.
+  /// from disk carries its trace and delta until take_recovered() hands it
+  /// over; a trace appended since keeps only its index (nullopt): its
+  /// record is on disk, and reopening the journal reads it back. So a
+  /// checkpointed or resumed campaign does not hold its traces twice.
   const std::map<int, std::optional<Entry>>& entries() const { return entries_; }
   bool has(int index) const { return entries_.count(index) != 0; }
+
+  /// Moves every record open() recovered out of the journal, in index
+  /// order, for the executor to replay; entries() and has() still count
+  /// their indices.
+  std::vector<std::pair<int, Entry>> take_recovered();
 
   /// Appends one completed trace and flushes; entries() keeps its index.
   bool append(const Trace& trace, const obs::ObsSnapshot& delta);

@@ -262,12 +262,12 @@ void ParallelCampaign::run(const CampaignPlan& plan, const TraceSink& sink) {
   std::vector<bool> replayed(schedule.size());
   if (journal_ != nullptr) {
     int prefilled = 0;
-    for (const auto& [index, entry] : journal_->entries()) {
-      // An index appended since open() has no record here: the trace runs
-      // again, and append() finds it already durable.
-      if (!entry || index < 0 || static_cast<std::size_t>(index) >= schedule.size()) continue;
+    // An index appended since open() has no record to take: the trace runs
+    // again, and append() finds it already durable.
+    for (auto& [index, entry] : journal_->take_recovered()) {
+      if (index < 0 || static_cast<std::size_t>(index) >= schedule.size()) continue;
       replayed[static_cast<std::size_t>(index)] = true;
-      commit(index, PendingTrace{entry->trace, entry->delta, {}}, sink);
+      commit(index, PendingTrace{std::move(entry.trace), std::move(entry.delta), {}}, sink);
       ++prefilled;
     }
     completed_.store(prefilled, std::memory_order_relaxed);

@@ -1,35 +1,11 @@
 #include "ecnprobe/netsim/event_queue.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 namespace ecnprobe::netsim {
-
-SchedulerKind scheduler_kind_from_env() {
-  if (const char* env = std::getenv("ECNPROBE_SCHEDULER")) {
-    if (std::strcmp(env, "heap") == 0) return SchedulerKind::LegacyHeap;
-  }
-  return SchedulerKind::Calendar;
-}
-
-// ---------------------------------------------------------------- LegacyHeap
-
-void LegacyHeapQueue::push(SimEvent&& ev) {
-  heap_.push_back(std::move(ev));
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-SimEvent LegacyHeapQueue::pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  SimEvent out = std::move(heap_.back());
-  heap_.pop_back();
-  return out;
-}
-
-// ------------------------------------------------------------- CalendarQueue
 
 CalendarQueue::CalendarQueue(std::int64_t bucket_width_ns, std::size_t bucket_count)
     : width_ns_(bucket_width_ns > 0 ? bucket_width_ns : kDefaultBucketWidthNs),

@@ -1,26 +1,18 @@
-// Event-queue implementations behind netsim::Simulator. Two schedulers
-// share one contract -- events pop in ascending (when, seq) order, where
-// `seq` is the global insertion sequence number -- so their firing order is
-// bit-identical and either can replay a campaign:
+// The event queue behind netsim::Simulator: a calendar queue, a bucketed
+// integer-nanosecond wheel with an overflow ladder. push/pop are O(1)
+// amortized: near-future events land in a circular array of time buckets;
+// events beyond the wheel's horizon wait in a binary-heap ladder and are
+// re-bucketed when the wheel drains down to them. Buckets retain their
+// capacity across clear(), so per-trace steady state performs no heap
+// allocation.
 //
-//  * CalendarQueue (the default): a bucketed integer-nanosecond wheel with
-//    an overflow ladder. push/pop are O(1) amortized: near-future events
-//    land in a circular array of time buckets; events beyond the wheel's
-//    horizon wait in a binary-heap ladder and are re-bucketed when the
-//    wheel drains down to them. Buckets retain their capacity across
-//    clear(), so per-trace steady state performs no heap allocation.
-//
-//  * LegacyHeapQueue: the pre-calendar std::priority_queue-equivalent
-//    binary heap, kept compilable and selectable (ECNPROBE_SCHEDULER=heap
-//    or SchedulerKind::LegacyHeap) as the reference implementation for the
-//    differential scheduler tests.
-//
-// The FIFO tie-break is explicit: `seq` is part of the ordering key, not an
-// accident of container behaviour. Two events scheduled for the same
-// nanosecond fire in scheduling order on both schedulers, by construction.
+// Events pop in ascending (when, seq) order, where `seq` is the global
+// insertion sequence number. The FIFO tie-break is explicit: `seq` is part
+// of the ordering key, not an accident of container behaviour, so two
+// events scheduled for the same nanosecond fire in scheduling order by
+// construction, and a campaign replays identically for a given seed.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -42,40 +34,11 @@ struct SimEvent {
   std::shared_ptr<bool> cancelled;
   SimTime scheduled_at;
 
-  /// The total order both schedulers pop in.
+  /// The total order the queue pops in.
   bool before(const SimEvent& other) const {
     if (when != other.when) return when < other.when;
     return seq < other.seq;
   }
-};
-
-/// Which scheduler a Simulator runs on.
-enum class SchedulerKind {
-  Calendar,    ///< calendar-queue wheel + overflow ladder (default)
-  LegacyHeap,  ///< reference binary heap (differential tests)
-};
-
-/// Reads ECNPROBE_SCHEDULER ("calendar" | "heap"); defaults to Calendar.
-SchedulerKind scheduler_kind_from_env();
-
-/// The reference scheduler: a binary heap ordered by (when, seq), exactly
-/// the ordering the old std::priority_queue<Event, vector, Later> had.
-class LegacyHeapQueue {
-public:
-  void push(SimEvent&& ev);
-  SimEvent pop();
-  /// Key of the earliest queued event (cancelled entries included, matching
-  /// the historical run_until() semantics). Undefined when empty.
-  SimTime min_when() const { return heap_.front().when; }
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  void clear() { heap_.clear(); }
-
-private:
-  struct Later {
-    bool operator()(const SimEvent& a, const SimEvent& b) const { return b.before(a); }
-  };
-  std::vector<SimEvent> heap_;
 };
 
 /// Calendar queue: a circular array of `bucket_count` buckets, each
@@ -130,7 +93,6 @@ public:
   static constexpr std::int64_t kMinBucketWidthNs = 64;
 
   // -- introspection for tests/benches --------------------------------------
-  std::size_t wheel_size() const { return wheel_count_; }
   std::size_t ladder_size() const { return ladder_.size(); }
   std::size_t bucket_count() const { return buckets_.size(); }
   std::int64_t bucket_width_ns() const { return width_ns_; }
@@ -178,46 +140,6 @@ private:
   std::size_t size_ = 0;
   std::uint64_t resizes_ = 0;
   std::uint64_t words_tested_ = 0;
-};
-
-/// The facade Simulator drives: one scheduler active per instance, chosen
-/// at construction. A branch on the kind per operation is cheaper than a
-/// virtual dispatch and keeps both implementations trivially inlinable.
-class EventQueue {
-public:
-  explicit EventQueue(SchedulerKind kind) : kind_(kind) {}
-
-  SchedulerKind kind() const { return kind_; }
-
-  void push(SimEvent&& ev) {
-    if (kind_ == SchedulerKind::Calendar) calendar_.push(std::move(ev));
-    else heap_.push(std::move(ev));
-  }
-  SimEvent pop() {
-    return kind_ == SchedulerKind::Calendar ? calendar_.pop() : heap_.pop();
-  }
-  SimTime min_when() {
-    return kind_ == SchedulerKind::Calendar ? calendar_.min_when() : heap_.min_when();
-  }
-  bool empty() const {
-    return kind_ == SchedulerKind::Calendar ? calendar_.empty() : heap_.empty();
-  }
-  std::size_t size() const {
-    return kind_ == SchedulerKind::Calendar ? calendar_.size() : heap_.size();
-  }
-  /// CalendarQueue::bitmap_words_tested(); 0 on the heap.
-  std::uint64_t bitmap_words_tested() const {
-    return kind_ == SchedulerKind::Calendar ? calendar_.bitmap_words_tested() : 0;
-  }
-  void clear() {
-    if (kind_ == SchedulerKind::Calendar) calendar_.clear();
-    else heap_.clear();
-  }
-
-private:
-  SchedulerKind kind_;
-  CalendarQueue calendar_;
-  LegacyHeapQueue heap_;
 };
 
 }  // namespace ecnprobe::netsim

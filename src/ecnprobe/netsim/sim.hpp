@@ -2,12 +2,8 @@
 // deterministic FIFO tie-breaking: the ordering key is explicitly
 // (timestamp, insertion sequence number), so two events scheduled for the
 // same nanosecond fire in scheduling order and a campaign replays
-// identically for a given seed -- on either scheduler backend.
-//
-// The backend is a calendar queue by default (see event_queue.hpp); the
-// pre-calendar binary heap stays selectable via SchedulerKind::LegacyHeap or
-// ECNPROBE_SCHEDULER=heap for differential testing. Both produce the same
-// event order bit for bit because they share the same total order.
+// identically for a given seed. The queue is a calendar queue (see
+// event_queue.hpp).
 #pragma once
 
 #include <cstdint>
@@ -45,12 +41,11 @@ private:
 
 class Simulator {
 public:
-  explicit Simulator(SchedulerKind kind = scheduler_kind_from_env()) : queue_(kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
-  SchedulerKind scheduler_kind() const { return queue_.kind(); }
 
   /// Schedules `fn` to run at `now() + delay` (delays clamp to zero).
   template <typename F>
@@ -101,7 +96,7 @@ public:
   /// timestamp check looks at the earliest *queued* entry including
   /// already-cancelled ones, and firing then skips past cancelled entries --
   /// so a cancelled event at <= `until` can pull in one live event beyond
-  /// `until`. Both schedulers reproduce this exactly.
+  /// `until`.
   std::size_t run_until(SimTime until);
 
   /// Discards every pending event and idle callback without firing them.
@@ -115,8 +110,6 @@ public:
   /// scheduler pressure gauge. One branch on the schedule path.
   std::size_t events_high_water() const { return live_high_water_; }
   std::size_t idle_callbacks_pending() const { return idle_.size(); }
-  /// The calendar queue's search cost (CalendarQueue::bitmap_words_tested).
-  std::uint64_t bitmap_words_tested() const { return queue_.bitmap_words_tested(); }
 
   /// Event-loop instrumentation: a fired-events counter and a histogram of
   /// the *simulated* delay between scheduling and firing (both measured in
@@ -130,7 +123,7 @@ private:
   bool fire_next();
   void assert_owner();
 
-  EventQueue queue_;
+  CalendarQueue queue_;
   std::deque<std::function<void()>> idle_;
   SimTime now_;
   std::uint64_t next_seq_ = 0;

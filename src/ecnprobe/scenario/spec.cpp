@@ -1,6 +1,8 @@
 #include "ecnprobe/scenario/spec.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -17,24 +19,23 @@ namespace {
 constexpr int kMaxTraces = 1 << 20;
 constexpr int kMaxWorkers = 256;
 
-/// One row per key: whether JSON carries it as a number (else a string),
-/// and the one refusal for a value that is malformed or out of range,
-/// whichever form it arrived in.
+/// One row per key: for a number key (a JSON number), the values it
+/// admits; a string key has none. A malformed or out-of-range value is
+/// refused with one message whichever form it arrived in.
 struct Field {
   std::string_view key;
-  bool number;
-  std::string_view rule;
+  std::optional<util::OptionRange> range;
 };
 
 constexpr Field kFields[] = {
-    {"scale", true, "must be a number in (0, 1]"},
-    {"seed", true, "must be a non-negative integer"},
-    {"traces", true, "must be an integer in [0, 1048576]"},
-    {"workers", true, "must be an integer in [1, 256]"},
-    {"faults", false, "must be a string"},
-    {"telemetry", false, "must be a string"},
-    {"timeseries", false, "must be a string"},
-    {"sched", false, "must be a string"},
+    {"scale", util::number_in(0.0, 1.0, /*lo_open=*/true)},
+    {"seed", util::integer_in(0, UINT64_MAX)},
+    {"traces", util::integer_in(0, kMaxTraces)},
+    {"workers", util::integer_in(1, kMaxWorkers)},
+    {"faults", std::nullopt},
+    {"telemetry", std::nullopt},
+    {"timeseries", std::nullopt},
+    {"sched", std::nullopt},
 };
 
 util::Error spec_error(const std::string& message) {
@@ -51,7 +52,14 @@ const Field* find_field(std::string_view key) {
 }
 
 util::Error refuse(std::string_view key) {
-  return spec_error(quoted(key) + " " + std::string(find_field(key)->rule));
+  const auto& range = find_field(key)->range;
+  return spec_error(quoted(key) + " must be " +
+                    (range ? util::describe(*range) : std::string("a string")));
+}
+
+/// Whether a number key's value lies in its row's range.
+bool in_range(std::string_view key, auto value) {
+  return util::admits(*find_field(key)->range, value);
 }
 
 template <typename T>
@@ -83,9 +91,10 @@ bool set_field(CampaignSpec& spec, std::string_view key, std::string_view text) 
 
 /// The ranges and the sub-spec parsers; on success, what the spec resolves to.
 util::Expected<ResolvedCampaign> check(const CampaignSpec& spec) {
-  if (!(spec.scale > 0.0 && spec.scale <= 1.0)) return refuse("scale");
-  if (spec.traces < 0 || spec.traces > kMaxTraces) return refuse("traces");
-  if (spec.workers < 1 || spec.workers > kMaxWorkers) return refuse("workers");
+  if (!in_range("scale", spec.scale)) return refuse("scale");
+  if (!in_range("seed", spec.seed)) return refuse("seed");
+  if (!in_range("traces", spec.traces)) return refuse("traces");
+  if (!in_range("workers", spec.workers)) return refuse("workers");
   const auto sub_error = [](std::string_view key, const util::Error& error) {
     return spec_error(quoted(key) + ": " + error.message);
   };
@@ -144,8 +153,9 @@ util::Expected<CampaignSpec> CampaignSpec::from_json(const util::JsonValue& doc)
   for (const auto& [key, value] : doc.object) {
     const Field* field = find_field(key);
     if (field == nullptr) return spec_error("unknown key " + quoted(key));
-    if (!value.is(field->number ? Kind::Number : Kind::String) ||
-        !set_field(spec, key, field->number ? value.raw_number : value.string)) {
+    const bool number = field->range.has_value();
+    if (!value.is(number ? Kind::Number : Kind::String) ||
+        !set_field(spec, key, number ? value.raw_number : value.string)) {
       return refuse(key);
     }
   }

@@ -137,7 +137,8 @@ std::string bound_text(double x) {
          text.substr(text.find_first_not_of("+-0", e + 1));
 }
 
-/// "an integer in [1, 100]", "a number in (0, 1e9]".
+}  // namespace
+
 std::string describe(const OptionRange& range) {
   if (range.integer) {
     return "an integer in [" + std::to_string(range.min) + ", " +
@@ -148,17 +149,11 @@ std::string describe(const OptionRange& range) {
               range.hi_open ? ')' : ']');
 }
 
-}  // namespace
-
 Expected<OptionValue> read_option(const Option& option, const OptionRange& range) {
   if (range.integer) {
     const auto n = parse_integer<std::uint64_t>(option.value);
-    if (n && *n >= range.min && *n <= range.max) {
-      return OptionValue{*n, static_cast<double>(*n)};
-    }
-  } else if (const auto x = parse_number(option.value);
-             x && (range.lo_open ? *x > range.lo : *x >= range.lo) &&
-             (range.hi_open ? *x < range.hi : *x <= range.hi)) {
+    if (n && admits(range, *n)) return OptionValue{*n, static_cast<double>(*n)};
+  } else if (const auto x = parse_number(option.value); x && admits(range, *x)) {
     return OptionValue{0, *x + 0.0};  // -0 reads as 0: equal plans serialise equally
   }
   return make_error("option", std::string(option.key) + " must be " + describe(range) +

@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ecnprobe/util/expected.hpp"
@@ -100,6 +102,23 @@ constexpr OptionRange number_in(double lo, double hi, bool lo_open = false,
                                 bool hi_open = false) {
   return {.lo = lo, .hi = hi, .lo_open = lo_open, .hi_open = hi_open};
 }
+
+/// Whether `range` admits the integer `n`; a number range admits none.
+template <std::integral T>
+constexpr bool admits(const OptionRange& range, T n) {
+  return range.integer && std::cmp_greater_equal(n, range.min) &&
+         std::cmp_less_equal(n, range.max);
+}
+
+/// Whether `range` admits the number `x`; an integer range admits none.
+constexpr bool admits(const OptionRange& range, double x) {
+  return !range.integer && (range.lo_open ? x > range.lo : x >= range.lo) &&
+         (range.hi_open ? x < range.hi : x <= range.hi);
+}
+
+/// The values `range` admits, as a refusal quotes them: "an integer in
+/// [1, 100]", "an integer in [0, 2^64)", "a number in (0, 1e9]".
+std::string describe(const OptionRange& range);
 
 /// An admitted value: an integer is in `integer`, all 64 bits, and in
 /// `number`; a number is in `number` only.

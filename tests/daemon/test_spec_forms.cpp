@@ -148,6 +148,25 @@ TEST(CampaignSpecForms, FlagsAndJsonRefuseEveryBadInputWithOneMessage) {
   }
 }
 
+TEST(CampaignSpecForms, NumberKeysRefuseWithTheirRange) {
+  const struct {
+    const char* key;
+    const char* value;
+    const char* range;
+  } cases[] = {
+      {"scale", "2", "a number in (0, 1]"},
+      {"seed", "-1", "an integer in [0, 2^64)"},
+      {"traces", "1048577", "an integer in [0, 1048576]"},
+      {"workers", "257", "an integer in [1, 256]"},
+  };
+  for (const auto& c : cases) {
+    const auto spec = scenario::CampaignSpec::from_args({std::string("--") + c.key, c.value});
+    ASSERT_FALSE(spec) << c.key;
+    EXPECT_EQ(spec.error().message, "invalid campaign spec: \"" + std::string(c.key) +
+                                        "\" must be " + c.range);
+  }
+}
+
 TEST(CampaignSpecForms, FlagFormRefusesMissingRepeatedAndStrayArguments) {
   const std::vector<std::vector<std::string>> refused = {
       {"--traces"},                           // no value

@@ -1,7 +1,7 @@
 // Property tests for the calendar-queue scheduler: under adversarial event
 // distributions -- same-tick bursts, far-future ladder spills, wheel resize
-// churn, interleaved push/pop -- the pop order must equal a reference sort
-// by (when, seq), and must match the legacy binary heap event for event.
+// churn, interleaved push/pop -- the pop order must equal a reference
+// ordered by (when, seq).
 #include "ecnprobe/netsim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -97,26 +99,27 @@ TEST(CalendarQueue, ResizeChurnKeepsOrder) {
   EXPECT_GT(queue.bucket_count(), 2u);
 }
 
-/// Drives `calendar` and the reference heap through one random push/pop
-/// sequence and expects identical pops, calling clear() on both halfway.
-/// Dense mode lets the population grow with immediate, same-tick, in-wheel
-/// and far events (ladder spills, grow_wheel rebuilds); sparse mode keeps a
-/// handful pending, 1 us to several rotations apart, the way a campaign
-/// does (cursor jumps across bitmap words and wraps, full drains re-anchor).
+/// Drives `calendar` and a reference min-heap of (when, seq) keys through
+/// one random push/pop sequence and expects identical pops, calling clear()
+/// on both halfway. Dense mode lets the population grow with immediate,
+/// same-tick, in-wheel and far events (ladder spills, grow_wheel rebuilds);
+/// sparse mode keeps a handful pending, 1 us to several rotations apart,
+/// the way a campaign does (cursor jumps across bitmap words and wraps, full
+/// drains re-anchor).
 void expect_matches_heap(CalendarQueue& calendar, bool sparse, std::uint64_t seed) {
   const auto rotation_ns =
       calendar.bucket_width_ns() * static_cast<std::int64_t>(calendar.bucket_count());
   const double max_gap_ns = 5.0 * static_cast<double>(rotation_ns);
-  LegacyHeapQueue heap;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> reference;
   util::Rng rng(seed);
   std::int64_t now = 0;
   std::uint64_t seq = 0;
   std::vector<Key> calendar_order;
-  std::vector<Key> heap_order;
+  std::vector<Key> reference_order;
   for (int round = 0; round < 20'000; ++round) {
     if (round == 10'000) {
       calendar.clear();
-      heap.clear();
+      reference = {};
     }
     const bool push = calendar.empty() ||
                       (sparse ? calendar.size() <= rng.next_below(6)
@@ -138,24 +141,23 @@ void expect_matches_heap(CalendarQueue& calendar, bool sparse, std::uint64_t see
         if (kind == 3) when += static_cast<std::int64_t>(rng.next_below(100'000'000));
       }
       calendar.push(make_event(when, seq));
-      heap.push(make_event(when, seq));
+      reference.emplace(when, seq);
       ++seq;
     } else {
-      ASSERT_EQ(calendar.min_when(), heap.min_when());
-      const SimEvent a = calendar.pop();
-      const SimEvent b = heap.pop();
-      calendar_order.push_back(key_of(a));
-      heap_order.push_back(key_of(b));
-      now = a.when.count_nanos();
+      ASSERT_EQ(calendar.min_when().count_nanos(), reference.top().first);
+      calendar_order.push_back(key_of(calendar.pop()));
+      reference_order.push_back(reference.top());
+      reference.pop();
+      now = calendar_order.back().first;
     }
-    ASSERT_EQ(calendar.size(), heap.size());
+    ASSERT_EQ(calendar.size(), reference.size());
   }
-  while (!calendar.empty()) {
-    calendar_order.push_back(key_of(calendar.pop()));
-    heap_order.push_back(key_of(heap.pop()));
+  while (!calendar.empty()) calendar_order.push_back(key_of(calendar.pop()));
+  while (!reference.empty()) {
+    reference_order.push_back(reference.top());
+    reference.pop();
   }
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(calendar_order, heap_order);
+  EXPECT_EQ(calendar_order, reference_order);
 }
 
 TEST(CalendarQueue, InterleavedPushPopMatchesLegacyHeap) {
@@ -217,32 +219,6 @@ TEST(CalendarQueue, BitmapWordsTestedCountOneWordPer64BucketsSkipped) {
   EXPECT_EQ(queue.bitmap_words_tested(), 9u);
   EXPECT_EQ(queue.pop().seq, 2u);
   EXPECT_EQ(queue.bitmap_words_tested(), 18u);
-}
-
-TEST(EventQueue, KindSelectsBackend) {
-  EventQueue calendar(SchedulerKind::Calendar);
-  EventQueue heap(SchedulerKind::LegacyHeap);
-  EXPECT_EQ(calendar.kind(), SchedulerKind::Calendar);
-  EXPECT_EQ(heap.kind(), SchedulerKind::LegacyHeap);
-  for (EventQueue* q : {&calendar, &heap}) {
-    q->push(make_event(50, 1));
-    q->push(make_event(50, 0));
-    q->push(make_event(10, 2));
-    EXPECT_EQ(q->min_when().count_nanos(), 10);
-    EXPECT_EQ(q->pop().seq, 2u);
-    EXPECT_EQ(q->pop().seq, 0u);  // same tick: insertion order
-    EXPECT_EQ(q->pop().seq, 1u);
-    EXPECT_TRUE(q->empty());
-  }
-}
-
-TEST(EventQueue, EnvVariableSelectsLegacyHeap) {
-  ::setenv("ECNPROBE_SCHEDULER", "heap", 1);
-  EXPECT_EQ(scheduler_kind_from_env(), SchedulerKind::LegacyHeap);
-  ::setenv("ECNPROBE_SCHEDULER", "calendar", 1);
-  EXPECT_EQ(scheduler_kind_from_env(), SchedulerKind::Calendar);
-  ::unsetenv("ECNPROBE_SCHEDULER");
-  EXPECT_EQ(scheduler_kind_from_env(), SchedulerKind::Calendar);
 }
 
 }  // namespace

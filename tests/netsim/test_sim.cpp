@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "ecnprobe/util/rng.hpp"
 
 namespace ecnprobe::netsim {
 namespace {
@@ -147,20 +153,91 @@ TEST(Simulator, SameNanosecondTieBreakIsSubmissionOrderOnBothSchedulers) {
   // The total event order is (when, seq) with seq assigned at submission.
   // schedule() and post() draw from the same counter, so events landing on
   // the same nanosecond fire in exact submission order regardless of how
-  // they were submitted -- and regardless of the scheduler backend.
-  for (const auto kind : {SchedulerKind::Calendar, SchedulerKind::LegacyHeap}) {
-    Simulator sim(kind);
-    std::vector<int> order;
-    sim.schedule(5_ms, [&] { order.push_back(0); });
-    sim.post(5_ms, [&] { order.push_back(1); });
-    sim.schedule(5_ms, [&] { order.push_back(2); });
-    sim.post(5_ms, [&] { order.push_back(3); });
-    // An earlier event submitted later still fires first (time dominates).
-    sim.schedule(1_ms, [&] { order.push_back(4); });
+  // they were submitted.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(5_ms, [&] { order.push_back(0); });
+  sim.post(5_ms, [&] { order.push_back(1); });
+  sim.schedule(5_ms, [&] { order.push_back(2); });
+  sim.post(5_ms, [&] { order.push_back(3); });
+  // An earlier event submitted later still fires first (time dominates).
+  sim.schedule(1_ms, [&] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 0, 1, 2, 3}));
+}
+
+TEST(Simulator, StormFiresEveryLiveEventOnceInWhenSeqOrder) {
+  // A randomized schedule / post / cancel workload: seed events, some of
+  // which post a same-instant child when they fire (the recursive shape
+  // real protocol timers have), and every third handle cancelled before
+  // the run. Every event enters through submit(), so submission i is the
+  // simulator's seq i.
+  for (const std::uint64_t seed : {1u, 7u, 99u, 12345u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Simulator sim;
+    util::Rng rng(seed);
+    struct Submission {
+      std::int64_t when_ns;
+      bool cancelled = false;
+      int fired = 0;
+    };
+    std::vector<Submission> submissions;
+    std::vector<std::pair<std::int64_t, std::size_t>> fired;  // (when, seq), as fired
+    std::function<EventHandle(SimDuration, bool)> submit = [&](SimDuration delay,
+                                                               bool handle) {
+      const std::size_t seq = submissions.size();
+      submissions.push_back({(sim.now() + delay).count_nanos()});
+      const auto fn = [&, seq, handle] {
+        EXPECT_EQ(sim.now().count_nanos(), submissions[seq].when_ns);
+        fired.emplace_back(sim.now().count_nanos(), seq);
+        ++submissions[seq].fired;
+        // A same-instant child fires after everything already queued for
+        // this instant.
+        if (handle && rng.next_below(2) == 0) submit(SimDuration{}, false);
+      };
+      if (handle) return sim.schedule(delay, fn);
+      sim.post(delay, fn);
+      return EventHandle{};
+    };
+    std::vector<std::pair<EventHandle, std::size_t>> handles;
+    for (int i = 0; i < 200; ++i) {
+      const auto delay = SimDuration::nanos(static_cast<std::int64_t>(rng.next_below(50'000)));
+      const bool handle = rng.next_below(3) != 0;
+      const std::size_t seq = submissions.size();
+      auto event = submit(delay, handle);
+      if (handle) handles.emplace_back(std::move(event), seq);
+    }
+    for (std::size_t i = 0; i < handles.size(); i += 3) {
+      handles[i].first.cancel();
+      submissions[handles[i].second].cancelled = true;
+    }
     sim.run();
-    EXPECT_EQ(order, (std::vector<int>{4, 0, 1, 2, 3}))
-        << "kind=" << static_cast<int>(kind);
+
+    ASSERT_FALSE(fired.empty());
+    for (std::size_t i = 1; i < fired.size(); ++i) {
+      EXPECT_LT(fired[i - 1], fired[i]) << "fired out of (when, seq) order at " << i;
+    }
+    for (std::size_t seq = 0; seq < submissions.size(); ++seq) {
+      EXPECT_EQ(submissions[seq].fired, submissions[seq].cancelled ? 0 : 1) << "seq " << seq;
+    }
   }
+}
+
+TEST(Simulator, RunUntilCancelledFrontPullsInNextLiveEvent) {
+  // The historical run_until() edge: it looks at the earliest queued event,
+  // cancelled or not, and firing then skips past the cancelled one -- so a
+  // cancelled event at <= `until` lets a live event *beyond* `until` fire.
+  // It is part of the golden event order.
+  Simulator sim;
+  std::vector<int> order;
+  auto handle = sim.schedule(SimDuration::nanos(100), [&order] { order.push_back(1); });
+  sim.schedule(SimDuration::nanos(500), [&order] { order.push_back(2); });
+  handle.cancel();
+  const auto fired = sim.run_until(SimTime::from_nanos(200));
+  EXPECT_EQ(fired, 1u) << "cancelled front event pulls in the next live one";
+  ASSERT_EQ(order.size(), 1u);
+  EXPECT_EQ(order[0], 2);
+  EXPECT_EQ(sim.now().count_nanos(), 500);
 }
 
 TEST(Simulator, SecondThreadUseThrows) {

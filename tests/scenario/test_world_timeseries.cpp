@@ -5,13 +5,10 @@
 //    totals reconcile with the end-of-run counters;
 //  * the series is byte-identical at one worker and under --workers {2,8}
 //    (folded per-trace in plan order, epoch-relative windows);
-//  * it is also byte-identical across the calendar and heap event-queue
-//    backends (ECNPROBE_SCHEDULER), like every other campaign output;
 //  * a world without the config stays inert: no series in the snapshot, no
 //    "timeseries" key in the metrics JSON (byte-compat with old exports).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "ecnprobe/measure/campaign.hpp"
@@ -89,20 +86,6 @@ TEST(WorldTimeSeries, ByteIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(obs::to_prometheus(metrics.timeseries), reference_prom);
     }
   }
-}
-
-TEST(WorldTimeSeries, ByteIdenticalAcrossSchedulerBackends) {
-  const auto params = series_params(42);
-  const auto plan = series_plan();
-  std::string json_by_backend[2];
-  const char* backends[2] = {"calendar", "heap"};
-  for (int i = 0; i < 2; ++i) {
-    ::setenv("ECNPROBE_SCHEDULER", backends[i], 1);
-    json_by_backend[i] = obs::to_json(run_campaign(params, plan).metrics);
-  }
-  ::unsetenv("ECNPROBE_SCHEDULER");
-  ASSERT_NE(json_by_backend[0].find("\"timeseries\""), std::string::npos);
-  EXPECT_EQ(json_by_backend[0], json_by_backend[1]);
 }
 
 TEST(WorldTimeSeries, DisabledSeriesKeepsLegacyExports) {
